@@ -11,8 +11,6 @@ import cmath
 import json
 import sys
 
-import numpy as np
-
 from .beamio import parse_beam_json
 from .dsl import parse_train
 from .errors import (
@@ -68,8 +66,9 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt(x):
-    return repr(float(x))
+def _csv_floats(values):
+    """Shortest round-tripping decimals, comma separated."""
+    return ",".join(map(repr, map(float, values)))
 
 
 def _dump_json(obj):
@@ -159,12 +158,17 @@ TRACE_HEADER = "step,element,rx,ry,rz,mx,my,mz,s0,s1,s2,s3,phase"
 
 
 def _trace_row(step, name, r, m_re, stokes, phase):
-    fields = [str(step), name]
-    fields += [_fmt(v) for v in r]
-    fields += [_fmt(v) for v in m_re] if m_re is not None else ["", "", ""]
-    fields += [_fmt(v) for v in stokes.as_array()]
-    fields.append(_fmt(phase) if phase is not None else "")
-    return ",".join(fields)
+    tangent = _csv_floats(m_re) if m_re is not None else ",,"
+    s = _csv_floats((stokes.s0, stokes.s1, stokes.s2, stokes.s3))
+    tail = repr(float(phase)) if phase is not None else ""
+    return f"{step},{name},{_csv_floats(r)},{tangent},{s},{tail}"
+
+
+def _direction(s):
+    """Sphere direction s_vec / s0 (its length is the DoP), or zeros at s0 = 0."""
+    if s.s0 > 0:
+        return s.s1 / s.s0, s.s2 / s.s0, s.s3 / s.s0
+    return 0.0, 0.0, 0.0
 
 
 def cmd_trace(train_path, beam_json, basis="circular", tol=1e-12):
@@ -173,20 +177,24 @@ def cmd_trace(train_path, beam_json, basis="circular", tol=1e-12):
     lines = [TRACE_HEADER]
     if beam.pure:
         w = beam.wave
-        o_ref = w.spinor.as_array()
-        frame = poincare_frame(w.spinor)
-        lines.append(_trace_row(0, "input", frame.r, frame.m_re, beam.stokes, 0.0))
+        ref = w.spinor
+        frame = poincare_frame(ref)
+        lines.append(
+            _trace_row(0, "input", frame.r.tolist(), frame.m_re.tolist(), beam.stokes, 0.0)
+        )
         for step, element in enumerate(doc.elements, start=1):
             w = apply(element, w)
             frame = poincare_frame(w.spinor)
-            inner = complex(o_ref.conj() @ w.spinor.as_array())
-            phase = cmath.phase(inner) if abs(inner) >= 1e-12 else None
+            try:
+                phase = pancharatnam_phase(ref, w.spinor)
+            except OrthogonalStatesError:
+                phase = None
             lines.append(
                 _trace_row(
                     step,
                     _ELEMENT_NAMES[type(element)],
-                    frame.r,
-                    frame.m_re,
+                    frame.r.tolist(),
+                    frame.m_re.tolist(),
                     stokes_from_wave(w),
                     phase,
                 )
@@ -194,14 +202,12 @@ def cmd_trace(train_path, beam_json, basis="circular", tol=1e-12):
     else:
         c = coherency_from_stokes(beam.stokes, basis="circular")
         s = beam.stokes
-        r = s.vec3() / s.s0 if s.s0 > 0 else np.zeros(3)
-        lines.append(_trace_row(0, "input", r, None, s, None))
+        lines.append(_trace_row(0, "input", _direction(s), None, s, None))
         for step, element in enumerate(doc.elements, start=1):
             c = apply_filter_to_coherency(element, c)
             s = stokes_from_coherency(c)
-            r = s.vec3() / s.s0 if s.s0 > 0 else np.zeros(3)
             lines.append(
-                _trace_row(step, _ELEMENT_NAMES[type(element)], r, None, s, None)
+                _trace_row(step, _ELEMENT_NAMES[type(element)], _direction(s), None, s, None)
             )
     return "\n".join(lines) + "\n"
 
@@ -212,7 +218,7 @@ def cmd_mueller(train_path, basis="circular"):
         mm = mueller_of_train(doc.elements, basis)
     except EmptyTrainError as exc:
         raise CliError(str(exc))
-    return "\n".join(",".join(_fmt(v) for v in row) for row in mm) + "\n"
+    return "\n".join(_csv_floats(row) for row in mm) + "\n"
 
 
 def cmd_decompose(beam_json, tol=1e-12):

@@ -32,8 +32,7 @@ from .filters import (
     QuarterWave,
     Rotator,
 )
-
-TWO_PI = 2.0 * math.pi
+from .spinor import TWO_PI
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ attenuation prefactors live in scale.  Circular-basis matrices:
     rotator         m = exp(i alpha sigma3)
     gyrotropic      scale e^{-i(d1+d2)/2},  m = exp(i (d/2) sigma3)
     quarter-wave    m = (1/sqrt 2)[1 - i cos(2a) sigma1 - i sin(2a) sigma2]
-    half-wave       square of the quarter-wave matrix
+    half-wave       m = -i (cos(2a) sigma1 + sin(2a) sigma2), the quarter-wave squared
     attenuator      scale e^{-(e1+e2)/2},   m = exp((e/2) sigma1),  e = e2-e1
 
 Linear-basis matrices are U m U^-1 with the same scale.  Composition is in
@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .errors import EmptyTrainError, ExtinctionError
-from .pauli import SIGMA0, SIGMA1, SIGMA2, SIGMA3, U_BASIS, U_BASIS_INV
+from .pauli import SIGMA1, SIGMA2, SIGMA3, circular_to_linear
 from .spinor import Spinor2, WaveState, su2_to_so3
 
 
@@ -64,9 +64,7 @@ class Attenuator:
             raise ValueError("attenuation exponents must be nonnegative")
 
 
-FilterElement = Union[
-    PhaseShifter, Rotator, Gyrotropic, QuarterWave, HalfWave, Attenuator
-]
+FilterElement = Union[PhaseShifter, Rotator, Gyrotropic, QuarterWave, HalfWave, Attenuator]
 
 
 @dataclass(frozen=True)
@@ -93,48 +91,82 @@ class ConformalMap:
     rapidity: float
 
 
-def _qwp_matrix(axis_angle):
-    c, s = math.cos(2.0 * axis_angle), math.sin(2.0 * axis_angle)
-    return (SIGMA0 - 1j * c * SIGMA1 - 1j * s * SIGMA2) / math.sqrt(2.0)
+def _shifter(e):
+    h = 0.5 * (e.delta2 - e.delta1)
+    c, s = math.cos(h), 1j * math.sin(h)
+    return cmath.exp(-0.5j * (e.delta1 + e.delta2)), c, s, s, c
+
+
+def _rotator(e):
+    z = cmath.exp(1j * e.alpha)
+    return 1.0 + 0.0j, z, 0.0, 0.0, z.conjugate()
+
+
+def _gyrotropic(e):
+    z = cmath.exp(0.5j * (e.delta2 - e.delta1))
+    return cmath.exp(-0.5j * (e.delta1 + e.delta2)), z, 0.0, 0.0, z.conjugate()
+
+
+def _quarter_wave(e):
+    # (1/sqrt 2)[1 + off], off = -i(cos2a sigma1 + sin2a sigma2)
+    c, s = math.cos(2.0 * e.axis_angle), math.sin(2.0 * e.axis_angle)
+    k = 1.0 / math.sqrt(2.0)
+    return 1.0 + 0.0j, k, k * complex(-s, -c), k * complex(s, -c), k
+
+
+def _half_wave(e):
+    # -i(cos2a sigma1 + sin2a sigma2), the exact square of the quarter-wave
+    c, s = math.cos(2.0 * e.axis_angle), math.sin(2.0 * e.axis_angle)
+    return 1.0 + 0.0j, 0.0, complex(-s, -c), complex(s, -c), 0.0
+
+
+def _attenuator(e):
+    h = 0.5 * (e.eta2 - e.eta1)
+    c, s = math.cosh(h), math.sinh(h)
+    return cmath.exp(-0.5 * (e.eta1 + e.eta2)), c, s, s, c
+
+
+# Circular-basis (scale, a, b, c, d) of F = scale [[a, b], [c, d]] per kind;
+# the closed forms of the module docstring.
+_CIRCULAR = {
+    PhaseShifter: _shifter,
+    Rotator: _rotator,
+    Gyrotropic: _gyrotropic,
+    QuarterWave: _quarter_wave,
+    HalfWave: _half_wave,
+    Attenuator: _attenuator,
+}
+
+
+def _entries(e, basis="circular"):
+    """(scale, a, b, c, d) of one element as Python scalars, in either basis."""
+    kind = _CIRCULAR.get(type(e))
+    if kind is None:
+        raise TypeError(f"not a filter element: {e!r}")
+    scale, a, b, c, d = kind(e)
+    if basis == "circular":
+        return scale, a, b, c, d
+    if basis == "linear":
+        # m = p + q . sigma; re-expand U m U^-1 in the standard Pauli set
+        p = 0.5 * (a + d)
+        q1, q2, q3 = circular_to_linear(0.5 * (b + c), 0.5j * (b - c), 0.5 * (a - d))
+        return scale, p + q3, q1 - 1j * q2, q1 + 1j * q2, p - q3
+    raise ValueError(f"unknown basis tag: {basis!r}")
+
+
+def element_matrix(e, basis="circular"):
+    scale, a, b, c, d = _entries(e, basis)
+    return ElementMatrix(np.array([[a, b], [c, d]], dtype=complex), scale, basis)
 
 
 def matrix_circular(e):
     """Circular-basis (scale, m) for one element."""
-    if isinstance(e, PhaseShifter):
-        d = e.delta2 - e.delta1
-        m = math.cos(0.5 * d) * SIGMA0 + 1j * math.sin(0.5 * d) * SIGMA1
-        return ElementMatrix(m, cmath.exp(-0.5j * (e.delta1 + e.delta2)), "circular")
-    if isinstance(e, Rotator):
-        m = np.diag([cmath.exp(1j * e.alpha), cmath.exp(-1j * e.alpha)])
-        return ElementMatrix(m, 1.0 + 0.0j, "circular")
-    if isinstance(e, Gyrotropic):
-        d = e.delta2 - e.delta1
-        m = np.diag([cmath.exp(0.5j * d), cmath.exp(-0.5j * d)])
-        return ElementMatrix(m, cmath.exp(-0.5j * (e.delta1 + e.delta2)), "circular")
-    if isinstance(e, QuarterWave):
-        return ElementMatrix(_qwp_matrix(e.axis_angle), 1.0 + 0.0j, "circular")
-    if isinstance(e, HalfWave):
-        q = _qwp_matrix(e.axis_angle)
-        return ElementMatrix(q @ q, 1.0 + 0.0j, "circular")
-    if isinstance(e, Attenuator):
-        h = 0.5 * (e.eta2 - e.eta1)
-        m = math.cosh(h) * SIGMA0 + math.sinh(h) * SIGMA1
-        return ElementMatrix(m, cmath.exp(-0.5 * (e.eta1 + e.eta2)), "circular")
-    raise TypeError(f"not a filter element: {e!r}")
+    return element_matrix(e, "circular")
 
 
 def matrix_linear(e):
     """Linear-basis matrix U m U^-1, same scale."""
-    em = matrix_circular(e)
-    return ElementMatrix(U_BASIS @ em.m @ U_BASIS_INV, em.scale, "linear")
-
-
-def element_matrix(e, basis="circular"):
-    if basis == "circular":
-        return matrix_circular(e)
-    if basis == "linear":
-        return matrix_linear(e)
-    raise ValueError(f"unknown basis tag: {basis!r}")
+    return element_matrix(e, "linear")
 
 
 def apply(e, w):
@@ -143,12 +175,14 @@ def apply(e, w):
     The global phase of v is retained in the spinor components, so the
     Pancharatnam phase against the input reflects the element's phase.
     """
-    em = matrix_circular(e)
-    v = em.full() @ w.spinor.as_array()
-    n = float(np.linalg.norm(v))
+    scale, a, b, c, d = _entries(e)
+    c1, c2 = w.spinor.c1, w.spinor.c2
+    v1 = scale * (a * c1 + b * c2)
+    v2 = scale * (c * c1 + d * c2)
+    n = math.sqrt(v1.real**2 + v2.real**2 + v1.imag**2 + v2.imag**2)
     if n < 1e-300:
         raise ExtinctionError("filter annihilated the state")
-    return WaveState(w.amplitude * n, Spinor2(v[0] / n, v[1] / n))
+    return WaveState(w.amplitude * n, Spinor2(v1 / n, v2 / n))
 
 
 def classify(e):

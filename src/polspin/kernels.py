@@ -1,116 +1,24 @@
 """Batched numeric kernels for large property sweeps.
 
-Two interchangeable backends: numba-jitted loops and vectorized numpy.
-The numba path is used when numba imports cleanly; set the environment
-variable POLSPIN_DISABLE_NUMBA=1 to force the numpy path (useful for
-debugging and for the backend-comparison benchmark in bench/).
-
-Closed-form 2x2 expressions only; no linear-algebra calls inside loops.
-For one spinor c = (c1, c2):
+Closed-form 2x2 expressions only, vectorized with numpy; no linear-algebra
+calls.  The spinor triad is the expression `poincare_frame` uses on one
+spinor, applied elementwise:
     r = (2 Re(conj(c1) c2), 2 Im(conj(c1) c2), |c1|^2 - |c2|^2)
     M = (c1^2 - c2^2, i (c1^2 + c2^2), -2 c1 c2)
 and the frame vectors are m_re = Re M, m_im = Im M.
 """
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("POLSPIN_DISABLE_NUMBA", "") not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError("disabled via POLSPIN_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def backend_name():
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def _triads_numpy(spinors):
-    c1 = spinors[:, 0]
-    c2 = spinors[:, 1]
-    cross = np.conj(c1) * c2
-    r = np.empty((len(spinors), 3))
-    r[:, 0] = 2.0 * cross.real
-    r[:, 1] = 2.0 * cross.imag
-    r[:, 2] = np.abs(c1) ** 2 - np.abs(c2) ** 2
-    m = np.empty((len(spinors), 3), dtype=complex)
-    m[:, 0] = c1 * c1 - c2 * c2
-    m[:, 1] = 1j * (c1 * c1 + c2 * c2)
-    m[:, 2] = -2.0 * c1 * c2
-    return r, m.real.copy(), m.imag.copy()
-
-
-def _coherency_invariants_numpy(stokes):
-    s0, s1, s2, s3 = stokes.T
-    c00 = 0.5 * (s0 + s3)
-    c11 = 0.5 * (s0 - s3)
-    c01 = 0.5 * (s1 - 1j * s2)
-    off = (c01 * np.conj(c01)).real
-    det_c = c00 * c11 - off
-    tr_c = c00 + c11
-    tr_c2 = c00 * c00 + c11 * c11 + 2.0 * off
-    return det_c, tr_c, tr_c2
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _triads_numba(spinors):  # pragma: no cover - timed via tests/bench
-        n = spinors.shape[0]
-        r = np.empty((n, 3))
-        m_re = np.empty((n, 3))
-        m_im = np.empty((n, 3))
-        for k in range(n):
-            c1 = spinors[k, 0]
-            c2 = spinors[k, 1]
-            cross = np.conj(c1) * c2
-            r[k, 0] = 2.0 * cross.real
-            r[k, 1] = 2.0 * cross.imag
-            r[k, 2] = (c1 * np.conj(c1)).real - (c2 * np.conj(c2)).real
-            m1 = c1 * c1 - c2 * c2
-            m2 = 1j * (c1 * c1 + c2 * c2)
-            m3 = -2.0 * c1 * c2
-            m_re[k, 0] = m1.real
-            m_re[k, 1] = m2.real
-            m_re[k, 2] = m3.real
-            m_im[k, 0] = m1.imag
-            m_im[k, 1] = m2.imag
-            m_im[k, 2] = m3.imag
-        return r, m_re, m_im
-
-    @njit(cache=True)
-    def _coherency_invariants_numba(stokes):  # pragma: no cover
-        n = stokes.shape[0]
-        det_c = np.empty(n)
-        tr_c = np.empty(n)
-        tr_c2 = np.empty(n)
-        for k in range(n):
-            s0 = stokes[k, 0]
-            s1 = stokes[k, 1]
-            s2 = stokes[k, 2]
-            s3 = stokes[k, 3]
-            c00 = 0.5 * (s0 + s3)
-            c11 = 0.5 * (s0 - s3)
-            off = 0.25 * (s1 * s1 + s2 * s2)
-            det_c[k] = c00 * c11 - off
-            tr_c[k] = c00 + c11
-            tr_c2[k] = c00 * c00 + c11 * c11 + 2.0 * off
-        return det_c, tr_c, tr_c2
+from .spinor import _sphere_point, _tangent
 
 
 def triads(spinors):
     """Poincare frames (r, m_re, m_im) for an (N, 2) array of unit spinors."""
-    spinors = np.ascontiguousarray(spinors, dtype=complex)
-    if HAVE_NUMBA:
-        return _triads_numba(spinors)
-    return _triads_numpy(spinors)
+    spinors = np.asarray(spinors, dtype=complex)
+    c1, c2 = spinors[:, 0], spinors[:, 1]
+    m = np.stack(_tangent(c1, c2), axis=1)
+    return np.stack(_sphere_point(c1, c2), axis=1), m.real.copy(), m.imag.copy()
 
 
 def coherency_invariants(stokes):
@@ -120,7 +28,8 @@ def coherency_invariants(stokes):
     from the explicit matrix elements, not from the closed-form identities
     they are tested against.
     """
-    stokes = np.ascontiguousarray(stokes, dtype=float)
-    if HAVE_NUMBA:
-        return _coherency_invariants_numba(stokes)
-    return _coherency_invariants_numpy(stokes)
+    s0, s1, s2, s3 = np.asarray(stokes, dtype=float).T
+    c00, c11 = 0.5 * (s0 + s3), 0.5 * (s0 - s3)
+    c01 = 0.5 * (s1 - 1j * s2)
+    off = (c01 * np.conj(c01)).real
+    return c00 * c11 - off, c00 + c11, c00 * c00 + c11 * c11 + 2.0 * off

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrainError, InvalidStokesError, ZeroFluxError
-from .filters import compose, element_matrix
-from .pauli import sigma_set
+from .filters import _entries, compose
+from .pauli import linear_to_circular, sigma_set
 from .spinor import StokesVector
 
 PSD_TOL = 1e-9
@@ -33,10 +33,13 @@ class CoherencyMatrix:
     def __post_init__(self):
         c = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", c)
-        scale = max(float(np.trace(c).real), 1.0e-30)
-        if np.max(np.abs(c - c.conj().T)) > 1e-12 * scale:
+        (p, q), (q2, r) = c.tolist()
+        scale = max((p + r).real, 1.0e-30)
+        # largest |C - C^dag| entry; |p - conj p| = 2 |Im p|
+        skew = max(2.0 * abs(p.imag), abs(q - q2.conjugate()), 2.0 * abs(r.imag))
+        if skew > 1e-12 * scale:
             raise ValueError("coherency matrix is not Hermitian")
-        lo = _min_eigenvalue(c)
+        lo = _min_eigenvalue(p, q, q2, r)
         if lo < -PSD_TOL * scale:
             raise ValueError("coherency matrix is not positive semidefinite")
 
@@ -68,10 +71,11 @@ class PolarizationDecomposition:
     degenerate: bool
 
 
-def _min_eigenvalue(c):
-    # closed-form 2x2 Hermitian spectrum: (tr +- sqrt(tr^2 - 4 det)) / 2
-    tr = np.trace(c).real
-    det = np.linalg.det(c).real
+def _min_eigenvalue(p, q, q2, r):
+    # closed-form 2x2 Hermitian spectrum of [[p, q], [q2, r]]:
+    # (tr +- sqrt(tr^2 - 4 det)) / 2
+    tr = (p + r).real
+    det = (p * r - q * q2).real
     disc = max(tr * tr - 4.0 * det, 0.0)
     return 0.5 * (tr - math.sqrt(disc))
 
@@ -92,9 +96,13 @@ def coherency_from_stokes(s, basis="circular"):
 
 def stokes_from_coherency(c):
     """s_a = tr(C sigma_a); exact inverse of coherency_from_stokes."""
-    sig = sigma_set(c.basis)
-    vals = [float(np.trace(c.matrix @ sig[a]).real) for a in range(4)]
-    return StokesVector(*vals)
+    (p, q), (_, r) = c.matrix.tolist()
+    s0, t1, t2, t3 = (p + r).real, 2.0 * q.real, -2.0 * q.imag, (p - r).real
+    if c.basis == "circular":
+        return StokesVector(s0, t1, t2, t3)
+    if c.basis == "linear":
+        return StokesVector(s0, *linear_to_circular(t1, t2, t3))
+    raise ValueError(f"unknown basis tag: {c.basis!r}")
 
 
 def purity_invariant(s):
@@ -133,15 +141,33 @@ def eig_decompose(c):
     return PolarizationDecomposition(point, -point, lam_plus, lam_minus, False)
 
 
+def _conjugate(c, scale, a, b, g, d):
+    """C -> F C F^dag for F = scale [[a, b], [g, d]], in closed form.
+
+    With C = [[p, q], [conj q, r]] the rows of F C are (u0, u1), (w0, w1);
+    the result is Hermitian by construction.
+    """
+    (p, q), (_, r) = c.matrix.tolist()
+    p, r, qc = p.real, r.real, q.conjugate()
+    # scale first: a strong attenuator's cosh^2 overflows, scale * cosh does not
+    a, b, g, d = scale * a, scale * b, scale * g, scale * d
+    u0, u1 = a * p + b * qc, a * q + b * r
+    w0, w1 = g * p + d * qc, g * q + d * r
+    top = (u0 * a.conjugate() + u1 * b.conjugate()).real
+    off = u0 * g.conjugate() + u1 * d.conjugate()
+    bottom = (w0 * g.conjugate() + w1 * d.conjugate()).real
+    return CoherencyMatrix(np.array([[top, off], [off.conjugate(), bottom]]), c.basis)
+
+
 def apply_filter_to_coherency(e, c):
     """C -> F C F^dag with F = scale * m taken in the matrix basis of c."""
-    f = element_matrix(e, c.basis).full()
-    return CoherencyMatrix(f @ c.matrix @ f.conj().T, c.basis)
+    return _conjugate(c, *_entries(e, c.basis))
 
 
 def apply_train_to_coherency(train, c):
-    f = compose(train, c.basis).full()
-    return CoherencyMatrix(f @ c.matrix @ f.conj().T, c.basis)
+    em = compose(train, c.basis)
+    (a, b), (g, d) = em.m.tolist()
+    return _conjugate(c, em.scale, a, b, g, d)
 
 
 def mueller_of_train(train, basis="circular"):

@@ -34,3 +34,12 @@ def sigma_set(basis):
     if basis == "linear":
         return np.stack([U_BASIS @ s @ U_BASIS_INV for s in SIGMA])
     raise ValueError(f"unknown basis tag: {basis!r}")
+
+
+# Pauli coefficients (q1, q2, q3) of q . sigma -> those of U (q . sigma) U^-1, and back
+def circular_to_linear(q1, q2, q3):
+    return q2, q3, q1
+
+
+def linear_to_circular(t1, t2, t3):
+    return t3, t1, t2

@@ -30,7 +30,7 @@ from .errors import (
     OrthogonalStatesError,
     ZeroFieldError,
 )
-from .pauli import EPSILON, SIGMA, U_BASIS, U_BASIS_INV
+from .pauli import SIGMA, U_BASIS, U_BASIS_INV
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,20 +185,31 @@ def ellipse_from_wave(w):
     return EllipseParams(a, b, 0.5 * ang.phi)
 
 
+def _sphere_point(c1, c2):
+    """r = (2 Re(conj(c1) c2), 2 Im(conj(c1) c2), |c1|^2 - |c2|^2); scalars or arrays."""
+    cross = c1.conjugate() * c2
+    return 2.0 * cross.real, 2.0 * cross.imag, abs(c1) ** 2 - abs(c2) ** 2
+
+
+def _tangent(c1, c2):
+    """M = (c1^2 - c2^2, i (c1^2 + c2^2), -2 c1 c2); scalars or arrays."""
+    sq1, sq2 = c1 * c1, c2 * c2
+    return sq1 - sq2, 1j * (sq1 + sq2), -2.0 * c1 * c2
+
+
 def poincare_frame(s):
     """Vectors r_i = o^dag sigma_i o and M_i = o^t eps sigma_i o, M split re/im."""
     s.require_unit()
-    o = s.as_array()
-    r = np.array([(o.conj() @ SIGMA[i] @ o).real for i in (1, 2, 3)])
-    m = np.array([o @ (EPSILON @ SIGMA[i]) @ o for i in (1, 2, 3)])
+    r = np.array(_sphere_point(s.c1, s.c2))
+    m = np.array(_tangent(s.c1, s.c2))
     return PoincareFrame(r, m.real.copy(), m.imag.copy())
 
 
 def stokes_from_wave(w):
     """Stokes parameters with the flux normalization s0 = A^2."""
     s0 = w.amplitude**2
-    r = poincare_frame(w.spinor).r
-    return StokesVector(s0, s0 * r[0], s0 * r[1], s0 * r[2])
+    r1, r2, r3 = _sphere_point(w.spinor.c1, w.spinor.c2)
+    return StokesVector(s0, s0 * r1, s0 * r2, s0 * r3)
 
 
 def wave_from_stokes(s, tol=1e-9):
@@ -245,7 +256,7 @@ def wave_from_jones(j):
         [j.a1 * cmath.exp(1j * j.phi1), j.a2 * cmath.exp(1j * j.phi2)]
     )
     o = U_BASIS_INV @ (jones / (JONES_PREFACTOR_UNIT * amp))
-    return WaveState(amp, Spinor2(o[0], o[1]).normalized())
+    return WaveState(amp, Spinor2(complex(o[0]), complex(o[1])).normalized())
 
 
 def basis_permutation_check(tol=1e-15):
@@ -288,7 +299,7 @@ def su2_to_so3(q, tol=1e-10):
 
 def pancharatnam_phase(s1, s2, tol=1e-12):
     """arg(s1^dag s2) in (-pi, pi]; zero means the waves are in phase."""
-    inner = complex(s1.as_array().conj() @ s2.as_array())
+    inner = s1.c1.conjugate() * s2.c1 + s1.c2.conjugate() * s2.c2
     if abs(inner) < tol:
         raise OrthogonalStatesError(
             "states are orthogonal; relative phase undefined"

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +138,20 @@ class TestTrace:
         code, _, err = run(capsys, "trace", train, LINEAR_X)
         assert code == 2 and "unknown statement" in err
 
+    def test_near_ideal_polarizer_mixed_beam_matches_mueller(self, capsys, tmp_path):
+        # dichroism of 750 nepers: cosh^2 of half of it overflows a double
+        train = self.make_train(tmp_path, "atten e1=0 e2=750\n")
+        beam = '{"stokes": [1, 0.2, 0.1, 0.3]}'
+        code, out, _ = run(capsys, "trace", train, beam)
+        assert code == 0
+        _, rows = self.parse_csv(out)
+        final = [float(v) for v in rows[1][8:12]]
+        code, mueller_out, _ = run(capsys, "mueller", train)
+        assert code == 0
+        mm = np.array([[float(v) for v in line.split(",")] for line in mueller_out.split()])
+        np.testing.assert_allclose(final, mm @ [1, 0.2, 0.1, 0.3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final, [0.6, 0.6, 0, 0], rtol=0, atol=1e-12)
+
     def test_extinction_exit_3(self, capsys, tmp_path):
         train = self.make_train(tmp_path, "atten e1=1500 e2=1500\n")
         code, _, err = run(capsys, "trace", train, LINEAR_X)
@@ -238,3 +255,72 @@ def test_numeric_output_reparses_bit_exact(capsys, tmp_path):
     for line in out.strip().split("\n"):
         for field in line.split(","):
             assert repr(float(field)) == field
+
+
+def long_train_text(rng, per_kind=1000):
+    """Seeded .pol train, per_kind elements of each kind in shuffled order.
+
+    Attenuation exponents stay in [0, 0.01], so the total loss over 1000
+    attenuators is a few nepers and s0 stays well above underflow.
+    """
+    kinds = rng.permutation(np.repeat(np.arange(6), per_kind))
+    lines = []
+    for k in kinds:
+        a, b = map(float, rng.uniform(0.0, 2.0 * math.pi, 2))
+        lines.append(
+            [
+                f"shifter d1={a!r} d2={b!r}",
+                f"rotate alpha={a!r}",
+                f"gyro d1={a!r} d2={b!r}",
+                f"qwp axis={0.5 * a!r}",
+                f"hwp axis={0.5 * b!r}",
+                f"atten e1={0.01 * a / (2 * math.pi)!r} e2={0.01 * b / (2 * math.pi)!r}",
+            ][k]
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "beam",
+    [
+        '{"angles": {"theta": 1.1, "phi": 0.4, "chi": 0.3, "amp": 1.7}}',
+        '{"stokes": [2.0, 0.6, -0.9, 0.5]}',
+    ],
+    ids=["pure", "mixed"],
+)
+def test_long_train_trace_matches_mueller(capsys, tmp_path, rng, beam):
+    path = tmp_path / "long.pol"
+    path.write_text(long_train_text(rng))
+    code, out, _ = run(capsys, "trace", str(path), beam)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 6001
+    pure = "angles" in beam
+    for row in rows:
+        r = np.array([float(v) for v in row[2:5]])
+        s0 = float(row[8])
+        assert s0 > 0.0
+        if pure:
+            assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
+    code, mueller_out, _ = run(capsys, "mueller", str(path))
+    assert code == 0
+    mm = np.array([[float(v) for v in line.split(",")] for line in mueller_out.split()])
+    s_in = np.array([float(v) for v in rows[0][8:12]])
+    expected = mm @ s_in
+    final = np.array([float(v) for v in rows[-1][8:12]])
+    assert np.max(np.abs(final - expected)) <= 1e-9 * expected[0]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    import polspin
+
+    src = os.path.dirname(os.path.dirname(polspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["convert", "--to", "stokes", LINEAR_X]
+    proc = subprocess.run(
+        [sys.executable, "-m", "polspin", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and proc.stdout == out

@@ -1,7 +1,6 @@
 import numpy as np
 
 from polspin import kernels
-from polspin.kernels import _coherency_invariants_numpy, _triads_numpy
 from polspin.spinor import poincare_frame
 
 from .conftest import as_spinor, random_unit_spinors, random_valid_stokes
@@ -15,17 +14,6 @@ def test_triads_match_scalar_path(rng):
         np.testing.assert_allclose(r[k], f.r, atol=1e-14)
         np.testing.assert_allclose(m_re[k], f.m_re, atol=1e-14)
         np.testing.assert_allclose(m_im[k], f.m_im, atol=1e-14)
-
-
-def test_backends_agree(rng):
-    spinors = random_unit_spinors(rng, 1000)
-    stokes = random_valid_stokes(rng, 1000)
-    for got, want in zip(kernels.triads(spinors), _triads_numpy(spinors)):
-        np.testing.assert_allclose(got, want, atol=1e-14)
-    for got, want in zip(
-        kernels.coherency_invariants(stokes), _coherency_invariants_numpy(stokes)
-    ):
-        np.testing.assert_allclose(got, want, atol=1e-14)
 
 
 def test_invariants_values(rng):
