@@ -1,4 +1,4 @@
-"""Beam JSON handling shared by the CLI and the train runner.
+"""Beam JSON handling shared by the CLI and the `.pol` DSL.
 
 A beam JSON object takes exactly one of three forms:
 
@@ -6,16 +6,18 @@ A beam JSON object takes exactly one of three forms:
     {"stokes": [s0, s1, s2, s3]}
     {"jones": {"a1": r, "a2": r, "phi1": r, "phi2": r}}
 
-Angles are radians.  A Stokes beam may be mixed (s0^2 > |s_vec|^2); the
-other two forms always describe a pure wave.
+Angles are radians and every number must be finite.  A Stokes beam may be
+mixed (s0^2 > |s_vec|^2); the other two forms always describe a pure wave.
+The same three forms, with the same keys, are the `.pol` beam statements.
 """
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
-from . import dsl
-from .errors import InvalidStokesError, PolspinError
+from .errors import PolspinError
+from .partial import _check_stokes, degree_of_polarization
 from .spinor import (
     AngleSet,
     JonesAmpPhase,
@@ -28,6 +30,27 @@ from .spinor import (
 )
 
 PURITY_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class AnglesBeam:
+    """Sphere angles plus amplitude of a pure beam, as declared."""
+
+    theta: float
+    phi: float
+    chi: float
+    amp: float
+
+
+BeamDecl = Union[AnglesBeam, StokesVector, JonesAmpPhase]
+
+# Beam form -> (declaration class, keys in field order); the Stokes form is
+# a JSON list in this order.
+BEAM_FORMS = {
+    "angles": (AnglesBeam, ("theta", "phi", "chi", "amp")),
+    "stokes": (StokesVector, ("s0", "s1", "s2", "s3")),
+    "jones": (JonesAmpPhase, ("a1", "a2", "phi1", "phi2")),
+}
 
 
 @dataclass
@@ -46,11 +69,12 @@ class BeamFormatError(PolspinError):
     """Beam JSON does not match any accepted form."""
 
 
-def _require_number(obj, key, where):
-    v = obj.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise BeamFormatError(f"{where}.{key} must be a number")
-    return float(v)
+def _require_number(v, where):
+    # integers arrive as floats (parse_int=float); NaN, Infinity and
+    # out-of-range literals such as 1e400 are rejected here
+    if not isinstance(v, float) or not math.isfinite(v):
+        raise BeamFormatError(f"{where} must be a finite number")
+    return v
 
 
 def beam_from_wave(wave):
@@ -59,12 +83,7 @@ def beam_from_wave(wave):
 
 def beam_from_stokes(s, tol=PURITY_TOL):
     """Classify a Stokes vector as pure or mixed; reject over-polarized input."""
-    from .partial import degree_of_polarization, purity_invariant
-
-    if s.s0 < 0.0:
-        raise InvalidStokesError(f"s0 must be nonnegative: {s.s0}")
-    if purity_invariant(s) < -1e-9 * max(s.s0**2, 1e-30):
-        raise InvalidStokesError("over-polarized Stokes vector")
+    _check_stokes(s)
     if s.s0 > 0.0 and degree_of_polarization(s) >= 1.0 - tol:
         return Beam(s, wave_from_stokes(s))
     return Beam(s, None)
@@ -73,7 +92,7 @@ def beam_from_stokes(s, tol=PURITY_TOL):
 def parse_beam_json(text, tol=PURITY_TOL):
     """Parse one beam JSON object into a Beam."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise BeamFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict) or len(obj) != 1:
@@ -82,45 +101,29 @@ def parse_beam_json(text, tol=PURITY_TOL):
             "'angles', 'stokes', 'jones'"
         )
     (form, body), = obj.items()
-    if form == "angles":
-        if not isinstance(body, dict):
-            raise BeamFormatError("'angles' must map to an object")
-        vals = {k: _require_number(body, k, "angles") for k in ("theta", "phi", "chi", "amp")}
-        try:
-            ang = AngleSet(vals["theta"], vals["phi"], vals["chi"])
-            wave = WaveState(vals["amp"], spinor_from_angles(ang))
-        except ValueError as exc:
-            raise BeamFormatError(str(exc)) from exc
-        return beam_from_wave(wave)
+    if form not in BEAM_FORMS:
+        raise BeamFormatError(f"unknown beam form {form!r}")
+    cls, keys = BEAM_FORMS[form]
     if form == "stokes":
-        if not isinstance(body, list) or len(body) != 4 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in body
-        ):
+        if not isinstance(body, list) or len(body) != len(keys):
             raise BeamFormatError("'stokes' must be a list of four numbers")
-        return beam_from_stokes(StokesVector(*(float(v) for v in body)), tol)
-    if form == "jones":
-        if not isinstance(body, dict):
-            raise BeamFormatError("'jones' must map to an object")
-        vals = {k: _require_number(body, k, "jones") for k in ("a1", "a2", "phi1", "phi2")}
-        try:
-            wave = wave_from_jones(JonesAmpPhase(**vals))
-        except (ValueError, PolspinError) as exc:
-            raise BeamFormatError(str(exc)) from exc
-        return beam_from_wave(wave)
-    raise BeamFormatError(f"unknown beam form {form!r}")
+        body = dict(zip(keys, body))
+    elif not isinstance(body, dict):
+        raise BeamFormatError(f"{form!r} must map to an object")
+    values = [_require_number(body.get(k), f"{form}.{k}") for k in keys]
+    try:
+        return beam_from_decl(cls(*values), tol)
+    except ValueError as exc:
+        raise BeamFormatError(str(exc)) from exc
 
 
 def beam_from_decl(decl, tol=PURITY_TOL):
-    """Beam from a parsed `.pol` beam declaration."""
-    if isinstance(decl, dsl.AnglesBeam):
+    """Beam from a beam declaration (parsed from JSON or a `.pol` statement)."""
+    if isinstance(decl, AnglesBeam):
         ang = AngleSet(decl.theta, decl.phi, decl.chi)
         return beam_from_wave(WaveState(decl.amp, spinor_from_angles(ang)))
-    if isinstance(decl, dsl.StokesBeam):
-        return beam_from_stokes(
-            StokesVector(decl.s0, decl.s1, decl.s2, decl.s3), tol
-        )
-    if isinstance(decl, dsl.JonesBeam):
-        return beam_from_wave(
-            wave_from_jones(JonesAmpPhase(decl.a1, decl.a2, decl.phi1, decl.phi2))
-        )
+    if isinstance(decl, StokesVector):
+        return beam_from_stokes(decl, tol)
+    if isinstance(decl, JonesAmpPhase):
+        return beam_from_wave(wave_from_jones(decl))
     raise TypeError(f"not a beam declaration: {decl!r}")

@@ -19,15 +19,7 @@ from .errors import (
     OrthogonalStatesError,
     PolspinError,
 )
-from .filters import (
-    Attenuator,
-    Gyrotropic,
-    HalfWave,
-    PhaseShifter,
-    QuarterWave,
-    Rotator,
-    apply,
-)
+from .filters import ELEMENTS, apply
 from .partial import (
     apply_filter_to_coherency,
     coherency_from_stokes,
@@ -49,15 +41,6 @@ EXIT_EXTINCTION = 3
 EXIT_NO_PHASE = 4
 
 IN_PHASE_TOL = 1e-9
-
-_ELEMENT_NAMES = {
-    PhaseShifter: "shifter",
-    Rotator: "rotate",
-    Gyrotropic: "gyro",
-    QuarterWave: "qwp",
-    HalfWave: "hwp",
-    Attenuator: "atten",
-}
 
 
 class CliError(Exception):
@@ -171,7 +154,7 @@ def _direction(s):
     return 0.0, 0.0, 0.0
 
 
-def cmd_trace(train_path, beam_json, basis="circular", tol=1e-12):
+def cmd_trace(train_path, beam_json, tol=1e-12):
     doc = _load_train(train_path)
     beam = _load_beam(beam_json, tol)
     lines = [TRACE_HEADER]
@@ -192,7 +175,7 @@ def cmd_trace(train_path, beam_json, basis="circular", tol=1e-12):
             lines.append(
                 _trace_row(
                     step,
-                    _ELEMENT_NAMES[type(element)],
+                    ELEMENTS[type(element)][0],
                     frame.r.tolist(),
                     frame.m_re.tolist(),
                     stokes_from_wave(w),
@@ -207,15 +190,15 @@ def cmd_trace(train_path, beam_json, basis="circular", tol=1e-12):
             c = apply_filter_to_coherency(element, c)
             s = stokes_from_coherency(c)
             lines.append(
-                _trace_row(step, _ELEMENT_NAMES[type(element)], _direction(s), None, s, None)
+                _trace_row(step, ELEMENTS[type(element)][0], _direction(s), None, s, None)
             )
     return "\n".join(lines) + "\n"
 
 
-def cmd_mueller(train_path, basis="circular"):
+def cmd_mueller(train_path):
     doc = _load_train(train_path)
     try:
-        mm = mueller_of_train(doc.elements, basis)
+        mm = mueller_of_train(doc.elements)
     except EmptyTrainError as exc:
         raise CliError(str(exc))
     return "\n".join(_csv_floats(row) for row in mm) + "\n"
@@ -224,7 +207,7 @@ def cmd_mueller(train_path, basis="circular"):
 def cmd_decompose(beam_json, tol=1e-12):
     try:
         obj = json.loads(beam_json)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long
         raise CliError(f"malformed JSON: {exc}")
     if not isinstance(obj, dict) or set(obj) != {"stokes"}:
         raise CliError("decompose requires the Stokes beam form")
@@ -263,8 +246,11 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def output(p):
         p.add_argument("--output", help="write output to a file instead of stdout")
+
+    def common(p):
+        output(p)
         p.add_argument(
             "--tolerance",
             type=float,
@@ -286,13 +272,11 @@ def _build_parser():
     p = sub.add_parser("trace", help="Poincare trajectory of a beam through a train")
     p.add_argument("train", help="path to a .pol train file")
     p.add_argument("beam", help="beam JSON text")
-    p.add_argument("--basis", choices=["circular", "linear"], default="circular")
     common(p)
 
     p = sub.add_parser("mueller", help="4x4 Stokes-space matrix of a train")
     p.add_argument("train", help="path to a .pol train file")
-    p.add_argument("--basis", choices=["circular", "linear"], default="circular")
-    common(p)
+    output(p)
 
     p = sub.add_parser("decompose", help="antipodal eigen-decomposition of a beam")
     p.add_argument("beam", help="Stokes beam JSON text")
@@ -312,9 +296,9 @@ def main(argv=None):
         if args.command == "convert":
             out = cmd_convert(args.beam, args.target, args.basis, args.tolerance)
         elif args.command == "trace":
-            out = cmd_trace(args.train, args.beam, args.basis, args.tolerance)
+            out = cmd_trace(args.train, args.beam, args.tolerance)
         elif args.command == "mueller":
-            out = cmd_mueller(args.train, args.basis)
+            out = cmd_mueller(args.train)
         elif args.command == "decompose":
             out = cmd_decompose(args.beam, args.tolerance)
         elif args.command == "phase":

@@ -21,45 +21,18 @@ key order, shortest round-tripping decimals, LF endings).
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import List, Tuple
 
-from .filters import (
-    Attenuator,
-    Gyrotropic,
-    HalfWave,
-    PhaseShifter,
-    QuarterWave,
-    Rotator,
-)
-from .spinor import TWO_PI
+from .beamio import BEAM_FORMS, AnglesBeam, BeamDecl, beam_from_decl
+from .errors import PolspinError
+from .filters import ELEMENTS
+from .spinor import JonesAmpPhase, StokesVector
 
-
-@dataclass(frozen=True)
-class AnglesBeam:
-    theta: float
-    phi: float
-    chi: float
-    amp: float
-
-
-@dataclass(frozen=True)
-class StokesBeam:
-    s0: float
-    s1: float
-    s2: float
-    s3: float
-
-
-@dataclass(frozen=True)
-class JonesBeam:
-    a1: float
-    a2: float
-    phi1: float
-    phi2: float
-
-
-BeamDecl = Union[AnglesBeam, StokesBeam, JonesBeam]
+# The `.pol` beam declarations (AnglesBeam, StokesBeam, JonesBeam) are the
+# classes of the beam JSON forms.
+StokesBeam = StokesVector
+JonesBeam = JonesAmpPhase
 
 
 @dataclass(frozen=True)
@@ -93,19 +66,10 @@ class ParseResult:
         return not any(d.severity == "error" for d in self.diagnostics)
 
 
-_BEAM_KEYS = {
-    "angles": ("theta", "phi", "chi", "amp"),
-    "stokes": ("s0", "s1", "s2", "s3"),
-    "jones": ("a1", "a2", "phi1", "phi2"),
-}
-_ELEMENT_KEYS = {
-    "shifter": ("d1", "d2"),
-    "rotate": ("alpha",),
-    "gyro": ("d1", "d2"),
-    "qwp": ("axis",),
-    "hwp": ("axis",),
-    "atten": ("e1", "e2"),
-}
+_ELEMENT_STATEMENTS = {name: (cls, keys) for cls, (name, keys, _) in ELEMENTS.items()}
+# class -> (statement head, keys in field order), for serialization
+_HEADS = {cls: (name, keys) for name, (cls, keys) in _ELEMENT_STATEMENTS.items()}
+_HEADS.update({cls: (f"beam {form}", keys) for form, (cls, keys) in BEAM_FORMS.items()})
 
 _DEG_RE = re.compile(r"^deg\((.+)\)$")
 _TOKEN_RE = re.compile(r"\S+")
@@ -122,61 +86,6 @@ def _parse_number(text):
     if not math.isfinite(value):
         return None
     return math.radians(value) if deg else value
-
-
-def _validate(kind, values):
-    """Range check for one statement; returns (key, message) or None."""
-    if kind == "angles":
-        if not 0.0 <= values["theta"] <= math.pi:
-            return "theta", "theta must lie in [0, pi]"
-        if not 0.0 <= values["phi"] < TWO_PI:
-            return "phi", "phi must lie in [0, 2pi)"
-        if not 0.0 <= values["chi"] < TWO_PI:
-            return "chi", "chi must lie in [0, 2pi)"
-        if not values["amp"] > 0.0:
-            return "amp", "amp must be positive"
-    elif kind == "stokes":
-        if values["s0"] < 0.0:
-            return "s0", "s0 must be nonnegative"
-        excess = (
-            values["s1"] ** 2
-            + values["s2"] ** 2
-            + values["s3"] ** 2
-            - values["s0"] ** 2
-        )
-        if excess > 1e-9 * max(values["s0"] ** 2, 1e-30):
-            return "s0", "over-polarized: s1^2 + s2^2 + s3^2 exceeds s0^2"
-    elif kind == "jones":
-        if values["a1"] < 0.0 or values["a2"] < 0.0:
-            return "a1", "Jones amplitudes must be nonnegative"
-        if values["a1"] == 0.0 and values["a2"] == 0.0:
-            return "a1", "Jones amplitudes must not both be zero"
-    elif kind == "atten":
-        if values["e1"] < 0.0 or values["e2"] < 0.0:
-            return "e1", "attenuation exponents must be nonnegative"
-    return None
-
-
-def _build(kind, values):
-    if kind == "angles":
-        return AnglesBeam(values["theta"], values["phi"], values["chi"], values["amp"])
-    if kind == "stokes":
-        return StokesBeam(values["s0"], values["s1"], values["s2"], values["s3"])
-    if kind == "jones":
-        return JonesBeam(values["a1"], values["a2"], values["phi1"], values["phi2"])
-    if kind == "shifter":
-        return PhaseShifter(values["d1"], values["d2"])
-    if kind == "rotate":
-        return Rotator(values["alpha"])
-    if kind == "gyro":
-        return Gyrotropic(values["d1"], values["d2"])
-    if kind == "qwp":
-        return QuarterWave(values["axis"])
-    if kind == "hwp":
-        return HalfWave(values["axis"])
-    if kind == "atten":
-        return Attenuator(values["e1"], values["e2"])
-    raise AssertionError(kind)
 
 
 def parse_train(source):
@@ -214,20 +123,18 @@ def parse_train(source):
                 error(line_no, head_col, "beam statement missing its form", head)
                 continue
             kind, kind_col = tokens[1]
-            if kind not in _BEAM_KEYS:
+            if kind not in BEAM_FORMS:
                 error(line_no, kind_col, f"unknown beam form {kind!r}", kind)
                 continue
-            keys = _BEAM_KEYS[kind]
+            cls, keys = BEAM_FORMS[kind]
             pairs = tokens[2:]
-            is_beam = True
         else:
             kind, kind_col = head, head_col
-            if kind not in _ELEMENT_KEYS:
+            if kind not in _ELEMENT_STATEMENTS:
                 error(line_no, kind_col, f"unknown statement {kind!r}", kind)
                 continue
-            keys = _ELEMENT_KEYS[kind]
+            cls, keys = _ELEMENT_STATEMENTS[kind]
             pairs = tokens[1:]
-            is_beam = False
 
         values = {}
         bad = False
@@ -257,14 +164,17 @@ def parse_train(source):
         if missing:
             error(line_no, head_col, f"missing key {missing[0]!r} for {kind!r}", head)
             continue
-        violation = _validate(kind, values)
-        if violation is not None:
-            key, message = violation
-            error(line_no, head_col, message, f"{key}={values[key]!r}")
-            continue
         span = (line_no, head_col, tokens[-1][1] + len(tokens[-1][0]))
-        item = _build(kind, values)
-        if is_beam:
+        # range checks live in the constructors (and, for beams, in the
+        # conversion to a Beam); a failure is one diagnostic for the statement
+        try:
+            item = cls(*[values[k] for k in keys])
+            if head == "beam":
+                beam_from_decl(item)
+        except (ValueError, PolspinError) as exc:
+            error(line_no, head_col, str(exc), code[head_col - 1 : span[2] - 1])
+            continue
+        if head == "beam":
             doc.beams.append(item)
             doc.beam_spans.append(span)
         else:
@@ -279,34 +189,12 @@ def _fmt(x):
 
 
 def _statement(item):
-    if isinstance(item, AnglesBeam):
-        return (
-            f"beam angles theta={_fmt(item.theta)} phi={_fmt(item.phi)} "
-            f"chi={_fmt(item.chi)} amp={_fmt(item.amp)}"
-        )
-    if isinstance(item, StokesBeam):
-        return (
-            f"beam stokes s0={_fmt(item.s0)} s1={_fmt(item.s1)} "
-            f"s2={_fmt(item.s2)} s3={_fmt(item.s3)}"
-        )
-    if isinstance(item, JonesBeam):
-        return (
-            f"beam jones a1={_fmt(item.a1)} a2={_fmt(item.a2)} "
-            f"phi1={_fmt(item.phi1)} phi2={_fmt(item.phi2)}"
-        )
-    if isinstance(item, PhaseShifter):
-        return f"shifter d1={_fmt(item.delta1)} d2={_fmt(item.delta2)}"
-    if isinstance(item, Rotator):
-        return f"rotate alpha={_fmt(item.alpha)}"
-    if isinstance(item, Gyrotropic):
-        return f"gyro d1={_fmt(item.delta1)} d2={_fmt(item.delta2)}"
-    if isinstance(item, QuarterWave):
-        return f"qwp axis={_fmt(item.axis_angle)}"
-    if isinstance(item, HalfWave):
-        return f"hwp axis={_fmt(item.axis_angle)}"
-    if isinstance(item, Attenuator):
-        return f"atten e1={_fmt(item.eta1)} e2={_fmt(item.eta2)}"
-    raise TypeError(f"cannot serialize {item!r}")
+    syntax = _HEADS.get(type(item))
+    if syntax is None:
+        raise TypeError(f"cannot serialize {item!r}")
+    head, keys = syntax
+    values = [getattr(item, f.name) for f in fields(item)]
+    return " ".join([head] + [f"{k}={_fmt(v)}" for k, v in zip(keys, values)])
 
 
 def serialize_train(doc):

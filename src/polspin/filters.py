@@ -126,24 +126,25 @@ def _attenuator(e):
     return cmath.exp(-0.5 * (e.eta1 + e.eta2)), c, s, s, c
 
 
-# Circular-basis (scale, a, b, c, d) of F = scale [[a, b], [c, d]] per kind;
-# the closed forms of the module docstring.
-_CIRCULAR = {
-    PhaseShifter: _shifter,
-    Rotator: _rotator,
-    Gyrotropic: _gyrotropic,
-    QuarterWave: _quarter_wave,
-    HalfWave: _half_wave,
-    Attenuator: _attenuator,
+# The element registry: kind -> (.pol keyword, .pol keys in field order,
+# circular-basis (scale, a, b, c, d) of F = scale [[a, b], [c, d]]), the
+# closed forms of the module docstring.  The DSL and the CLI read it.
+ELEMENTS = {
+    PhaseShifter: ("shifter", ("d1", "d2"), _shifter),
+    Rotator: ("rotate", ("alpha",), _rotator),
+    Gyrotropic: ("gyro", ("d1", "d2"), _gyrotropic),
+    QuarterWave: ("qwp", ("axis",), _quarter_wave),
+    HalfWave: ("hwp", ("axis",), _half_wave),
+    Attenuator: ("atten", ("e1", "e2"), _attenuator),
 }
 
 
 def _entries(e, basis="circular"):
     """(scale, a, b, c, d) of one element as Python scalars, in either basis."""
-    kind = _CIRCULAR.get(type(e))
+    kind = ELEMENTS.get(type(e))
     if kind is None:
         raise TypeError(f"not a filter element: {e!r}")
-    scale, a, b, c, d = kind(e)
+    scale, a, b, c, d = kind[2](e)
     if basis == "circular":
         return scale, a, b, c, d
     if basis == "linear":

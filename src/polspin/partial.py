@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EmptyTrainError, InvalidStokesError, ZeroFluxError
 from .filters import _entries, compose
 from .pauli import linear_to_circular, sigma_set
-from .spinor import StokesVector
+from .spinor import MAX_MAGNITUDE, StokesVector
 
 PSD_TOL = 1e-9
 
@@ -80,15 +80,26 @@ def _min_eigenvalue(p, q, q2, r):
     return 0.5 * (tr - math.sqrt(disc))
 
 
-def coherency_from_stokes(s, basis="circular"):
-    """C = (1/2) sum s_a sigma_a, using the Pauli set of the requested basis."""
+def _check_stokes(s):
+    """Reject s unless it is finite, s0 >= 0 and |s_vec|^2 <= s0^2 (to PSD_TOL)."""
+    m = MAX_MAGNITUDE
+    if not (abs(s.s0) <= m and abs(s.s1) <= m and abs(s.s2) <= m and abs(s.s3) <= m):
+        raise InvalidStokesError(
+            f"Stokes parameters must be finite and at most {MAX_MAGNITUDE:.4g} "
+            f"in magnitude: {s}"
+        )
     if s.s0 < 0.0:
         raise InvalidStokesError(f"s0 must be nonnegative: {s.s0}")
-    excess = s.s1**2 + s.s2**2 + s.s3**2 - s.s0**2
+    excess = -purity_invariant(s)
     if excess > PSD_TOL * max(s.s0**2, 1e-30):
         raise InvalidStokesError(
             f"over-polarized Stokes vector: |s_vec|^2 - s0^2 = {excess}"
         )
+
+
+def coherency_from_stokes(s, basis="circular"):
+    """C = (1/2) sum s_a sigma_a, using the Pauli set of the requested basis."""
+    _check_stokes(s)
     sig = sigma_set(basis)
     c = 0.5 * sum(s.as_array()[a] * sig[a] for a in range(4))
     return CoherencyMatrix(c, basis)

@@ -20,6 +20,7 @@ Conventions fixed here:
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ from .errors import (
 from .pauli import SIGMA, U_BASIS, U_BASIS_INV
 
 TWO_PI = 2.0 * math.pi
+# Bound on amplitudes and Stokes parameters: the square of a value up to it,
+# and the sum of two such squares, stay finite (flux A^2, Jones a1^2 + a2^2,
+# the over-polarization check), so an over-large input is a typed error.
+MAX_MAGNITUDE = math.sqrt(0.5 * sys.float_info.max)
 
 
 def _wrap_2pi(x):
@@ -93,8 +98,8 @@ class WaveState:
     spinor: Spinor2
 
     def __post_init__(self):
-        if not self.amplitude > 0.0:
-            raise ValueError(f"amplitude must be positive: {self.amplitude}")
+        if not 0.0 < self.amplitude <= MAX_MAGNITUDE:
+            raise ValueError(f"amplitude out of (0, {MAX_MAGNITUDE:.4g}]: {self.amplitude}")
         self.spinor.require_unit()
 
 
@@ -131,8 +136,10 @@ class JonesAmpPhase:
     phi2: float
 
     def __post_init__(self):
-        if self.a1 < 0.0 or self.a2 < 0.0:
-            raise ValueError("Jones amplitudes must be nonnegative")
+        if not (0.0 <= self.a1 <= MAX_MAGNITUDE and 0.0 <= self.a2 <= MAX_MAGNITUDE):
+            raise ValueError(
+                f"Jones amplitudes out of [0, {MAX_MAGNITUDE:.4g}]: {self.a1}, {self.a2}"
+            )
 
 
 @dataclass

@@ -56,6 +56,49 @@ class TestConvert:
         assert j["a1"] == pytest.approx(1.0)
         assert j["a2"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "beam",
+        [
+            '{"angles": {"theta": NaN, "phi": 0, "chi": 0, "amp": 1}}',
+            '{"angles": {"theta": 0, "phi": 0, "chi": 0, "amp": Infinity}}',
+            '{"stokes": [1, NaN, 0, 0]}',
+            '{"stokes": [NaN, 0, 0, 0]}',
+            '{"stokes": [Infinity, 0, 0, 0]}',
+            '{"stokes": [1e400, 0, 0, 0]}',
+            '{"stokes": [1%s, 0, 0, 0]}' % ("0" * 400),
+            '{"stokes": [%s, 0, 0, 0]}' % ("1" * 5000),
+            '{"jones": {"a1": 1, "a2": 0, "phi1": NaN, "phi2": 0}}',
+            '{"jones": {"a1": Infinity, "a2": 0, "phi1": 0, "phi2": 0}}',
+        ],
+        ids=[
+            "angles-nan", "angles-inf", "stokes-nan", "stokes-nan-s0", "stokes-inf",
+            "stokes-1e400", "stokes-401-digit-int", "stokes-5000-digit-int",
+            "jones-nan", "jones-inf",
+        ],
+    )
+    def test_non_finite_number_exit_2(self, capsys, beam):
+        code, out, err = run(capsys, "convert", "--to", "coherency", beam)
+        assert code == 2 and out == "" and "must be a finite number" in err
+        # decompose rejects it too (non-Stokes forms at its form check)
+        code, out, _ = run(capsys, "decompose", beam)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "beam",
+        [
+            '{"angles": {"theta": 0, "phi": 0, "chi": 0, "amp": 1e200}}',
+            '{"stokes": [1e200, 0, 0, 0]}',
+            '{"stokes": [1, 1e200, 0, 0]}',
+            '{"jones": {"a1": 1e200, "a2": 0, "phi1": 0, "phi2": 0}}',
+            '{"jones": {"a1": 1e154, "a2": 1e154, "phi1": 0, "phi2": 0}}',
+        ],
+        ids=["angles-amp", "stokes-s0", "stokes-s1", "jones-a1", "jones-both"],
+    )
+    def test_values_too_large_to_square_exit_2(self, capsys, beam):
+        code, out, err = run(capsys, "convert", "--to", "stokes", beam)
+        assert code == 2 and out == ""
+        assert "out of" in err or "at most" in err
+
     def test_malformed_json(self, capsys):
         code, _, err = run(capsys, "convert", "--to", "stokes", "{nope")
         assert code == 2 and "JSON" in err
@@ -117,14 +160,6 @@ class TestTrace:
             assert row[5] == row[6] == row[7] == ""  # m columns
             assert row[12] == ""  # phase column
 
-    def test_basis_flag_identical_observables(self, capsys, tmp_path):
-        train = self.make_train(tmp_path, "qwp axis=0.4\natten e1=0.1 e2=0.8\n")
-        code, out_c, _ = run(capsys, "trace", train, LINEAR_X)
-        assert code == 0
-        code, out_l, _ = run(capsys, "trace", train, LINEAR_X, "--basis", "linear")
-        assert code == 0
-        assert out_c == out_l
-
     def test_phase_column_tracks_scale(self, capsys, tmp_path):
         d1 = d2 = 0.4
         train = self.make_train(tmp_path, f"shifter d1={d1} d2={d2}\n")
@@ -151,6 +186,29 @@ class TestTrace:
         mm = np.array([[float(v) for v in line.split(",")] for line in mueller_out.split()])
         np.testing.assert_allclose(final, mm @ [1, 0.2, 0.1, 0.3], rtol=0, atol=1e-12)
         np.testing.assert_allclose(final, [0.6, 0.6, 0, 0], rtol=0, atol=1e-12)
+
+    def test_beam_statement_too_large_to_square_exit_2(self, capsys, tmp_path):
+        train = self.make_train(tmp_path, "beam stokes s0=1e200 s1=0 s2=0 s3=0\nqwp axis=0.1\n")
+        for argv in (["mueller", train], ["trace", train, LINEAR_X]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith(f"{train}:1:1: error: Stokes parameters must be finite")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("trace", LINEAR_X, "--basis", "linear"),
+            ("mueller", "--basis", "linear"),
+            ("mueller", "--tolerance", "1e-9"),
+        ],
+        ids=["trace-basis", "mueller-basis", "mueller-tolerance"],
+    )
+    def test_removed_flags_rejected(self, capsys, tmp_path, argv):
+        train = self.make_train(tmp_path, "qwp axis=0.4\n")
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], train, *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_extinction_exit_3(self, capsys, tmp_path):
         train = self.make_train(tmp_path, "atten e1=1500 e2=1500\n")

@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 from polspin.dsl import (
     AnglesBeam,
     JonesBeam,
-    PhaseShifter,
-    QuarterWave,
-    Rotator,
     StokesBeam,
     TrainDocument,
     parse_train,
     serialize_train,
 )
-from polspin.filters import Attenuator, Gyrotropic, HalfWave
+from polspin.filters import (
+    Attenuator,
+    Gyrotropic,
+    HalfWave,
+    PhaseShifter,
+    QuarterWave,
+    Rotator,
+)
 
 
 def parse_ok(source):
@@ -120,6 +124,29 @@ class TestParse:
         result = parse_train("beam angles theta=4.0 phi=0 chi=0 amp=1")
         assert not result.ok
         assert "theta" in result.diagnostics[0].message
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "beam angles theta=4.0 phi=0 chi=0 amp=1",
+            "beam angles theta=1 phi=0 chi=0 amp=0",
+            "beam stokes s0=-1 s1=0 s2=0 s3=0",
+            "beam stokes s0=1 s1=0.8 s2=0.8 s3=0",
+            "beam jones a1=0 a2=0 phi1=0 phi2=0",
+            "beam jones a1=-1 a2=1 phi1=0 phi2=0",
+            "atten e1=-0.5 e2=1",
+            "beam angles theta=1 phi=0 chi=0 amp=1e200",
+            "beam stokes s0=1e200 s1=0 s2=0 s3=0",
+            "beam jones a1=1e200 a2=0 phi1=0 phi2=0",
+        ],
+    )
+    def test_constructor_error_is_one_diagnostic(self, statement):
+        result = parse_train(f"rotate alpha=0.5\n  {statement}  # bad\nqwp axis=0.1\n")
+        assert len(result.diagnostics) == 1
+        d = result.diagnostics[0]
+        assert (d.line, d.column, d.offending_token) == (2, 3, statement)
+        assert result.document.elements == [Rotator(0.5), QuarterWave(0.1)]
+        assert result.document.beams == []
 
     def test_recovery_one_diagnostic_per_bad_line(self):
         source = "rotate alpha=1\nbogus x=1\nqwp axis=0.1\nrotate alpha=oops\nhwp axis=0.2\n"

@@ -276,6 +276,24 @@ class TestFilterAction:
         expected = purity_invariant(s) * math.exp(-2 * (eta1 + eta2))
         assert purity_invariant(out) == pytest.approx(expected, abs=1e-12)
 
+    def test_linear_basis_steps_match_circular_rows(self, rng):
+        # the per-element path of a mixed-beam trace, taken in both bases
+        for _ in range(20):
+            train = random_elements(rng, 12)
+            s = stokes_vec(random_valid_stokes(rng, 1)[0])
+            c_circ = coherency_from_stokes(s, "circular")
+            c_lin = coherency_from_stokes(s, "linear")
+            for e in train:
+                c_circ = apply_filter_to_coherency(e, c_circ)
+                c_lin = apply_filter_to_coherency(e, c_lin)
+                row = stokes_from_coherency(c_circ)
+                np.testing.assert_allclose(
+                    stokes_from_coherency(c_lin).as_array(),
+                    row.as_array(),
+                    rtol=0,
+                    atol=1e-12 * row.s0,
+                )
+
 
 class TestMueller:
     def test_identity_train(self):
