@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import PolspinError
+from .errors import PolspinError, ZeroFluxError
 from .partial import _check_stokes, degree_of_polarization
 from .spinor import (
     AngleSet,
@@ -78,7 +78,10 @@ def _require_number(v, where):
 
 
 def beam_from_wave(wave):
-    return Beam(stokes_from_wave(wave), wave)
+    s = stokes_from_wave(wave)
+    if not s.s0 > 0.0:
+        raise ZeroFluxError(f"flux A^2 of amplitude {wave.amplitude} underflows to zero")
+    return Beam(s, wave)
 
 
 def beam_from_stokes(s, tol=PURITY_TOL):
@@ -93,7 +96,7 @@ def parse_beam_json(text, tol=PURITY_TOL):
     """Parse one beam JSON object into a Beam."""
     try:
         obj = json.loads(text, parse_int=float)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise BeamFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict) or len(obj) != 1:
         raise BeamFormatError(

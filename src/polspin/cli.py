@@ -207,7 +207,7 @@ def cmd_mueller(train_path):
 def cmd_decompose(beam_json, tol=1e-12):
     try:
         obj = json.loads(beam_json)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long
+    except (ValueError, RecursionError) as exc:  # bad JSON, long int, deep nesting
         raise CliError(f"malformed JSON: {exc}")
     if not isinstance(obj, dict) or set(obj) != {"stokes"}:
         raise CliError("decompose requires the Stokes beam form")

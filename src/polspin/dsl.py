@@ -71,16 +71,15 @@ _ELEMENT_STATEMENTS = {name: (cls, keys) for cls, (name, keys, _) in ELEMENTS.it
 _HEADS = {cls: (name, keys) for name, (cls, keys) in _ELEMENT_STATEMENTS.items()}
 _HEADS.update({cls: (f"beam {form}", keys) for form, (cls, keys) in BEAM_FORMS.items()})
 
-_DEG_RE = re.compile(r"^deg\((.+)\)$")
+# only for diagnostic columns; splits where str.split() and str.strip() do
 _TOKEN_RE = re.compile(r"\S+")
 
 
 def _parse_number(text):
     """Float literal or deg(<float>); returns None on malformed/non-finite."""
-    deg = _DEG_RE.match(text)
-    raw = deg.group(1) if deg else text
+    deg = text.startswith("deg(") and text.endswith(")")
     try:
-        value = float(raw)
+        value = float(text[4:-1] if deg else text)
     except ValueError:
         return None
     if not math.isfinite(value):
@@ -106,65 +105,64 @@ def parse_train(source):
     doc = TrainDocument()
     diagnostics = []
 
-    def error(line_no, column, message, token):
-        diagnostics.append(
-            ParseDiagnostic("error", line_no, column, message, token)
-        )
+    def error(index, message, token):
+        # at the index-th token of the current line; columns are found only here
+        column = [m.start() for m in _TOKEN_RE.finditer(code)][index] + 1
+        diagnostics.append(ParseDiagnostic("error", line_no, column, message, token))
 
     for line_no, line in enumerate(source.split("\n"), start=1):
-        line = line.rstrip("\r")
+        # a CRLF's "\r" is whitespace to str.split() and str.strip()
         code = line.split("#", 1)[0]
-        tokens = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(code)]
-        if not tokens:
+        words = code.split()
+        if not words:
             continue
-        head, head_col = tokens[0]
+        head = words[0]
+        head_col = len(code) - len(code.lstrip()) + 1
         if head == "beam":
-            if len(tokens) < 2:
-                error(line_no, head_col, "beam statement missing its form", head)
+            if len(words) < 2:
+                error(0, "beam statement missing its form", head)
                 continue
-            kind, kind_col = tokens[1]
+            kind = words[1]
             if kind not in BEAM_FORMS:
-                error(line_no, kind_col, f"unknown beam form {kind!r}", kind)
+                error(1, f"unknown beam form {kind!r}", kind)
                 continue
             cls, keys = BEAM_FORMS[kind]
-            pairs = tokens[2:]
+            first = 2
         else:
-            kind, kind_col = head, head_col
+            kind = head
             if kind not in _ELEMENT_STATEMENTS:
-                error(line_no, kind_col, f"unknown statement {kind!r}", kind)
+                error(0, f"unknown statement {kind!r}", kind)
                 continue
             cls, keys = _ELEMENT_STATEMENTS[kind]
-            pairs = tokens[1:]
+            first = 1
 
         values = {}
-        bad = False
-        for token, col in pairs:
-            if "=" not in token:
-                error(line_no, col, f"expected key=value, got {token!r}", token)
-                bad = True
-                break
-            key, _, raw = token.partition("=")
-            if key not in keys:
-                error(line_no, col, f"unknown key {key!r} for {kind!r}", token)
-                bad = True
-                break
-            if key in values:
-                error(line_no, col, f"duplicate key {key!r}", token)
-                bad = True
-                break
-            value = _parse_number(raw)
-            if value is None:
-                error(line_no, col, f"malformed or non-finite number {raw!r}", token)
-                bad = True
-                break
-            values[key] = value
-        if bad:
+        message = None
+        for index, token in enumerate(words[first:], first):
+            key, eq, raw = token.partition("=")
+            if not eq:
+                message = f"expected key=value, got {token!r}"
+            elif key not in keys:
+                message = f"unknown key {key!r} for {kind!r}"
+            elif key in values:
+                message = f"duplicate key {key!r}"
+            else:
+                value = _parse_number(raw)
+                if value is None:
+                    message = f"malformed or non-finite number {raw!r}"
+                else:
+                    values[key] = value
+                    continue
+            error(index, message, token)
+            break
+        if message is not None:
             continue
-        missing = [k for k in keys if k not in values]
-        if missing:
-            error(line_no, head_col, f"missing key {missing[0]!r} for {kind!r}", head)
+        if len(values) < len(keys):
+            missing = next(k for k in keys if k not in values)
+            error(0, f"missing key {missing!r} for {kind!r}", head)
             continue
-        span = (line_no, head_col, tokens[-1][1] + len(tokens[-1][0]))
+        statement = code.strip()
+        span = (line_no, head_col, head_col + len(statement))
         # range checks live in the constructors (and, for beams, in the
         # conversion to a Beam); a failure is one diagnostic for the statement
         try:
@@ -172,7 +170,7 @@ def parse_train(source):
             if head == "beam":
                 beam_from_decl(item)
         except (ValueError, PolspinError) as exc:
-            error(line_no, head_col, str(exc), code[head_col - 1 : span[2] - 1])
+            error(0, str(exc), statement)
             continue
         if head == "beam":
             doc.beams.append(item)

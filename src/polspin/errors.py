@@ -34,4 +34,4 @@ class InvalidStokesError(PolspinError):
 
 
 class ZeroFluxError(PolspinError):
-    """Degree of polarization undefined at zero total flux."""
+    """Zero total flux where a positive one is required (DoP, a pure beam)."""

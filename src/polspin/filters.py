@@ -13,6 +13,8 @@ attenuation prefactors live in scale.  Circular-basis matrices:
 
 Linear-basis matrices are U m U^-1 with the same scale.  Composition is in
 propagation order: the first element of a train is the rightmost factor.
+`compose` folds each element's (scale, a, b, c, d) into a running product
+of Python complex scalars, in either basis, and builds one ndarray at the end.
 """
 
 import cmath
@@ -23,8 +25,8 @@ from typing import Union
 import numpy as np
 
 from .errors import EmptyTrainError, ExtinctionError
-from .pauli import SIGMA1, SIGMA2, SIGMA3, circular_to_linear
-from .spinor import Spinor2, WaveState, su2_to_so3
+from .pauli import circular_to_linear
+from .spinor import Spinor2, WaveState, _quaternion, su2_to_so3
 
 
 @dataclass(frozen=True)
@@ -194,15 +196,13 @@ def classify(e):
     """
     if isinstance(e, Attenuator):
         return ConformalMap(np.array([1.0, 0.0, 0.0]), e.eta2 - e.eta1)
-    m = matrix_circular(e).m
-    c = 0.5 * np.trace(m).real
-    v = np.array([0.5 * np.trace(s @ m).imag for s in (SIGMA1, SIGMA2, SIGMA3)])
-    vn = float(np.linalg.norm(v))
+    c, *v = _quaternion(*_entries(e)[1:])
+    vn = math.hypot(*v)
     psi = 2.0 * math.atan2(vn, c)
     if vn < 1e-15:
         axis = np.array([1.0, 0.0, 0.0])  # identity (or -I); axis arbitrary
     else:
-        axis = v / vn
+        axis = np.array(v) / vn
     return PoincareRotation(axis, -psi)
 
 
@@ -215,10 +215,9 @@ def compose(train, basis="circular"):
     """Matrix of a train, first element applied first (rightmost factor)."""
     if not train:
         raise EmptyTrainError("train has no elements")
-    mats = [element_matrix(e, basis) for e in train]
-    m = np.eye(2, dtype=complex)
-    scale = 1.0 + 0.0j
-    for em in mats:
-        m = em.m @ m
-        scale *= em.scale
-    return ElementMatrix(m, scale, basis)
+    scale, a, b, c, d = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
+    for e in train:
+        s, ea, eb, ec, ed = _entries(e, basis)
+        a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
+        scale *= s
+    return ElementMatrix(np.array([[a, b], [c, d]], dtype=complex), scale, basis)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrainError, InvalidStokesError, ZeroFluxError
+from .errors import InvalidStokesError, ZeroFluxError
 from .filters import _entries, compose
 from .pauli import linear_to_circular, sigma_set
 from .spinor import MAX_MAGNITUDE, StokesVector
@@ -105,15 +105,20 @@ def coherency_from_stokes(s, basis="circular"):
     return CoherencyMatrix(c, basis)
 
 
+def _read_stokes(p, q, r, basis):
+    """s_a = tr(C sigma_a) of C = [[p, q], [conj q, r]], Pauli set of the basis."""
+    s0, t1, t2, t3 = (p + r).real, 2.0 * q.real, -2.0 * q.imag, (p - r).real
+    if basis == "circular":
+        return s0, t1, t2, t3
+    if basis == "linear":
+        return (s0, *linear_to_circular(t1, t2, t3))
+    raise ValueError(f"unknown basis tag: {basis!r}")
+
+
 def stokes_from_coherency(c):
     """s_a = tr(C sigma_a); exact inverse of coherency_from_stokes."""
     (p, q), (_, r) = c.matrix.tolist()
-    s0, t1, t2, t3 = (p + r).real, 2.0 * q.real, -2.0 * q.imag, (p - r).real
-    if c.basis == "circular":
-        return StokesVector(s0, t1, t2, t3)
-    if c.basis == "linear":
-        return StokesVector(s0, *linear_to_circular(t1, t2, t3))
-    raise ValueError(f"unknown basis tag: {c.basis!r}")
+    return StokesVector(*_read_stokes(p, q, r, c.basis))
 
 
 def purity_invariant(s):
@@ -152,21 +157,24 @@ def eig_decompose(c):
     return PolarizationDecomposition(point, -point, lam_plus, lam_minus, False)
 
 
-def _conjugate(c, scale, a, b, g, d):
-    """C -> F C F^dag for F = scale [[a, b], [g, d]], in closed form.
-
-    With C = [[p, q], [conj q, r]] the rows of F C are (u0, u1), (w0, w1);
-    the result is Hermitian by construction.
-    """
-    (p, q), (_, r) = c.matrix.tolist()
-    p, r, qc = p.real, r.real, q.conjugate()
+def _conjugate_raw(p, q, r, scale, a, b, g, d):
+    """(top, off, bottom) of F C F^dag in closed form, for any Hermitian
+    C = [[p, q], [conj q, r]] (p, r real) and F = scale [[a, b], [g, d]]."""
+    qc = q.conjugate()
     # scale first: a strong attenuator's cosh^2 overflows, scale * cosh does not
     a, b, g, d = scale * a, scale * b, scale * g, scale * d
-    u0, u1 = a * p + b * qc, a * q + b * r
+    u0, u1 = a * p + b * qc, a * q + b * r  # rows of F C
     w0, w1 = g * p + d * qc, g * q + d * r
     top = (u0 * a.conjugate() + u1 * b.conjugate()).real
     off = u0 * g.conjugate() + u1 * d.conjugate()
     bottom = (w0 * g.conjugate() + w1 * d.conjugate()).real
+    return top, off, bottom
+
+
+def _conjugate(c, scale, a, b, g, d):
+    """C -> F C F^dag for F = scale [[a, b], [g, d]], as a CoherencyMatrix."""
+    (p, q), (_, r) = c.matrix.tolist()
+    top, off, bottom = _conjugate_raw(p.real, q, r.real, scale, a, b, g, d)
     return CoherencyMatrix(np.array([[top, off], [off.conjugate(), bottom]]), c.basis)
 
 
@@ -181,23 +189,25 @@ def apply_train_to_coherency(train, c):
     return _conjugate(c, em.scale, a, b, g, d)
 
 
+# (p, q, r) of (1/2) sigma_a; the linear Pauli set is sigma_0, sigma_3, sigma_1, sigma_2
+_S0, _S1, _S2, _S3 = (0.5, 0j, 0.5), (0.0, 0.5 + 0j, 0.0), (0.0, -0.5j, 0.0), (0.5, 0j, -0.5)
+_HALF_SIGMA = {"circular": (_S0, _S1, _S2, _S3), "linear": (_S0, _S3, _S1, _S2)}
+
+
 def mueller_of_train(train, basis="circular"):
     """4x4 real Stokes-space matrix of a train.
 
-    Column a is the Stokes image of the basis matrix (1/2) sigma_a under
-    C -> F C F^dag.  The sigma probes are not physical coherency matrices,
-    so the conjugation is done on raw arrays.
+    Column a is the Stokes reading of F ((1/2) sigma_a) F^dag, with F the
+    composed train and sigma the Pauli set of `basis`.  The probes are not
+    positive, so they are conjugated as raw (p, q, r), not as CoherencyMatrix.
     """
-    if not train:
-        raise EmptyTrainError("train has no elements")
-    f = compose(train, basis).full()
-    sig = sigma_set(basis)
-    mm = np.empty((4, 4))
-    for col in range(4):
-        image = f @ (0.5 * sig[col]) @ f.conj().T
-        for row in range(4):
-            mm[row, col] = np.trace(image @ sig[row]).real
-    return mm
+    em = compose(train, basis)
+    (a, b), (g, d) = em.m.tolist()
+    columns = [
+        _read_stokes(*_conjugate_raw(p, q, r, em.scale, a, b, g, d), basis)
+        for p, q, r in _HALF_SIGMA[basis]
+    ]
+    return np.array(columns).T
 
 
 def apply_mueller(mm, s):

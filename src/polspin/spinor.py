@@ -256,9 +256,10 @@ def wave_from_jones(j):
     The prefactor sqrt(2) e^{-i pi/4} A is divided out so round-trips are
     exact including the global phase.
     """
-    if j.a1 == 0.0 and j.a2 == 0.0:
-        raise ZeroFieldError("both Jones amplitudes are zero")
     amp = math.sqrt(0.5 * (j.a1**2 + j.a2**2))
+    # zero for a zero field and for amplitudes whose squares underflow
+    if amp == 0.0:
+        raise ZeroFieldError(f"Jones field has zero flux: a1={j.a1}, a2={j.a2}")
     jones = np.array(
         [j.a1 * cmath.exp(1j * j.phi1), j.a2 * cmath.exp(1j * j.phi2)]
     )
@@ -285,23 +286,32 @@ def field_sample(w, omega, k, t, z):
     return e.real, e.imag
 
 
+def _quaternion(m11, m12, m21, m22):
+    """(a, b, c, d) of m = a 1 + i(b sigma1 + c sigma2 + d sigma3) = [[m11, m12], [m21, m22]]."""
+    tr, diff = 0.5 * (m11 + m22), 0.5 * (m11 - m22)
+    return tr.real, 0.5 * (m12 + m21).imag, 0.5 * (m12 - m21).real, diff.imag
+
+
 def su2_to_so3(q, tol=1e-10):
     """SO(3) image of Q in SU(2): a_ij = (1/2) tr(sigma_j Q^dag sigma_i Q).
 
-    For o' = Q o the frame vectors transform as r' = a r and M' = a M.
+    With Q = a 1 + i(v . sigma) this is (a^2 - |v|^2) delta_ij + 2 v_i v_j
+    + 2 a eps_ijk v_k.  For o' = Q o the frame vectors transform as r' = a r
+    and M' = a M.
     """
-    q = np.asarray(q, dtype=complex)
-    if np.max(np.abs(q.conj().T @ q - np.eye(2))) > tol:
+    (m11, m12), (m21, m22) = np.asarray(q, dtype=complex).tolist()
+    # largest |Q^dag Q - 1| entry; the two off-diagonal entries are conjugates
+    off = m11.conjugate() * m12 + m21.conjugate() * m22
+    d1, d2 = abs(m11) ** 2 + abs(m21) ** 2 - 1.0, abs(m12) ** 2 + abs(m22) ** 2 - 1.0
+    if max(abs(d1), abs(off), abs(d2)) > tol:
         raise NonUnitaryError("matrix is not unitary")
-    if abs(np.linalg.det(q) - 1.0) > tol:
+    if abs(m11 * m22 - m12 * m21 - 1.0) > tol:
         raise NonUnimodularError("matrix determinant is not 1")
-    a = np.empty((3, 3))
-    qdag = q.conj().T
-    for i in range(3):
-        conj_i = qdag @ SIGMA[i + 1] @ q
-        for j in range(3):
-            a[i, j] = 0.5 * np.trace(SIGMA[j + 1] @ conj_i).real
-    return a
+    a, b, c, d = _quaternion(m11, m12, m21, m22)
+    w = a * a - b * b - c * c - d * d
+    return np.array([[w + 2.0 * b * b, 2.0 * (b * c + a * d), 2.0 * (b * d - a * c)],
+                     [2.0 * (b * c - a * d), w + 2.0 * c * c, 2.0 * (c * d + a * b)],
+                     [2.0 * (b * d + a * c), 2.0 * (c * d - a * b), w + 2.0 * d * d]])
 
 
 def pancharatnam_phase(s1, s2, tol=1e-12):

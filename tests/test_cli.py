@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -99,9 +100,51 @@ class TestConvert:
         assert code == 2 and out == ""
         assert "out of" in err or "at most" in err
 
+    @pytest.mark.parametrize(
+        "beam, message",
+        [
+            (
+                '{"angles": {"theta": 1, "phi": 0, "chi": 0, "amp": 1e-200}}',
+                "flux A^2 of amplitude 1e-200 underflows to zero",
+            ),
+            (
+                '{"jones": {"a1": 1e-200, "a2": 0, "phi1": 0, "phi2": 0}}',
+                "Jones field has zero flux: a1=1e-200, a2=0.0",
+            ),
+        ],
+        ids=["angles-amp", "jones-a1"],
+    )
+    def test_flux_underflow_exit_2(self, capsys, beam, message):
+        # a pure beam whose flux A^2 underflows is rejected, not printed as
+        # an all-zero Stokes vector, and without NumPy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (
+                ("convert", "--to", "stokes", beam),
+                ("phase", beam, NORTH_POLE),
+            ):
+                code, out, err = run(capsys, *argv)
+                assert (code, out, err) == (2, "", message + "\n")
+
     def test_malformed_json(self, capsys):
         code, _, err = run(capsys, "convert", "--to", "stokes", "{nope")
         assert code == 2 and "JSON" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("convert", "--to", "stokes", "{}"),
+            ("decompose", "{}"),
+            ("phase", "{}", NORTH_POLE),
+            ("phase", NORTH_POLE, "{}"),
+        ],
+        ids=["convert", "decompose", "phase-a", "phase-b"],
+    )
+    def test_deeply_nested_json_exit_2(self, capsys, argv):
+        deep = "[" * 100_000
+        code, out, err = run(capsys, *[deep if a == "{}" else a for a in argv])
+        assert code == 2 and out == ""
+        assert err.startswith("malformed JSON: maximum recursion depth exceeded")
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
@@ -193,6 +236,26 @@ class TestTrace:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             assert err.startswith(f"{train}:1:1: error: Stokes parameters must be finite")
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            (
+                "beam angles theta=1 phi=0 chi=0 amp=1e-200",
+                "flux A^2 of amplitude 1e-200 underflows to zero",
+            ),
+            (
+                "beam jones a1=0 a2=1e-200 phi1=0 phi2=0",
+                "Jones field has zero flux: a1=0.0, a2=1e-200",
+            ),
+        ],
+        ids=["angles", "jones"],
+    )
+    def test_beam_statement_flux_underflow_exit_2(self, capsys, tmp_path, statement, message):
+        train = self.make_train(tmp_path, f"qwp axis=0.1\n{statement}\n")
+        for argv in (["mueller", train], ["trace", train, LINEAR_X]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"{train}:2:1: error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",

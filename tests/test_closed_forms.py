@@ -15,6 +15,7 @@ from scipy.linalg import expm
 
 from polspin import (
     Attenuator,
+    PoincareRotation,
     Gyrotropic,
     HalfWave,
     PhaseShifter,
@@ -24,14 +25,24 @@ from polspin import (
     apply,
     apply_filter_to_coherency,
     apply_train_to_coherency,
+    classify,
     coherency_from_stokes,
+    compose,
+    mueller_of_train,
     poincare_frame,
     stokes_from_coherency,
+    su2_to_so3,
 )
 from polspin.filters import element_matrix
 from polspin.pauli import EPSILON, SIGMA, SIGMA0, SIGMA1, SIGMA2, SIGMA3, U_BASIS, U_BASIS_INV
 
-from .conftest import as_spinor, random_unit_spinors, random_valid_stokes, stokes_vec
+from .conftest import (
+    as_spinor,
+    random_su2,
+    random_unit_spinors,
+    random_valid_stokes,
+    stokes_vec,
+)
 
 TOL = 1e-14
 TRIALS = 40
@@ -174,3 +185,91 @@ def test_stokes_reading_matches_pauli_traces(rng, basis):
         got = stokes_from_coherency(c)
         np.testing.assert_allclose([got.s0, got.s1, got.s2, got.s3], expected, rtol=0, atol=TOL)
         np.testing.assert_allclose(expected, row, rtol=0, atol=TOL)
+
+
+def pauli_set(basis):
+    return SIGMA if basis == "circular" else [U_BASIS @ s @ U_BASIS_INV for s in SIGMA]
+
+
+def reference_so3(q):
+    """a_ij = (1/2) tr(sigma_j Q^dag sigma_i Q), the nine trace products."""
+    qdag = q.conj().T
+    return np.array(
+        [[0.5 * np.trace(SIGMA[j] @ qdag @ SIGMA[i] @ q).real for j in (1, 2, 3)] for i in (1, 2, 3)]
+    )
+
+
+def test_su2_to_so3_matches_trace_products(rng):
+    for _ in range(200):
+        q = random_su2(rng)
+        np.testing.assert_allclose(su2_to_so3(q), reference_so3(q), rtol=0, atol=TOL)
+
+
+def test_classify_matches_trace_reading(rng):
+    # m = c 1 + i v.sigma with c = (1/2) tr m and v_i = (1/2) Im tr(sigma_i m)
+    for e in random_elements(rng):
+        if isinstance(e, Attenuator):
+            continue
+        m = element_matrix(e).m
+        c = 0.5 * np.trace(m).real
+        v = np.array([0.5 * np.trace(SIGMA[i] @ m).imag for i in (1, 2, 3)])
+        vn = np.linalg.norm(v)
+        got = classify(e)
+        assert isinstance(got, PoincareRotation)
+        assert got.angle == pytest.approx(-2.0 * math.atan2(vn, c), rel=0, abs=TOL)
+        if vn > 1e-6:
+            np.testing.assert_allclose(got.axis, v / vn, rtol=0, atol=TOL)
+
+
+def random_train(rng, n):
+    """n random elements; attenuation exponents in [0, 0.01] keep a long
+    train's scale and unimodular factor far from under- and overflow."""
+    train = []
+    for kind in rng.choice(len(KINDS), n):
+        e = random_element(rng, KINDS[kind])
+        if isinstance(e, Attenuator):
+            e = Attenuator(0.01 * e.eta1, 0.01 * e.eta2)
+        train.append(e)
+    return train
+
+
+def sequential_product(train, basis):
+    f = np.eye(2, dtype=complex)
+    for e in train:
+        f = np.matmul(element_matrix(e, basis).full(), f)
+    return f
+
+
+COMPOSE_TOL = 1e-12
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("n", [1, 6, 6000])
+def test_compose_matches_sequential_matmul(rng, basis, n):
+    for _ in range(3 if n == 6000 else 50):
+        train = random_train(rng, n)
+        em = compose(train, basis)
+        assert isinstance(em.m, np.ndarray) and em.basis == basis
+        ref = sequential_product(train, basis)
+        scale = np.max(np.abs(ref))
+        np.testing.assert_allclose(em.full(), ref, rtol=0, atol=COMPOSE_TOL * scale)
+
+
+def reference_mueller(f, basis):
+    """The loop M_ij = (1/2) tr(sigma_i F sigma_j F^dag) on explicit matrices."""
+    sig = pauli_set(basis)
+    fdag = f.conj().T
+    return np.array(
+        [[0.5 * np.trace(sig[i] @ f @ sig[j] @ fdag).real for j in range(4)] for i in range(4)]
+    )
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("n", [1, 6, 6000])
+def test_mueller_matches_trace_loop(rng, basis, n):
+    for _ in range(3 if n == 6000 else 50):
+        train = random_train(rng, n)
+        mm = mueller_of_train(train, basis)
+        assert mm.shape == (4, 4) and mm.dtype == float
+        ref = reference_mueller(sequential_product(train, basis), basis)
+        np.testing.assert_allclose(mm, ref, rtol=0, atol=COMPOSE_TOL * ref[0, 0])

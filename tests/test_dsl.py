@@ -170,6 +170,82 @@ class TestParse:
         assert not result.ok
         assert "UTF-8" in result.diagnostics[0].message
 
+    # Every diagnostic branch of parse_train, with its exact column and
+    # token.  The bad line is line 2, between two good lines; indentation
+    # and separators include tab, \x1c (a str.isspace control character),
+    # \xa0 (no-break space) and a CRLF ending.
+    @pytest.mark.parametrize(
+        "line, diagnostic",
+        [
+            ("beam", (1, "beam statement missing its form", "beam")),
+            ("  beam  # no form", (3, "beam statement missing its form", "beam")),
+            ("beam laser x=1", (6, "unknown beam form 'laser'", "laser")),
+            ("\tbeam\xa0laser", (7, "unknown beam form 'laser'", "laser")),
+            ("polarize hard=1", (1, "unknown statement 'polarize'", "polarize")),
+            ("\x1cpolarize", (2, "unknown statement 'polarize'", "polarize")),
+            ("rotate alpha", (8, "expected key=value, got 'alpha'", "alpha")),
+            (
+                "beam stokes s0=1 s1 s2=0 s3=0",
+                (18, "expected key=value, got 's1'", "s1"),
+            ),
+            ("rotate beta=1", (8, "unknown key 'beta' for 'rotate'", "beta=1")),
+            (
+                "beam angles theta=1 amp=1 s0=1",
+                (27, "unknown key 's0' for 'angles'", "s0=1"),
+            ),
+            ("rotate alpha=1  alpha=2", (17, "duplicate key 'alpha'", "alpha=2")),
+            (
+                "rotate alpha=1x",
+                (8, "malformed or non-finite number '1x'", "alpha=1x"),
+            ),
+            (
+                "rotate alpha=deg(1",
+                (8, "malformed or non-finite number 'deg(1'", "alpha=deg(1"),
+            ),
+            (
+                "rotate alpha=deg()",
+                (8, "malformed or non-finite number 'deg()'", "alpha=deg()"),
+            ),
+            (
+                "rotate alpha=deg(deg(1))",
+                (8, "malformed or non-finite number 'deg(deg(1))'", "alpha=deg(deg(1))"),
+            ),
+            ("rotate alpha=", (8, "malformed or non-finite number ''", "alpha=")),
+            (
+                "\xa0\x1c rotate \t alpha=inf",
+                (13, "malformed or non-finite number 'inf'", "alpha=inf"),
+            ),
+            ("shifter d1=0.2", (1, "missing key 'd2' for 'shifter'", "shifter")),
+            ("\t\tshifter", (3, "missing key 'd1' for 'shifter'", "shifter")),
+            (
+                " beam jones a1=1 a2=1 phi1=0\r",
+                (2, "missing key 'phi2' for 'jones'", "beam"),
+            ),
+            (
+                "\x1cbeam\xa0angles theta=4.0 phi=0 chi=0 amp=1\x1c# bad",
+                (
+                    2,
+                    "theta out of [0, pi]: 4.0",
+                    "beam\xa0angles theta=4.0 phi=0 chi=0 amp=1",
+                ),
+            ),
+        ],
+    )
+    def test_diagnostic_position_per_branch(self, line, diagnostic):
+        source = f"rotate alpha=0.5\r\n{line}\nqwp axis=0.1\n"
+        result = parse_train(source)
+        assert len(result.diagnostics) == 1
+        d = result.diagnostics[0]
+        assert (d.severity, d.line) == ("error", 2)
+        assert (d.column, d.message, d.offending_token) == diagnostic
+        assert result.document.elements == [Rotator(0.5), QuarterWave(0.1)]
+
+    def test_spans_under_unusual_whitespace(self):
+        source = "\x1c\trotate\xa0alpha=0.25\x1c\r\n\xa0beam stokes s0=1 s1=0 s2=0 s3=0 #c\n"
+        doc = parse_ok(source)
+        assert doc.element_spans == [(1, 3, 20)]
+        assert doc.beam_spans == [(2, 2, 33)]
+
 
 class TestSerialize:
     def test_empty_document(self):
