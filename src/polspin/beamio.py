@@ -13,6 +13,7 @@ The same three forms, with the same keys, are the `.pol` beam statements.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -79,8 +80,12 @@ def _require_number(v, where):
 
 def beam_from_wave(wave):
     s = stokes_from_wave(wave)
-    if not s.s0 > 0.0:
-        raise ZeroFluxError(f"flux A^2 of amplitude {wave.amplitude} underflows to zero")
+    # a subnormal s0 has lost digits, and so has the direction s_vec / s0
+    if not s.s0 >= sys.float_info.min:
+        raise ZeroFluxError(
+            f"flux A^2 of amplitude {wave.amplitude} underflows "
+            f"(below {sys.float_info.min:.4g})"
+        )
     return Beam(s, wave)
 
 

@@ -11,7 +11,7 @@ import cmath
 import json
 import sys
 
-from .beamio import parse_beam_json
+from .beamio import PURITY_TOL, parse_beam_json
 from .dsl import parse_train
 from .errors import (
     EmptyTrainError,
@@ -85,7 +85,7 @@ def _load_beam(text, tol):
         raise CliError(str(exc))
 
 
-def cmd_convert(beam_json, target, basis="circular", tol=1e-12):
+def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
     beam = _load_beam(beam_json, tol)
     if target == "stokes":
         return _dump_json({"stokes": list(beam.stokes.as_array())})
@@ -154,7 +154,7 @@ def _direction(s):
     return 0.0, 0.0, 0.0
 
 
-def cmd_trace(train_path, beam_json, tol=1e-12):
+def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
     doc = _load_train(train_path)
     beam = _load_beam(beam_json, tol)
     lines = [TRACE_HEADER]
@@ -204,7 +204,7 @@ def cmd_mueller(train_path):
     return "\n".join(_csv_floats(row) for row in mm) + "\n"
 
 
-def cmd_decompose(beam_json, tol=1e-12):
+def cmd_decompose(beam_json, tol=PURITY_TOL):
     try:
         obj = json.loads(beam_json)
     except (ValueError, RecursionError) as exc:  # bad JSON, long int, deep nesting
@@ -226,7 +226,7 @@ def cmd_decompose(beam_json, tol=1e-12):
     )
 
 
-def cmd_phase(beam_a_json, beam_b_json, tol=1e-12):
+def cmd_phase(beam_a_json, beam_b_json, tol=PURITY_TOL):
     beam_a = _load_beam(beam_a_json, tol)
     beam_b = _load_beam(beam_b_json, tol)
     if not (beam_a.pure and beam_b.pure):
@@ -254,8 +254,8 @@ def _build_parser():
         p.add_argument(
             "--tolerance",
             type=float,
-            default=1e-12,
-            help="purity tolerance for classifying Stokes beams (default 1e-12)",
+            default=PURITY_TOL,
+            help="purity tolerance for classifying Stokes beams (default %(default)g)",
         )
 
     p = sub.add_parser("convert", help="convert a beam between representations")

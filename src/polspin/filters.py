@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyTrainError, ExtinctionError
 from .pauli import circular_to_linear
-from .spinor import Spinor2, WaveState, _quaternion, su2_to_so3
+from .spinor import Spinor2, WaveState, _quaternion
 
 
 @dataclass(frozen=True)
@@ -204,11 +204,6 @@ def classify(e):
     else:
         axis = np.array(v) / vn
     return PoincareRotation(axis, -psi)
-
-
-def rotation_matrix(e):
-    """SO(3) action of an SU(2) element on sphere points."""
-    return su2_to_so3(matrix_circular(e).m)
 
 
 def compose(train, basis="circular"):

@@ -5,11 +5,13 @@ calls.  The spinor triad is the expression `poincare_frame` uses on one
 spinor, applied elementwise:
     r = (2 Re(conj(c1) c2), 2 Im(conj(c1) c2), |c1|^2 - |c2|^2)
     M = (c1^2 - c2^2, i (c1^2 + c2^2), -2 c1 c2)
-and the frame vectors are m_re = Re M, m_im = Im M.
+and the frame vectors are m_re = Re M, m_im = Im M.  The coherency
+entries are `partial._coherency_entries`, the one Stokes -> coherency formula.
 """
 
 import numpy as np
 
+from .partial import _coherency_entries
 from .spinor import _sphere_point, _tangent
 
 
@@ -28,8 +30,6 @@ def coherency_invariants(stokes):
     from the explicit matrix elements, not from the closed-form identities
     they are tested against.
     """
-    s0, s1, s2, s3 = np.asarray(stokes, dtype=float).T
-    c00, c11 = 0.5 * (s0 + s3), 0.5 * (s0 - s3)
-    c01 = 0.5 * (s1 - 1j * s2)
+    c00, c01, c11 = _coherency_entries(*np.asarray(stokes, dtype=float).T, "circular")
     off = (c01 * np.conj(c01)).real
     return c00 * c11 - off, c00 + c11, c00 * c00 + c11 * c11 + 2.0 * off

@@ -5,9 +5,11 @@ tr C = s0, det C = S/4 and tr C^2 = s0^2 - S/2, where S = s0^2 - |s_vec|^2
 vanishes exactly for pure states.  Its eigenspinors mark two antipodal
 points of the Poincare sphere; a filter acts by C -> (scale m) C (scale m)^dag.
 
-In the linear basis the same Stokes parameters are read off with the
-permuted Pauli set, giving C_tilde = U C U^dag =
-(1/2)[[s0+s1, s2-i s3], [s2+i s3, s0-s1]].
+One closed form, `_coherency_entries`, writes the entries
+C = [[p, q], [conj q, r]] = (1/2)[[s0 + t3, t1 - i t2], [t1 + i t2, s0 - t3]]
+with t = (s1, s2, s3) in the circular basis and t = circular_to_linear(s1,
+s2, s3) in the linear one; `_read_stokes` is its exact inverse.
+`coherency_from_stokes`, the Mueller probes and `kernels` all use it.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidStokesError, ZeroFluxError
 from .filters import _entries, compose
-from .pauli import linear_to_circular, sigma_set
+from .pauli import circular_to_linear, linear_to_circular
 from .spinor import MAX_MAGNITUDE, StokesVector
 
 PSD_TOL = 1e-9
@@ -42,22 +44,6 @@ class CoherencyMatrix:
         lo = _min_eigenvalue(p, q, q2, r)
         if lo < -PSD_TOL * scale:
             raise ValueError("coherency matrix is not positive semidefinite")
-
-    def trace(self):
-        return float(np.trace(self.matrix).real)
-
-    def to_basis(self, basis):
-        from .pauli import U_BASIS, U_BASIS_INV
-
-        if basis == self.basis:
-            return self
-        if self.basis == "circular" and basis == "linear":
-            m = U_BASIS @ self.matrix @ U_BASIS.conj().T
-        elif self.basis == "linear" and basis == "circular":
-            m = U_BASIS_INV @ self.matrix @ U_BASIS_INV.conj().T
-        else:
-            raise ValueError(f"unknown basis tag: {basis!r}")
-        return CoherencyMatrix(m, basis)
 
 
 @dataclass(frozen=True)
@@ -97,12 +83,27 @@ def _check_stokes(s):
         )
 
 
+def _coherency_entries(s0, s1, s2, s3, basis):
+    """(p, q, r) of C = (1/2) sum s_a sigma_a = [[p, q], [conj q, r]] in the
+    Pauli set of the basis; Python floats or NumPy arrays alike.
+
+    Exact inverse of _read_stokes.  Every zero entry comes out as +0.0.
+    """
+    if basis == "linear":
+        s1, s2, s3 = circular_to_linear(s1, s2, s3)
+    elif basis != "circular":
+        raise ValueError(f"unknown basis tag: {basis!r}")
+    p, r = 0.5 * (s0 + s3) + 0.0, 0.5 * (s0 - s3) + 0.0
+    # x + 1j * y with y never -0.0 gives Im q = y under every complex rule
+    return p, 0.5 * s1 + 0.0 + 1j * (0.0 - 0.5 * s2), r
+
+
 def coherency_from_stokes(s, basis="circular"):
     """C = (1/2) sum s_a sigma_a, using the Pauli set of the requested basis."""
     _check_stokes(s)
-    sig = sigma_set(basis)
-    c = 0.5 * sum(s.as_array()[a] * sig[a] for a in range(4))
-    return CoherencyMatrix(c, basis)
+    p, q, r = _coherency_entries(s.s0, s.s1, s.s2, s.s3, basis)
+    # conj q, but a zero imaginary part stays +0.0 (`convert` prints the sign)
+    return CoherencyMatrix(np.array([[p, q], [complex(q.real, 0.0 - q.imag), r]]), basis)
 
 
 def _read_stokes(p, q, r, basis):
@@ -189,23 +190,28 @@ def apply_train_to_coherency(train, c):
     return _conjugate(c, em.scale, a, b, g, d)
 
 
-# (p, q, r) of (1/2) sigma_a; the linear Pauli set is sigma_0, sigma_3, sigma_1, sigma_2
-_S0, _S1, _S2, _S3 = (0.5, 0j, 0.5), (0.0, 0.5 + 0j, 0.0), (0.0, -0.5j, 0.0), (0.5, 0j, -0.5)
-_HALF_SIGMA = {"circular": (_S0, _S1, _S2, _S3), "linear": (_S0, _S3, _S1, _S2)}
+# (p, q, r) of C_j = (1/2) sigma_j, the entries of the unit Stokes vector e_j;
+# built once per basis, since four calls per train slow a 6-element
+# mueller_of_train by 10-20%
+_PROBES = {
+    basis: [_coherency_entries(*e, basis) for e in np.eye(4).tolist()]
+    for basis in ("circular", "linear")
+}
 
 
 def mueller_of_train(train, basis="circular"):
     """4x4 real Stokes-space matrix of a train.
 
-    Column a is the Stokes reading of F ((1/2) sigma_a) F^dag, with F the
-    composed train and sigma the Pauli set of `basis`.  The probes are not
-    positive, so they are conjugated as raw (p, q, r), not as CoherencyMatrix.
+    Column j is the Stokes reading of F C_j F^dag, with F the composed
+    train and C_j the probe of the unit Stokes vector e_j in `basis`.  The
+    probes are not positive, so they are conjugated as raw (p, q, r), not
+    as CoherencyMatrix.
     """
     em = compose(train, basis)
     (a, b), (g, d) = em.m.tolist()
     columns = [
         _read_stokes(*_conjugate_raw(p, q, r, em.scale, a, b, g, d), basis)
-        for p, q, r in _HALF_SIGMA[basis]
+        for p, q, r in _PROBES[basis]
     ]
     return np.array(columns).T
 

@@ -23,19 +23,6 @@ U_BASIS = 0.5 * np.array([[1 + 1j, 1 + 1j], [-1 + 1j, 1 - 1j]])
 U_BASIS_INV = U_BASIS.conj().T
 
 
-def sigma_set(basis):
-    """Pauli set (sigma_0..sigma_3) appropriate for a basis tag.
-
-    In the linear basis the Stokes parameters are read off with the
-    cyclically permuted matrices U sigma_a U^-1.
-    """
-    if basis == "circular":
-        return SIGMA
-    if basis == "linear":
-        return np.stack([U_BASIS @ s @ U_BASIS_INV for s in SIGMA])
-    raise ValueError(f"unknown basis tag: {basis!r}")
-
-
 # Pauli coefficients (q1, q2, q3) of q . sigma -> those of U (q . sigma) U^-1, and back
 def circular_to_linear(q1, q2, q3):
     return q2, q3, q1

@@ -50,6 +50,54 @@ class TestConvert:
         matrix = json.loads(out)["coherency"]["matrix"]
         assert matrix == [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 
+    @pytest.mark.parametrize(
+        "stokes, circular, linear",
+        [
+            (
+                "[1, 0, 0, -0.0]",
+                "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]",
+                "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]",
+            ),
+            (
+                "[1, -0.0, 0.5, 0]",
+                "[[[0.5, 0.0], [0.0, -0.25]], [[0.0, 0.25], [0.5, 0.0]]]",
+                "[[[0.5, 0.0], [0.25, 0.0]], [[0.25, 0.0], [0.5, 0.0]]]",
+            ),
+            (
+                "[1, 0.3, -0.2, -0.1]",
+                "[[[0.45, 0.0], [0.15, 0.1]], [[0.15, -0.1], [0.55, 0.0]]]",
+                "[[[0.65, 0.0], [-0.1, 0.05]], [[-0.1, -0.05], [0.35, 0.0]]]",
+            ),
+            (
+                "[0, 0, 0, 0]",
+                "[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]",
+                "[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]",
+            ),
+            (
+                "[2, 0, -2, 0]",
+                "[[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]]",
+                "[[[1.0, 0.0], [-1.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]]]",
+            ),
+            (
+                "[1, -0.0, -0.0, -0.0]",
+                "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]",
+                "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]",
+            ),
+            (
+                "[1, 0.6, 0, -0.8]",
+                "[[[0.09999999999999998, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.9, 0.0]]]",
+                "[[[0.8, 0.0], [0.0, 0.4]], [[0.0, -0.4], [0.2, 0.0]]]",
+            ),
+        ],
+    )
+    def test_coherency_exact_stdout(self, capsys, stokes, circular, linear):
+        # exact bytes, signed zeros included, in both bases
+        for basis, matrix in (("circular", circular), ("linear", linear)):
+            beam = f'{{"stokes": {stokes}}}'
+            code, out, err = run(capsys, "convert", "--to", "coherency", "--basis", basis, beam)
+            expected = f'{{"coherency": {{"basis": "{basis}", "matrix": {matrix}}}}}\n'
+            assert (code, out, err) == (0, expected, "")
+
     def test_round_trip_jones(self, capsys):
         code, out, _ = run(capsys, "convert", "--to", "jones", LINEAR_X)
         assert code == 0
@@ -105,18 +153,27 @@ class TestConvert:
         [
             (
                 '{"angles": {"theta": 1, "phi": 0, "chi": 0, "amp": 1e-200}}',
-                "flux A^2 of amplitude 1e-200 underflows to zero",
+                "flux A^2 of amplitude 1e-200 underflows (below 2.225e-308)",
             ),
             (
                 '{"jones": {"a1": 1e-200, "a2": 0, "phi1": 0, "phi2": 0}}',
                 "Jones field has zero flux: a1=1e-200, a2=0.0",
             ),
+            (
+                '{"angles": {"theta": 1, "phi": 0, "chi": 0, "amp": 1e-160}}',
+                "flux A^2 of amplitude 1e-160 underflows (below 2.225e-308)",
+            ),
+            (
+                '{"jones": {"a1": 1e-160, "a2": 0, "phi1": 0, "phi2": 0}}',
+                "flux A^2 of amplitude 7.0710284513028335e-161 underflows (below 2.225e-308)",
+            ),
         ],
-        ids=["angles-amp", "jones-a1"],
+        ids=["angles-amp", "jones-a1", "angles-amp-subnormal", "jones-a1-subnormal"],
     )
     def test_flux_underflow_exit_2(self, capsys, beam, message):
-        # a pure beam whose flux A^2 underflows is rejected, not printed as
-        # an all-zero Stokes vector, and without NumPy RuntimeWarnings
+        # a pure beam whose flux A^2 underflows to zero or to a subnormal is
+        # rejected, not printed as an all-zero or degraded Stokes vector, and
+        # without NumPy RuntimeWarnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for argv in (
@@ -242,14 +299,22 @@ class TestTrace:
         [
             (
                 "beam angles theta=1 phi=0 chi=0 amp=1e-200",
-                "flux A^2 of amplitude 1e-200 underflows to zero",
+                "flux A^2 of amplitude 1e-200 underflows (below 2.225e-308)",
             ),
             (
                 "beam jones a1=0 a2=1e-200 phi1=0 phi2=0",
                 "Jones field has zero flux: a1=0.0, a2=1e-200",
             ),
+            (
+                "beam angles theta=1 phi=0 chi=0 amp=1e-160",
+                "flux A^2 of amplitude 1e-160 underflows (below 2.225e-308)",
+            ),
+            (
+                "beam jones a1=0 a2=1e-160 phi1=0 phi2=0",
+                "flux A^2 of amplitude 7.0710284513028335e-161 underflows (below 2.225e-308)",
+            ),
         ],
-        ids=["angles", "jones"],
+        ids=["angles", "jones", "angles-subnormal", "jones-subnormal"],
     )
     def test_beam_statement_flux_underflow_exit_2(self, capsys, tmp_path, statement, message):
         train = self.make_train(tmp_path, f"qwp axis=0.1\n{statement}\n")
