@@ -13,13 +13,13 @@ The same three forms, with the same keys, are the `.pol` beam statements.
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import PolspinError, ZeroFluxError
 from .partial import _check_stokes, degree_of_polarization
 from .spinor import (
+    FLUX_MIN,
     AngleSet,
     JonesAmpPhase,
     StokesVector,
@@ -81,10 +81,9 @@ def _require_number(v, where):
 def beam_from_wave(wave):
     s = stokes_from_wave(wave)
     # a subnormal s0 has lost digits, and so has the direction s_vec / s0
-    if not s.s0 >= sys.float_info.min:
+    if not s.s0 >= FLUX_MIN:
         raise ZeroFluxError(
-            f"flux A^2 of amplitude {wave.amplitude} underflows "
-            f"(below {sys.float_info.min:.4g})"
+            f"flux A^2 of amplitude {wave.amplitude} underflows (below {FLUX_MIN:.4g})"
         )
     return Beam(s, wave)
 

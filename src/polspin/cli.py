@@ -1,9 +1,10 @@
 """Command-line front end: convert, trace, mueller, decompose, phase.
 
 Exit codes are a stable contract for scripts: 0 success, 2 input error,
-3 extinction (state annihilated inside a train), 4 undefined phase
-(orthogonal states).  All numeric output uses shortest round-tripping
-decimals, so every printed value reparses to the identical double.
+3 extinction (the flux underflows below the smallest normal float inside
+a train), 4 undefined phase (orthogonal states).  All numeric output uses
+shortest round-tripping decimals, so every printed value reparses to the
+identical double.
 """
 
 import argparse
@@ -13,27 +14,25 @@ import sys
 
 from .beamio import PURITY_TOL, parse_beam_json
 from .dsl import parse_train
-from .errors import (
-    EmptyTrainError,
-    ExtinctionError,
-    OrthogonalStatesError,
-    PolspinError,
-)
-from .filters import ELEMENTS, apply
+from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
+from .filters import ELEMENTS, _step
 from .partial import (
-    apply_filter_to_coherency,
+    _coherency_entries,
+    _read_stokes,
+    _step_coherency,
     coherency_from_stokes,
     degree_of_polarization,
     eig_decompose,
     mueller_of_train,
-    stokes_from_coherency,
 )
 from .spinor import (
+    PHASE_TOL,
+    _check_wave,
+    _sphere_point,
+    _tangent,
     angles_from_spinor,
     jones_from_wave,
     pancharatnam_phase,
-    poincare_frame,
-    stokes_from_wave,
 )
 
 EXIT_INPUT = 2
@@ -47,15 +46,6 @@ class CliError(Exception):
     def __init__(self, message, code=EXIT_INPUT):
         super().__init__(message)
         self.code = code
-
-
-def _csv_floats(values):
-    """Shortest round-tripping decimals, comma separated."""
-    return ",".join(map(repr, map(float, values)))
-
-
-def _dump_json(obj):
-    return json.dumps(obj)
 
 
 def _complex_pair(z):
@@ -78,27 +68,14 @@ def _load_train(path):
     return result.document
 
 
-def _load_beam(text, tol):
-    try:
-        return parse_beam_json(text, tol)
-    except PolspinError as exc:
-        raise CliError(str(exc))
-
-
 def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
-    beam = _load_beam(beam_json, tol)
+    beam = parse_beam_json(beam_json, tol)
     if target == "stokes":
-        return _dump_json({"stokes": list(beam.stokes.as_array())})
+        return json.dumps({"stokes": list(beam.stokes.as_array())})
     if target == "coherency":
         c = coherency_from_stokes(beam.stokes, basis)
-        return _dump_json(
-            {
-                "coherency": {
-                    "basis": basis,
-                    "matrix": [[_complex_pair(z) for z in row] for row in c.matrix],
-                }
-            }
-        )
+        matrix = [[_complex_pair(z) for z in row] for row in c.matrix]
+        return json.dumps({"coherency": {"basis": basis, "matrix": matrix}})
     if not beam.pure:
         raise CliError(
             f"mixed beam has no {target!r} representation; "
@@ -107,101 +84,71 @@ def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
     w = beam.wave
     if target == "angles":
         ang = angles_from_spinor(w.spinor)
-        return _dump_json(
-            {
-                "angles": {
-                    "theta": ang.theta,
-                    "phi": ang.phi,
-                    "chi": ang.chi,
-                    "amp": w.amplitude,
-                }
-            }
-        )
+        body = {"theta": ang.theta, "phi": ang.phi, "chi": ang.chi, "amp": w.amplitude}
+        return json.dumps({"angles": body})
     if target == "spinor":
-        return _dump_json(
-            {"spinor": [_complex_pair(w.spinor.c1), _complex_pair(w.spinor.c2)]}
-        )
+        return json.dumps({"spinor": [_complex_pair(w.spinor.c1), _complex_pair(w.spinor.c2)]})
     if target == "jones":
         o_tilde, prefactor = jones_from_wave(w)
-        comps = prefactor * o_tilde
-        return _dump_json(
-            {
-                "jones": {
-                    "a1": abs(comps[0]),
-                    "a2": abs(comps[1]),
-                    "phi1": cmath.phase(comps[0]) if abs(comps[0]) > 0 else 0.0,
-                    "phi2": cmath.phase(comps[1]) if abs(comps[1]) > 0 else 0.0,
-                }
-            }
-        )
+        z1, z2 = prefactor * o_tilde
+        phi1, phi2 = (cmath.phase(z) if abs(z) > 0 else 0.0 for z in (z1, z2))
+        return json.dumps({"jones": {"a1": abs(z1), "a2": abs(z2), "phi1": phi1, "phi2": phi2}})
     raise CliError(f"unknown conversion target {target!r}")
 
 
 TRACE_HEADER = "step,element,rx,ry,rz,mx,my,mz,s0,s1,s2,s3,phase"
 
 
-def _trace_row(step, name, r, m_re, stokes, phase):
-    tangent = _csv_floats(m_re) if m_re is not None else ",,"
-    s = _csv_floats((stokes.s0, stokes.s1, stokes.s2, stokes.s3))
-    tail = repr(float(phase)) if phase is not None else ""
-    return f"{step},{name},{_csv_floats(r)},{tangent},{s},{tail}"
+def _pure_row(step, name, c1, c2, r, s, phase):
+    """One pure-beam row: sphere point r, Re M of the spinor, Stokes s, phase."""
+    m1, m2, m3 = _tangent(c1, c2)
+    return (
+        f"{step},{name},{r[0]!r},{r[1]!r},{r[2]!r},{m1.real!r},{m2.real!r},{m3.real!r},"
+        f"{s[0]!r},{s[1]!r},{s[2]!r},{s[3]!r},{phase}"
+    )
 
 
-def _direction(s):
-    """Sphere direction s_vec / s0 (its length is the DoP), or zeros at s0 = 0."""
-    if s.s0 > 0:
-        return s.s1 / s.s0, s.s2 / s.s0, s.s3 / s.s0
-    return 0.0, 0.0, 0.0
+def _mixed_row(step, name, s0, s1, s2, s3):
+    """One mixed-beam row: direction s_vec / s0 (zeros at s0 = 0), Stokes, no M or phase."""
+    d1, d2, d3 = (s1 / s0, s2 / s0, s3 / s0) if s0 > 0 else (0.0, 0.0, 0.0)
+    return f"{step},{name},{d1!r},{d2!r},{d3!r},,,,{s0!r},{s1!r},{s2!r},{s3!r},"
 
 
 def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
+    """Propagate on raw scalars, one step per element.  The beam was validated
+    when parsed; every step checks the extinction rule and the invariants
+    the WaveState and CoherencyMatrix constructors would."""
     doc = _load_train(train_path)
-    beam = _load_beam(beam_json, tol)
+    beam = parse_beam_json(beam_json, tol)
+    s = beam.stokes.as_array().tolist()  # (s0, s1, s2, s3) as Python floats
     lines = [TRACE_HEADER]
     if beam.pure:
-        w = beam.wave
-        ref = w.spinor
-        frame = poincare_frame(ref)
-        lines.append(
-            _trace_row(0, "input", frame.r.tolist(), frame.m_re.tolist(), beam.stokes, 0.0)
-        )
+        amp, c1, c2 = beam.wave.amplitude, beam.wave.spinor.c1, beam.wave.spinor.c2
+        k1, k2 = c1.conjugate(), c2.conjugate()
+        lines.append(_pure_row(0, "input", c1, c2, _sphere_point(c1, c2), s, "0.0"))
         for step, element in enumerate(doc.elements, start=1):
-            w = apply(element, w)
-            frame = poincare_frame(w.spinor)
-            try:
-                phase = pancharatnam_phase(ref, w.spinor)
-            except OrthogonalStatesError:
-                phase = None
-            lines.append(
-                _trace_row(
-                    step,
-                    ELEMENTS[type(element)][0],
-                    frame.r.tolist(),
-                    frame.m_re.tolist(),
-                    stokes_from_wave(w),
-                    phase,
-                )
-            )
+            name, _, entries = ELEMENTS[type(element)]
+            amp, c1, c2 = _step(entries(element), amp, c1, c2)
+            _check_wave(amp, c1, c2)
+            inner = k1 * c1 + k2 * c2  # <input|o>, as pancharatnam_phase
+            phase = "" if abs(inner) < PHASE_TOL else repr(cmath.phase(inner))
+            r = r1, r2, r3 = _sphere_point(c1, c2)
+            s0 = amp**2
+            lines.append(_pure_row(step, name, c1, c2, r, (s0, s0 * r1, s0 * r2, s0 * r3), phase))
     else:
-        c = coherency_from_stokes(beam.stokes, basis="circular")
-        s = beam.stokes
-        lines.append(_trace_row(0, "input", _direction(s), None, s, None))
+        p, q, r = _coherency_entries(*s, "circular")
+        lines.append(_mixed_row(0, "input", *s))
         for step, element in enumerate(doc.elements, start=1):
-            c = apply_filter_to_coherency(element, c)
-            s = stokes_from_coherency(c)
-            lines.append(
-                _trace_row(step, ELEMENTS[type(element)][0], _direction(s), None, s, None)
-            )
+            name, _, entries = ELEMENTS[type(element)]
+            p, q, r = _step_coherency(entries(element), p, q, r)
+            lines.append(_mixed_row(step, name, *_read_stokes(p, q, r, "circular")))
     return "\n".join(lines) + "\n"
 
 
 def cmd_mueller(train_path):
     doc = _load_train(train_path)
-    try:
-        mm = mueller_of_train(doc.elements)
-    except EmptyTrainError as exc:
-        raise CliError(str(exc))
-    return "\n".join(_csv_floats(row) for row in mm) + "\n"
+    mm = mueller_of_train(doc.elements)
+    return "\n".join(",".join(map(repr, row)) for row in mm.tolist()) + "\n"
 
 
 def cmd_decompose(beam_json, tol=PURITY_TOL):
@@ -211,12 +158,12 @@ def cmd_decompose(beam_json, tol=PURITY_TOL):
         raise CliError(f"malformed JSON: {exc}")
     if not isinstance(obj, dict) or set(obj) != {"stokes"}:
         raise CliError("decompose requires the Stokes beam form")
-    beam = _load_beam(beam_json, tol)
+    beam = parse_beam_json(beam_json, tol)
     s = beam.stokes
     if s.s0 <= 0.0:
         raise CliError("decompose requires positive total flux s0")
     dec = eig_decompose(coherency_from_stokes(s))
-    return _dump_json(
+    return json.dumps(
         {
             "points": [list(dec.point_plus), list(dec.point_minus)],
             "eigenvalues": [dec.lambda_plus, dec.lambda_minus],
@@ -227,15 +174,15 @@ def cmd_decompose(beam_json, tol=PURITY_TOL):
 
 
 def cmd_phase(beam_a_json, beam_b_json, tol=PURITY_TOL):
-    beam_a = _load_beam(beam_a_json, tol)
-    beam_b = _load_beam(beam_b_json, tol)
+    beam_a = parse_beam_json(beam_a_json, tol)
+    beam_b = parse_beam_json(beam_b_json, tol)
     if not (beam_a.pure and beam_b.pure):
         raise CliError("relative phase requires two pure beams")
     try:
         phase = pancharatnam_phase(beam_a.wave.spinor, beam_b.wave.spinor)
     except OrthogonalStatesError as exc:
         raise CliError(str(exc), code=EXIT_NO_PHASE)
-    return _dump_json({"phase": phase, "in_phase": abs(phase) < IN_PHASE_TOL})
+    return json.dumps({"phase": phase, "in_phase": abs(phase) < IN_PHASE_TOL})
 
 
 def _build_parser():

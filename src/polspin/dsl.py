@@ -67,9 +67,11 @@ class ParseResult:
 
 
 _ELEMENT_STATEMENTS = {name: (cls, keys) for cls, (name, keys, _) in ELEMENTS.items()}
-# class -> (statement head, keys in field order), for serialization
+# class -> (statement head, (key, field name) pairs in field order), for
+# serialization; fields() is read once per class here, not per statement
 _HEADS = {cls: (name, keys) for name, (cls, keys) in _ELEMENT_STATEMENTS.items()}
 _HEADS.update({cls: (f"beam {form}", keys) for form, (cls, keys) in BEAM_FORMS.items()})
+_HEADS = {c: (h, tuple(zip(k, [f.name for f in fields(c)]))) for c, (h, k) in _HEADS.items()}
 
 # only for diagnostic columns; splits where str.split() and str.strip() do
 _TOKEN_RE = re.compile(r"\S+")
@@ -190,9 +192,8 @@ def _statement(item):
     syntax = _HEADS.get(type(item))
     if syntax is None:
         raise TypeError(f"cannot serialize {item!r}")
-    head, keys = syntax
-    values = [getattr(item, f.name) for f in fields(item)]
-    return " ".join([head] + [f"{k}={_fmt(v)}" for k, v in zip(keys, values)])
+    head, pairs = syntax
+    return " ".join([head] + [f"{k}={_fmt(getattr(item, name))}" for k, name in pairs])
 
 
 def serialize_train(doc):

@@ -22,7 +22,7 @@ class ZeroFieldError(PolspinError):
 
 
 class ExtinctionError(PolspinError):
-    """Filter annihilated the state; renormalization impossible."""
+    """A train drove the beam's flux below the smallest normal float."""
 
 
 class EmptyTrainError(PolspinError):

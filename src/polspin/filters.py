@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyTrainError, ExtinctionError
 from .pauli import circular_to_linear
-from .spinor import Spinor2, WaveState, _quaternion
+from .spinor import FLUX_MIN, Spinor2, WaveState, _quaternion
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,9 @@ def _entries(e, basis="circular"):
     kind = ELEMENTS.get(type(e))
     if kind is None:
         raise TypeError(f"not a filter element: {e!r}")
-    scale, a, b, c, d = kind[2](e)
     if basis == "circular":
-        return scale, a, b, c, d
+        return kind[2](e)
+    scale, a, b, c, d = kind[2](e)
     if basis == "linear":
         # m = p + q . sigma; re-expand U m U^-1 in the standard Pauli set
         p = 0.5 * (a + d)
@@ -172,20 +172,37 @@ def matrix_linear(e):
     return element_matrix(e, "linear")
 
 
+def _extinction(flux):
+    return ExtinctionError(
+        f"flux {flux!r} underflows below the smallest normal float ({FLUX_MIN:.4g})"
+    )
+
+
+def _step(entries, amp, c1, c2):
+    """One element F = scale [[a, b], [c, d]] on a raw wave (A, c1, c2).
+
+    v = F o, A' = A ||v||, o' = v / ||v||; a flux A'^2 below FLUX_MIN is
+    extinction.  The caller checks the WaveState invariants on the result:
+    the WaveState constructor does, a raw loop calls spinor._check_wave.
+    """
+    scale, a, b, c, d = entries
+    v1 = scale * (a * c1 + b * c2)
+    v2 = scale * (c * c1 + d * c2)
+    n = math.sqrt(v1.real**2 + v2.real**2 + v1.imag**2 + v2.imag**2)
+    amp *= n
+    if not amp**2 >= FLUX_MIN:
+        raise _extinction(amp**2)
+    return amp, v1 / n, v2 / n
+
+
 def apply(e, w):
     """Pass a wave through one element: v = scale * m * o, A' = A ||v||.
 
     The global phase of v is retained in the spinor components, so the
     Pancharatnam phase against the input reflects the element's phase.
     """
-    scale, a, b, c, d = _entries(e)
-    c1, c2 = w.spinor.c1, w.spinor.c2
-    v1 = scale * (a * c1 + b * c2)
-    v2 = scale * (c * c1 + d * c2)
-    n = math.sqrt(v1.real**2 + v2.real**2 + v1.imag**2 + v2.imag**2)
-    if n < 1e-300:
-        raise ExtinctionError("filter annihilated the state")
-    return WaveState(w.amplitude * n, Spinor2(v1 / n, v2 / n))
+    amp, c1, c2 = _step(_entries(e), w.amplitude, w.spinor.c1, w.spinor.c2)
+    return WaveState(amp, Spinor2(c1, c2))
 
 
 def classify(e):

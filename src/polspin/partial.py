@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStokesError, ZeroFluxError
-from .filters import _entries, compose
+from .filters import _entries, _extinction, compose
 from .pauli import circular_to_linear, linear_to_circular
-from .spinor import MAX_MAGNITUDE, StokesVector
+from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector
 
 PSD_TOL = 1e-9
 
@@ -41,9 +41,7 @@ class CoherencyMatrix:
         skew = max(2.0 * abs(p.imag), abs(q - q2.conjugate()), 2.0 * abs(r.imag))
         if skew > 1e-12 * scale:
             raise ValueError("coherency matrix is not Hermitian")
-        lo = _min_eigenvalue(p, q, q2, r)
-        if lo < -PSD_TOL * scale:
-            raise ValueError("coherency matrix is not positive semidefinite")
+        _require_psd(p, q, q2, r)
 
 
 @dataclass(frozen=True)
@@ -57,13 +55,14 @@ class PolarizationDecomposition:
     degenerate: bool
 
 
-def _min_eigenvalue(p, q, q2, r):
+def _require_psd(p, q, q2, r):
     # closed-form 2x2 Hermitian spectrum of [[p, q], [q2, r]]:
-    # (tr +- sqrt(tr^2 - 4 det)) / 2
+    # (tr +- sqrt(tr^2 - 4 det)) / 2; the lower one may dip to -PSD_TOL tr
     tr = (p + r).real
     det = (p * r - q * q2).real
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    return 0.5 * (tr - math.sqrt(disc))
+    lo = 0.5 * (tr - math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
+    if lo < -PSD_TOL * max(tr, 1.0e-30):
+        raise ValueError("coherency matrix is not positive semidefinite")
 
 
 def _check_stokes(s):
@@ -172,22 +171,35 @@ def _conjugate_raw(p, q, r, scale, a, b, g, d):
     return top, off, bottom
 
 
-def _conjugate(c, scale, a, b, g, d):
-    """C -> F C F^dag for F = scale [[a, b], [g, d]], as a CoherencyMatrix."""
+def _step_coherency(entries, p, q, r):
+    """One element F = scale [[a, b], [g, d]] on raw C = [[p, q], [conj q, r]].
+
+    p and r are floats, so C is Hermitian by construction; a flux s0 = p + r
+    below FLUX_MIN is extinction, and the result must be PSD to PSD_TOL.
+    """
+    p, q, r = _conjugate_raw(p, q, r, *entries)
+    if not p + r >= FLUX_MIN:
+        raise _extinction(p + r)
+    _require_psd(p, q, q.conjugate(), r)
+    return p, q, r
+
+
+def _conjugate(c, entries):
+    """C -> F C F^dag for entries (scale, a, b, g, d) of F, as a CoherencyMatrix."""
     (p, q), (_, r) = c.matrix.tolist()
-    top, off, bottom = _conjugate_raw(p.real, q, r.real, scale, a, b, g, d)
-    return CoherencyMatrix(np.array([[top, off], [off.conjugate(), bottom]]), c.basis)
+    p, q, r = _step_coherency(entries, p.real, q, r.real)
+    return CoherencyMatrix(np.array([[p, q], [q.conjugate(), r]]), c.basis)
 
 
 def apply_filter_to_coherency(e, c):
     """C -> F C F^dag with F = scale * m taken in the matrix basis of c."""
-    return _conjugate(c, *_entries(e, c.basis))
+    return _conjugate(c, _entries(e, c.basis))
 
 
 def apply_train_to_coherency(train, c):
     em = compose(train, c.basis)
     (a, b), (g, d) = em.m.tolist()
-    return _conjugate(c, em.scale, a, b, g, d)
+    return _conjugate(c, (em.scale, a, b, g, d))
 
 
 # (p, q, r) of C_j = (1/2) sigma_j, the entries of the unit Stokes vector e_j;
@@ -213,6 +225,8 @@ def mueller_of_train(train, basis="circular"):
         _read_stokes(*_conjugate_raw(p, q, r, em.scale, a, b, g, d), basis)
         for p, q, r in _PROBES[basis]
     ]
+    if not columns[0][0] >= FLUX_MIN:  # M00, the flux of unpolarized light
+        raise _extinction(columns[0][0])
     return np.array(columns).T
 
 

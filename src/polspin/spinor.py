@@ -38,6 +38,11 @@ TWO_PI = 2.0 * math.pi
 # and the sum of two such squares, stay finite (flux A^2, Jones a1^2 + a2^2,
 # the over-polarization check), so an over-large input is a typed error.
 MAX_MAGNITUDE = math.sqrt(0.5 * sys.float_info.max)
+# Least flux a beam may carry: below the smallest normal float the direction
+# s_vec / s0 has lost digits.  A declared beam below it is an input error; a
+# train that drives a beam below it has extinguished it.
+FLUX_MIN = sys.float_info.min
+PHASE_TOL = 1e-12  # |<a|b>| below which the relative phase is undefined
 
 
 def _wrap_2pi(x):
@@ -68,9 +73,21 @@ class Spinor2:
         return Spinor2(self.c1 / n, self.c2 / n)
 
     def require_unit(self, tol=1e-10):
-        if abs(self.norm() - 1.0) > tol:
-            raise ValueError(f"spinor is not unit-norm: |o| = {self.norm()}")
+        _require_unit(self.c1, self.c2, tol)
         return self
+
+
+def _require_unit(c1, c2, tol=1e-10):
+    n = math.hypot(abs(c1), abs(c2))
+    if abs(n - 1.0) > tol:
+        raise ValueError(f"spinor is not unit-norm: |o| = {n}")
+
+
+def _check_wave(amp, c1, c2):
+    """The WaveState invariants on raw scalars: 0 < A <= MAX_MAGNITUDE, |o| = 1."""
+    if not 0.0 < amp <= MAX_MAGNITUDE:
+        raise ValueError(f"amplitude out of (0, {MAX_MAGNITUDE:.4g}]: {amp}")
+    _require_unit(c1, c2)
 
 
 @dataclass(frozen=True)
@@ -98,9 +115,7 @@ class WaveState:
     spinor: Spinor2
 
     def __post_init__(self):
-        if not 0.0 < self.amplitude <= MAX_MAGNITUDE:
-            raise ValueError(f"amplitude out of (0, {MAX_MAGNITUDE:.4g}]: {self.amplitude}")
-        self.spinor.require_unit()
+        _check_wave(self.amplitude, self.spinor.c1, self.spinor.c2)
 
 
 @dataclass(frozen=True)
@@ -256,10 +271,12 @@ def wave_from_jones(j):
     The prefactor sqrt(2) e^{-i pi/4} A is divided out so round-trips are
     exact including the global phase.
     """
-    amp = math.sqrt(0.5 * (j.a1**2 + j.a2**2))
-    # zero for a zero field and for amplitudes whose squares underflow
-    if amp == 0.0:
-        raise ZeroFieldError(f"Jones field has zero flux: a1={j.a1}, a2={j.a2}")
+    flux = 0.5 * (j.a1**2 + j.a2**2)
+    # zero or subnormal for a zero field and for amplitudes whose squares underflow
+    if not flux >= FLUX_MIN:
+        what = "has zero flux" if flux == 0.0 else f"flux underflows (below {FLUX_MIN:.4g})"
+        raise ZeroFieldError(f"Jones field {what}: a1={j.a1}, a2={j.a2}")
+    amp = math.sqrt(flux)
     jones = np.array(
         [j.a1 * cmath.exp(1j * j.phi1), j.a2 * cmath.exp(1j * j.phi2)]
     )
@@ -314,7 +331,7 @@ def su2_to_so3(q, tol=1e-10):
                      [2.0 * (b * d + a * c), 2.0 * (c * d - a * b), w + 2.0 * d * d]])
 
 
-def pancharatnam_phase(s1, s2, tol=1e-12):
+def pancharatnam_phase(s1, s2, tol=PHASE_TOL):
     """arg(s1^dag s2) in (-pi, pi]; zero means the waves are in phase."""
     inner = s1.c1.conjugate() * s2.c1 + s1.c2.conjugate() * s2.c2
     if abs(inner) < tol:

@@ -7,8 +7,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polspin.cli import main
+from polspin import (
+    OrthogonalStatesError,
+    apply,
+    apply_filter_to_coherency,
+    coherency_from_stokes,
+    pancharatnam_phase,
+    poincare_frame,
+    stokes_from_coherency,
+    stokes_from_wave,
+)
+from polspin.beamio import parse_beam_json
+from polspin.cli import cmd_mueller, cmd_trace, main
+from polspin.dsl import parse_train
+from polspin.filters import ELEMENTS
 
 
 def run(capsys, *argv):
@@ -165,7 +180,7 @@ class TestConvert:
             ),
             (
                 '{"jones": {"a1": 1e-160, "a2": 0, "phi1": 0, "phi2": 0}}',
-                "flux A^2 of amplitude 7.0710284513028335e-161 underflows (below 2.225e-308)",
+                "Jones field flux underflows (below 2.225e-308): a1=1e-160, a2=0.0",
             ),
         ],
         ids=["angles-amp", "jones-a1", "angles-amp-subnormal", "jones-a1-subnormal"],
@@ -311,7 +326,7 @@ class TestTrace:
             ),
             (
                 "beam jones a1=0 a2=1e-160 phi1=0 phi2=0",
-                "flux A^2 of amplitude 7.0710284513028335e-161 underflows (below 2.225e-308)",
+                "Jones field flux underflows (below 2.225e-308): a1=0.0, a2=1e-160",
             ),
         ],
         ids=["angles", "jones", "angles-subnormal", "jones-subnormal"],
@@ -494,6 +509,179 @@ def test_long_train_trace_matches_mueller(capsys, tmp_path, rng, beam):
     s_in = np.array([float(v) for v in rows[0][8:12]])
     expected = mm @ s_in
     final = np.array([float(v) for v in rows[-1][8:12]])
+    assert np.max(np.abs(final - expected)) <= 1e-9 * expected[0]
+
+
+README_ELEMENTS = """\
+shifter d1=0.1 d2=1.2
+rotate alpha=deg(45)
+gyro d1=0.0 d2=0.3
+qwp axis=0.785
+hwp axis=0.4
+atten e1=0.1 e2=0.8
+"""
+README_BEAM = '{"angles": {"theta": 1.0, "phi": 0.2, "chi": 0.0, "amp": 1.0}}'
+# DoP = 1: classified pure by default, forced through the mixed path by a
+# tolerance no beam can meet
+DOP1_STOKES = '{"stokes": [1.0, 0.0, 0.0, 1.0]}'
+
+
+class TestExtinction:
+    """A flux (s0, or M00 for mueller) below the smallest normal float is exit 3."""
+
+    ARGVS = {
+        "trace-pure": ("trace", "TRAIN", README_BEAM),
+        "trace-stokes-dop1": ("trace", "TRAIN", DOP1_STOKES),
+        "trace-stokes-dop1-mixed-path": ("trace", "TRAIN", DOP1_STOKES, "--tolerance=-1"),
+        "trace-mixed": ("trace", "TRAIN", '{"stokes": [1.0, 0.0, 0.0, 0.5]}'),
+        "mueller": ("mueller", "TRAIN"),
+    }
+
+    def run_repeated(self, capsys, tmp_path, repeats, key):
+        path = tmp_path / "repeated.pol"
+        path.write_text(README_ELEMENTS * repeats)
+        argv = [str(path) if a == "TRAIN" else a for a in self.ARGVS[key]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(capsys, *argv)
+
+    @pytest.mark.parametrize("key", list(ARGVS))
+    def test_readme_train_times_1000_exit_3(self, capsys, tmp_path, key):
+        code, out, err = self.run_repeated(capsys, tmp_path, 1000, key)
+        assert (code, out) == (3, "")
+        assert err.startswith("flux ") and err.endswith(
+            " underflows below the smallest normal float (2.225e-308)\n"
+        )
+        assert float(err.split()[1]) < sys.float_info.min
+
+    @pytest.mark.parametrize("key", list(ARGVS))
+    def test_readme_train_times_800_keeps_a_normal_flux(self, capsys, tmp_path, key):
+        # about e^-630: far below 1 but above the threshold, so exit 0
+        code, out, _ = self.run_repeated(capsys, tmp_path, 800, key)
+        assert code == 0
+        rows = [line.split(",") for line in out.split()]
+        if key == "mueller":
+            assert sys.float_info.min <= float(rows[0][0]) < 1e-250
+        else:
+            assert len(rows) == 4802
+            assert all(float(row[8]) >= sys.float_info.min for row in rows[1:])
+            assert float(rows[-1][8]) < 1e-250
+
+
+def oracle_trace(train_text, beam_json):
+    """`trace` stdout rebuilt step by step from the public objects: apply,
+    poincare_frame, stokes_from_wave and pancharatnam_phase for a pure beam;
+    apply_filter_to_coherency and stokes_from_coherency for a mixed one."""
+    doc = parse_train(train_text).document
+    beam = parse_beam_json(beam_json)
+
+    def row(step, name, r, m_re, s, phase):
+        cells = [*r, *m_re, s.s0, s.s1, s.s2, s.s3]
+        cells = ["" if v is None else repr(float(v)) for v in cells + [phase]]
+        return ",".join([str(step), name, *cells])
+
+    def direction(s):
+        return (s.s1 / s.s0, s.s2 / s.s0, s.s3 / s.s0) if s.s0 > 0 else (0.0, 0.0, 0.0)
+
+    lines = ["step,element,rx,ry,rz,mx,my,mz,s0,s1,s2,s3,phase"]
+    names = [ELEMENTS[type(e)][0] for e in doc.elements]
+    if beam.pure:
+        w, ref = beam.wave, beam.wave.spinor
+        frame = poincare_frame(ref)
+        lines.append(row(0, "input", frame.r, frame.m_re, beam.stokes, 0.0))
+        for step, (name, e) in enumerate(zip(names, doc.elements), start=1):
+            w = apply(e, w)
+            frame = poincare_frame(w.spinor)
+            try:
+                phase = pancharatnam_phase(ref, w.spinor)
+            except OrthogonalStatesError:
+                phase = None
+            lines.append(row(step, name, frame.r, frame.m_re, stokes_from_wave(w), phase))
+    else:
+        s = beam.stokes
+        c = coherency_from_stokes(s)
+        lines.append(row(0, "input", direction(s), [None] * 3, s, None))
+        for step, (name, e) in enumerate(zip(names, doc.elements), start=1):
+            c = apply_filter_to_coherency(e, c)
+            s = stokes_from_coherency(c)
+            lines.append(row(step, name, direction(s), [None] * 3, s, None))
+    return "\n".join(lines) + "\n"
+
+
+# a half turn takes linear x to its antipode, where the phase is undefined
+ANTIPODE_TRAIN = f"qwp axis=0.0\nrotate alpha={math.pi / 2!r}\nhwp axis=0.3\n"
+
+
+@pytest.mark.parametrize(
+    "beam",
+    [
+        '{"angles": {"theta": 1.1, "phi": 0.4, "chi": 0.3, "amp": 1.7}}',
+        '{"stokes": [2.0, 0.6, -0.9, 0.5]}',
+        LINEAR_X,
+    ],
+    ids=["pure", "mixed", "linear-x"],
+)
+@pytest.mark.parametrize("train", ["seeded", "antipode"])
+def test_trace_stdout_equals_public_api_oracle(capsys, tmp_path, beam, train):
+    rng = np.random.default_rng(6)
+    text = long_train_text(rng, per_kind=333) + "rotate alpha=0.0\n" * 2
+    if train == "antipode":
+        text = ANTIPODE_TRAIN + text
+    path = tmp_path / "t.pol"
+    path.write_text(text)
+    code, out, err = run(capsys, "trace", str(path), beam)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2002 + 3 * (train == "antipode")
+    # byte for byte; naming the first row that differs keeps a failure readable
+    want = oracle_trace(text, beam)
+    first = next((i for i, (a, b) in enumerate(zip(out.split("\n"), want.split("\n"))) if a != b), None)
+    assert (first, len(out)) == (None, len(want))
+    if train == "antipode" and beam == LINEAR_X:
+        assert out.splitlines()[3].endswith(",")  # step 2: an empty phase
+
+
+ANGLE = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+
+
+@st.composite
+def trains_and_beams(draw):
+    """Up to 10^3 elements of all six kinds, and one pure or mixed beam.
+
+    Every attenuator exponent is at most eta_max <= 0.35, so each element
+    keeps at least e^-0.7 of the flux and 10^3 of them keep it normal.
+    """
+    n = draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eta_max = draw(st.floats(0.0, 0.35))
+    lines = []
+    angles = rng.uniform(0.0, 2.0 * math.pi, (2, n)).tolist()
+    for kind, a, b in zip(rng.integers(0, 6, n).tolist(), *angles):
+        e1, e2 = eta_max * a / (2.0 * math.pi), eta_max * b / (2.0 * math.pi)
+        lines.append(
+            [f"shifter d1={a!r} d2={b!r}", f"rotate alpha={a!r}", f"gyro d1={a!r} d2={b!r}",
+             f"qwp axis={0.5 * a!r}", f"hwp axis={0.5 * b!r}", f"atten e1={e1!r} e2={e2!r}"][kind]
+        )
+    theta, phi = draw(st.floats(0.0, math.pi)), draw(ANGLE)
+    if draw(st.booleans()):
+        beam = {"angles": {"theta": theta, "phi": phi, "chi": draw(ANGLE), "amp": 1.3}}
+    else:
+        d = draw(st.floats(0.0, 0.9))
+        u = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+        beam = {"stokes": [1.5] + [1.5 * d * x for x in u]}
+    return "\n".join(lines) + "\n", json.dumps(beam)
+
+
+@settings(max_examples=25, deadline=None)
+@given(trains_and_beams())
+def test_trace_final_row_equals_mueller_times_input(tmp_path_factory, case):
+    text, beam = case
+    path = tmp_path_factory.mktemp("property") / "t.pol"
+    path.write_text(text)
+    rows = [line.split(",") for line in cmd_trace(str(path), beam).split()[1:]]
+    mm = np.array([[float(v) for v in line.split(",")] for line in cmd_mueller(str(path)).split()])
+    s_in = np.array([float(v) for v in rows[0][8:12]])
+    final = np.array([float(v) for v in rows[-1][8:12]])
+    expected = mm @ s_in
     assert np.max(np.abs(final - expected)) <= 1e-9 * expected[0]
 
 

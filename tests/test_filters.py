@@ -184,6 +184,14 @@ class TestApply:
         with pytest.raises(ExtinctionError):
             apply(Attenuator(1500.0, 1500.0), linear_x_wave())
 
+    def test_extinction_is_a_subnormal_flux(self):
+        # ||v|| = e^-20 is far from zero, but the flux A'^2 ~ 4e-318 is subnormal
+        w = WaveState(1e-150, linear_x_wave().spinor)
+        with pytest.raises(ExtinctionError, match="underflows below the smallest normal float"):
+            apply(Attenuator(20.0, 20.0), w)
+        # A'^2 = e^-40 * 1e-260 is still a normal float
+        assert apply(Attenuator(20.0, 20.0), WaveState(1e-130, w.spinor)).amplitude > 0.0
+
     def test_scale_only_shifts_pancharatnam_phase(self):
         w = WaveState(1.0, spinor_from_angles(AngleSet(0.4, 1.0, 0.2)))
         d1 = d2 = 0.9  # delta = 0: pure scale e^{-i(d1+d2)/2}

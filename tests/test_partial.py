@@ -7,6 +7,7 @@ from polspin import (
     Attenuator,
     CoherencyMatrix,
     EmptyTrainError,
+    ExtinctionError,
     Gyrotropic,
     HalfWave,
     InvalidStokesError,
@@ -303,6 +304,24 @@ class TestMueller:
     def test_empty_train(self):
         with pytest.raises(EmptyTrainError):
             mueller_of_train([])
+
+    @pytest.mark.parametrize("basis", ["circular", "linear"])
+    def test_extinction_when_m00_underflows(self, basis):
+        # M00 = e^-800 underflows to zero; e^-700 is still a normal float
+        with pytest.raises(ExtinctionError, match="underflows"):
+            mueller_of_train([Attenuator(400.0, 400.0)], basis)
+        assert mueller_of_train([Attenuator(350.0, 350.0)], basis)[0, 0] > 0.0
+
+    @pytest.mark.parametrize("basis", ["circular", "linear"])
+    def test_coherency_extinction_when_s0_underflows(self, basis):
+        c = coherency_from_stokes(StokesVector(1e-300, 0.0, 0.0, 0.0), basis)
+        for apply_one in (
+            lambda e: apply_filter_to_coherency(e, c),
+            lambda e: apply_train_to_coherency([e], c),
+        ):
+            with pytest.raises(ExtinctionError, match="underflows"):
+                apply_one(Attenuator(10.0, 10.0))  # s0 = 2e-309, subnormal
+            assert stokes_from_coherency(apply_one(Attenuator(1.0, 1.0))).s0 > 0.0
 
     def test_attenuator_boost_block(self):
         eta = 1.1
