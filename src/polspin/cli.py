@@ -19,6 +19,7 @@ from .filters import ELEMENTS, _step
 from .partial import (
     _coherency_entries,
     _read_stokes,
+    _require_psd,
     _step_coherency,
     coherency_from_stokes,
     degree_of_polarization,
@@ -141,6 +142,7 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
         for step, element in enumerate(doc.elements, start=1):
             name, _, entries = ELEMENTS[type(element)]
             p, q, r = _step_coherency(entries(element), p, q, r)
+            _require_psd(p, q, q.conjugate(), r)
             lines.append(_mixed_row(step, name, *_read_stokes(p, q, r, "circular")))
     return "\n".join(lines) + "\n"
 

@@ -190,8 +190,8 @@ def _step(entries, amp, c1, c2):
     v2 = scale * (c * c1 + d * c2)
     n = math.sqrt(v1.real**2 + v2.real**2 + v1.imag**2 + v2.imag**2)
     amp *= n
-    if not amp**2 >= FLUX_MIN:
-        raise _extinction(amp**2)
+    if not amp * amp >= FLUX_MIN:
+        raise _extinction(amp * amp)
     return amp, v1 / n, v2 / n
 
 

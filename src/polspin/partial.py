@@ -174,13 +174,14 @@ def _conjugate_raw(p, q, r, scale, a, b, g, d):
 def _step_coherency(entries, p, q, r):
     """One element F = scale [[a, b], [g, d]] on raw C = [[p, q], [conj q, r]].
 
-    p and r are floats, so C is Hermitian by construction; a flux s0 = p + r
-    below FLUX_MIN is extinction, and the result must be PSD to PSD_TOL.
+    p and r are floats, so C stays Hermitian by construction; a flux
+    s0 = p + r below FLUX_MIN is extinction.  The caller checks that the
+    result is PSD: the CoherencyMatrix constructor does, a raw loop calls
+    _require_psd.
     """
     p, q, r = _conjugate_raw(p, q, r, *entries)
     if not p + r >= FLUX_MIN:
         raise _extinction(p + r)
-    _require_psd(p, q, q.conjugate(), r)
     return p, q, r
 
 
