@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import PolspinError, ZeroFluxError
+from .errors import PolspinError
 from .partial import _check_stokes, degree_of_polarization
 from .spinor import (
-    FLUX_MIN,
     AngleSet,
     JonesAmpPhase,
     StokesVector,
@@ -79,13 +78,7 @@ def _require_number(v, where):
 
 
 def beam_from_wave(wave):
-    s = stokes_from_wave(wave)
-    # a subnormal s0 has lost digits, and so has the direction s_vec / s0
-    if not s.s0 >= FLUX_MIN:
-        raise ZeroFluxError(
-            f"flux A^2 of amplitude {wave.amplitude} underflows (below {FLUX_MIN:.4g})"
-        )
-    return Beam(s, wave)
+    return Beam(stokes_from_wave(wave), wave)
 
 
 def beam_from_stokes(s, tol=PURITY_TOL):

@@ -9,6 +9,7 @@ identical double.
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 
@@ -27,6 +28,7 @@ from .partial import (
     mueller_of_train,
 )
 from .spinor import (
+    FLUX_MIN,
     PHASE_TOL,
     _check_wave,
     _sphere_point,
@@ -67,6 +69,12 @@ def _load_train(path):
         ]
         raise CliError("\n".join(lines))
     return result.document
+
+
+def _require_flux(s0):
+    # a zero or subnormal s0 has no direction s_vec / s0 left to propagate
+    if not s0 >= FLUX_MIN:
+        raise CliError(f"beam flux s0 = {s0!r} is zero or underflows (below {FLUX_MIN:.4g})")
 
 
 def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
@@ -122,6 +130,7 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
     doc = _load_train(train_path)
     beam = parse_beam_json(beam_json, tol)
     s = beam.stokes.as_array().tolist()  # (s0, s1, s2, s3) as Python floats
+    _require_flux(s[0])
     lines = [TRACE_HEADER]
     if beam.pure:
         amp, c1, c2 = beam.wave.amplitude, beam.wave.spinor.c1, beam.wave.spinor.c2
@@ -162,8 +171,7 @@ def cmd_decompose(beam_json, tol=PURITY_TOL):
         raise CliError("decompose requires the Stokes beam form")
     beam = parse_beam_json(beam_json, tol)
     s = beam.stokes
-    if s.s0 <= 0.0:
-        raise CliError("decompose requires positive total flux s0")
+    _require_flux(s.s0)
     dec = eig_decompose(coherency_from_stokes(s))
     return json.dumps(
         {
@@ -187,6 +195,7 @@ def cmd_phase(beam_a_json, beam_b_json, tol=PURITY_TOL):
     return json.dumps({"phase": phase, "in_phase": abs(phase) < IN_PHASE_TOL})
 
 
+@functools.cache  # built on the first call, then reused by every main() call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="polspin",

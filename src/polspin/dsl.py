@@ -78,13 +78,11 @@ _TOKEN_RE = re.compile(r"\S+")
 
 
 def _parse_number(text):
-    """Float literal or deg(<float>); returns None on malformed/non-finite."""
+    """Float literal or deg(<float>), in radians; None if malformed (finite or not)."""
     deg = text.startswith("deg(") and text.endswith(")")
     try:
         value = float(text[4:-1] if deg else text)
     except ValueError:
-        return None
-    if not math.isfinite(value):
         return None
     return math.radians(value) if deg else value
 
@@ -114,12 +112,12 @@ def parse_train(source):
 
     for line_no, line in enumerate(source.split("\n"), start=1):
         # a CRLF's "\r" is whitespace to str.split() and str.strip()
-        code = line.split("#", 1)[0]
+        code = line.split("#", 1)[0] if "#" in line else line
         words = code.split()
         if not words:
             continue
         head = words[0]
-        head_col = len(code) - len(code.lstrip()) + 1
+        head_col = code.find(head) + 1
         if head == "beam":
             if len(words) < 2:
                 error(0, "beam statement missing its form", head)
@@ -149,12 +147,14 @@ def parse_train(source):
             elif key in values:
                 message = f"duplicate key {key!r}"
             else:
-                value = _parse_number(raw)
-                if value is None:
-                    message = f"malformed or non-finite number {raw!r}"
-                else:
+                try:
+                    value = float(raw)
+                except ValueError:  # deg(...) or malformed
+                    value = _parse_number(raw)
+                if value is not None and math.isfinite(value):
                     values[key] = value
                     continue
+                message = f"malformed or non-finite number {raw!r}"
             error(index, message, token)
             break
         if message is not None:

@@ -130,7 +130,7 @@ def degree_of_polarization(s):
     """|s_vec| / s0, in [0, 1]."""
     if s.s0 == 0.0:
         raise ZeroFluxError("degree of polarization undefined at s0 = 0")
-    return float(np.linalg.norm(s.vec3())) / s.s0
+    return math.hypot(s.s1, s.s2, s.s3) / s.s0
 
 
 def eig_decompose(c):
@@ -142,10 +142,10 @@ def eig_decompose(c):
     """
     s = stokes_from_coherency(c)
     svec = s.vec3()
-    norm = float(np.linalg.norm(svec))
+    norm = math.hypot(s.s1, s.s2, s.s3)  # no squares: exact under 2^k scaling
     lam_plus = 0.5 * (s.s0 + norm)
     lam_minus = 0.5 * (s.s0 - norm)
-    if norm < 1e-12 * max(s.s0, 1e-30):
+    if 1e12 * norm <= s.s0:
         return PolarizationDecomposition(
             np.array([0.0, 0.0, 1.0]),
             np.array([0.0, 0.0, -1.0]),

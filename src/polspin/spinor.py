@@ -84,9 +84,12 @@ def _require_unit(c1, c2, tol=1e-10):
 
 
 def _check_wave(amp, c1, c2):
-    """The WaveState invariants on raw scalars: 0 < A <= MAX_MAGNITUDE, |o| = 1."""
+    """The WaveState invariants on raw scalars: 0 < A <= MAX_MAGNITUDE,
+    A^2 >= FLUX_MIN (a subnormal flux has lost digits), |o| = 1."""
     if not 0.0 < amp <= MAX_MAGNITUDE:
         raise ValueError(f"amplitude out of (0, {MAX_MAGNITUDE:.4g}]: {amp}")
+    if not amp * amp >= FLUX_MIN:
+        raise ValueError(f"flux A^2 of amplitude {amp} underflows (below {FLUX_MIN:.4g})")
     _require_unit(c1, c2)
 
 
@@ -238,7 +241,7 @@ def wave_from_stokes(s, tol=1e-9):
     """WaveState for a pure Stokes vector (|s_vec| = s0); chi is set to 0."""
     from .errors import InvalidStokesError
 
-    norm = float(np.linalg.norm(s.vec3()))
+    norm = math.hypot(s.s1, s.s2, s.s3)
     if s.s0 <= 0.0:
         raise InvalidStokesError(f"s0 must be positive for a pure state: {s.s0}")
     if abs(norm - s.s0) > tol * s.s0:

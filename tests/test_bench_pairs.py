@@ -1,0 +1,80 @@
+"""The summary arithmetic of tools/bench_pairs.py on synthetic perfbench records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+DIRECTIONS = {"ops_per_s": "higher", "op_p50_us": "lower"}
+
+
+def record(ops, p50, attempted=100, failed=0, sha="a"):
+    return {"metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                        "op_p50_us": {"value": p50, "unit": "us"}},
+            "correct": failed == 0, "attempted": attempted, "failed": failed,
+            "outputs_sha256": sha}
+
+
+def pairs():
+    parent = [record(100.0 + i, 1000.0 - i, attempted=90 + i % 2) for i in range(5)]
+    # the change is faster in every pair but the last, and prints other
+    # bytes in pair 3
+    change = [record(300.0 + i, 400.0 + i, sha="b" if i == 3 else "a") for i in range(5)]
+    change[4] = record(99.0, 1001.0)
+    return {"parent": parent, "change": change}
+
+
+def test_summary_medians_quartiles_wins():
+    summary = bench_pairs.summarize(pairs(), DIRECTIONS)
+    ops = summary["metrics"]["ops_per_s"]
+    # parent 100..104: exclusive quartiles of 5 points sit at positions 1.5 and 4.5
+    assert ops["parent"] == {"median": 102.0, "q1": 100.5, "q3": 103.5}
+    # change 99, 300, 301, 302, 303
+    assert ops["change"] == {"median": 301.0, "q1": 199.5, "q3": 302.5}
+    assert ops["change_wins"] == 4 and ops["unit"] == "1/s"
+    assert ops["rel_change"] == pytest.approx(301.0 / 102.0 - 1.0)
+    p50 = summary["metrics"]["op_p50_us"]
+    assert p50["change_wins"] == 4  # lower is better here
+    assert p50["rel_change"] == pytest.approx(402.0 / 998.0 - 1.0)
+    assert summary["pairs"] == 5 and summary["correct"] is True
+    assert summary["attempted"] == {"parent": [90, 91], "change": [100]}
+    assert summary["failed"] == {"parent": [0], "change": [0]}
+    assert summary["outputs_sha256_match"] == 4
+
+
+def test_failed_run_makes_summary_incorrect():
+    records = pairs()
+    records["change"][2] = record(300.0, 400.0, failed=3)
+    summary = bench_pairs.summarize(records, DIRECTIONS)
+    assert summary["correct"] is False and summary["failed"]["change"] == [0, 3]
+
+
+def test_claim_and_held_out():
+    records = pairs()
+    summary = bench_pairs.summarize(records, DIRECTIONS)
+    held = bench_pairs.held_out_summary(
+        {"parent": [record(90.0, 1100.0)], "change": [record(270.0, 420.0)]}, "w", 9)
+    assert held["ops_per_s"] == {"parent": 90.0, "change": 270.0}
+    assert held["outputs_sha256_match"] is True and held["seed"] == 9
+    claim = bench_pairs.claim_summary(summary, "w", "ops_per_s", "3x", held)
+    assert claim["change_wins"] == 4 and claim["pairs"] == 5
+    assert claim["median_gap"] == 199.0 and claim["parent_iqr"] == 3.0
+    assert claim["held_out_rel_change"] == pytest.approx(2.0)
+
+
+def test_traced_counts_lower_pairs():
+    traced = bench_pairs.summarize_traced(pairs())
+    assert traced["op_p50_us"] == {"parent_median": 998.0, "change_median": 402.0,
+                                   "change_lower": 4}
+
+
+def test_unpaired_records_rejected():
+    records = pairs()
+    records["change"].pop()
+    with pytest.raises(ValueError):
+        bench_pairs.summarize(records, DIRECTIONS)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -417,6 +419,50 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", NORTH_POLE)
         assert code == 2 and "Stokes" in err
 
+    def test_exact_stdout(self, capsys):
+        # |s_vec| is math.hypot(s1, s2, s3); a norm that squares its inputs
+        # prints other last digits for this beam
+        beam = (
+            '{"stokes": [1.858999279253553, -1.3546618895925253, '
+            '0.3880326760172408, -0.7223421787669144]}'
+        )
+        expected = (
+            '{"points": [[-0.855488580216484, 0.24504824830012983, -0.45616953550650696], '
+            "[0.855488580216484, -0.24504824830012983, 0.45616953550650696]], "
+            '"eigenvalues": [1.72124713978027, 0.1377521394732829], '
+            '"dop": 0.8517996849051015, "degenerate": false}\n'
+        )
+        assert run(capsys, "decompose", beam) == (0, expected, "")
+
+    def test_tiny_polarized_beam_is_polarized(self, capsys):
+        # s_vec's squares underflow here; its norm does not
+        code, out, _ = run(capsys, "decompose", '{"stokes": [1e-300, 0, 0, 1e-300]}')
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["dop"] == 1.0 and obj["degenerate"] is False
+        assert obj["eigenvalues"] == [1e-300, 0.0]
+
+
+class TestFluxFloor:
+    @pytest.mark.parametrize("s0", ["0", "1e-310"])
+    def test_stokes_beam_below_floor_exit_2(self, capsys, tmp_path, s0):
+        # an input error at the beam, as for a pure beam of that flux, not
+        # an extinction blamed on the train
+        train = tmp_path / "t.pol"
+        train.write_text("rotate alpha=0.1\n")
+        beam = f'{{"stokes": [{s0}, 0, 0, 0]}}'
+        message = f"beam flux s0 = {float(s0)!r} is zero or underflows (below 2.225e-308)\n"
+        for argv in (("trace", str(train), beam), ("decompose", beam)):
+            assert run(capsys, *argv) == (2, "", message)
+
+    def test_stokes_beam_above_floor_traces(self, capsys, tmp_path):
+        train = tmp_path / "t.pol"
+        train.write_text("rotate alpha=0.1\n")
+        code, out, err = run(capsys, "trace", str(train), '{"stokes": [3e-308, 0, 0, 0]}')
+        assert (code, err) == (0, "")
+        s0 = [float(row.split(",")[8]) for row in out.split()[1:]]
+        assert s0 == [3e-308, pytest.approx(3e-308, rel=1e-15)]
+
 
 class TestPhase:
     def test_identical_beams(self, capsys):
@@ -685,16 +731,62 @@ def test_trace_final_row_equals_mueller_times_input(tmp_path_factory, case):
     assert np.max(np.abs(final - expected)) <= 1e-9 * expected[0]
 
 
-def test_python_dash_m_runs_the_cli(capsys):
+def run_fresh(*argv):
+    """(exit code, stdout, stderr) of `python -m polspin argv` in a new process."""
     import polspin
 
     src = os.path.dirname(os.path.dirname(polspin.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["convert", "--to", "stokes", LINEAR_X]
     proc = subprocess.run(
         [sys.executable, "-m", "polspin", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["convert", "--to", "stokes", LINEAR_X]
+    proc_code, proc_out, proc_err = run_fresh(*argv)
+    assert proc_code == 0, proc_err
     code, out, _ = run(capsys, *argv)
-    assert code == 0 and proc.stdout == out
+    assert code == 0 and proc_out == out
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, tmp_path, monkeypatch):
+    # main() builds its argument parser once per process; no call may see
+    # another's options, defaults, output file or error state
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    train, target = tmp_path / "t.pol", tmp_path / "m.csv"
+    train.write_text(README_ELEMENTS)
+    beam = '{"stokes": [1, 0.6, 0, -0.8]}'
+    near_pure = '{"stokes": [1, 0, 0.6, 0.7999]}'  # pure at tolerance 1e-3 only
+    calls = [
+        ("convert", "--to", "bogus", beam),
+        ("mueller", str(train), "--output", str(target)),
+        ("mueller", str(train)),
+        ("convert", "--to", "coherency", "--basis", "linear", beam),
+        ("convert", "--to", "coherency", beam),
+        ("trace", str(train), near_pure, "--tolerance", "1e-3"),
+        ("trace", str(train), near_pure),
+    ]
+    # build the parser while other streams are current: each call must write
+    # to sys.stdout and sys.stderr as they stand when it runs
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(["convert", "--to", "stokes", LINEAR_X])
+    results = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        results.append((code, out, err))
+        if "--output" in argv:
+            written = target.read_text()
+            target.write_text("untouched\n")
+    assert target.read_text() == "untouched\n"
+    assert results[0][0] == 2 and "invalid choice: 'bogus'" in results[0][2]
+    assert results[2][1] == written and results[3][1] != results[4][1]
+    assert results[5][1] != results[6][1]
+    for argv, result in zip(calls, results):
+        assert result == run_fresh(*argv), argv

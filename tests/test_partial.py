@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polspin import (
     Attenuator,
@@ -217,6 +220,52 @@ class TestEigDecompose:
                 continue
             a = su2_to_so3(matrix_circular(e).m)
             np.testing.assert_allclose(dec2.point_plus, a @ dec.point_plus, atol=1e-10)
+
+
+def _scaled(s, k):
+    return StokesVector(*(math.ldexp(v, -k) for v in (s.s0, s.s1, s.s2, s.s3)))
+
+
+@st.composite
+def stokes_and_scales(draw):
+    """A valid Stokes vector and a k for which every nonzero component of
+    it and of its coherency matrix, times 2^-k, stays a normal float."""
+    theta, phi = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
+    direction = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    s0 = draw(st.floats(1e-3, 1e3))
+    stretch = draw(st.floats(0.0, 1.0)) * s0  # dop times s0
+    # a component that is already subnormal becomes an exact zero
+    svec = [v if abs(v) >= sys.float_info.min else 0.0 for v in (stretch * v for v in direction)]
+    s = StokesVector(s0, *svec)
+    entries = coherency_from_stokes(s).matrix.ravel().tolist()
+    parts = [s0, *svec] + [z.real for z in entries] + [z.imag for z in entries]
+    smallest = min(abs(v) for v in parts if v != 0.0)
+    # smallest >= 2^(e - 1), so 2^-k smallest stays >= 2^-1022 for k <= e - 1 + 1022
+    k_max = math.frexp(smallest)[1] - 1 + 1022
+    return s, draw(st.integers(0, max(k_max, 0)))
+
+
+class TestScaleInvariance:
+    @settings(max_examples=300, deadline=None)
+    @given(stokes_and_scales())
+    def test_power_of_two_scaling(self, case):
+        # the norm |s_vec| is taken without squares, so a beam scaled by
+        # 2^-k keeps its dop and points bit for bit down to the normal floor
+        s, k = case
+        small = _scaled(s, k)
+        dec, dec_small = (eig_decompose(coherency_from_stokes(v)) for v in (s, small))
+        assert degree_of_polarization(small) == degree_of_polarization(s)
+        assert dec_small.degenerate == dec.degenerate
+        assert dec_small.point_plus.tolist() == dec.point_plus.tolist()
+        assert dec_small.point_minus.tolist() == dec.point_minus.tolist()
+        assert dec_small.lambda_plus == math.ldexp(dec.lambda_plus, -k)
+        assert dec_small.lambda_minus == math.ldexp(dec.lambda_minus, -k)
+
+    def test_tiny_polarized_beam_is_not_degenerate(self):
+        s = StokesVector(1e-300, 0.0, 0.0, 1e-300)
+        dec = eig_decompose(coherency_from_stokes(s))
+        assert degree_of_polarization(s) == 1.0
+        assert not dec.degenerate and dec.point_plus.tolist() == [0.0, 0.0, 1.0]
 
 
 class TestFilterAction:

@@ -392,3 +392,19 @@ class TestWaveFromStokes:
             s = stokes_from_wave(WaveState(1.4, as_spinor(row)))
             back = stokes_from_wave(wave_from_stokes(s))
             np.testing.assert_allclose(back.as_array(), s.as_array(), atol=1e-10)
+
+
+class TestWaveStateFluxFloor:
+    def test_subnormal_flux_rejected_at_construction(self):
+        # A = 1e-160 gives A^2 = 1e-320, subnormal: the constructor raises
+        # with the text the beam forms report, not a later apply()
+        with pytest.raises(ValueError) as exc:
+            WaveState(1e-160, Spinor2(1.0, 0.0))
+        assert str(exc.value) == "flux A^2 of amplitude 1e-160 underflows (below 2.225e-308)"
+
+    def test_normal_flux_constructs(self):
+        assert WaveState(1e-150, Spinor2(1.0, 0.0)).amplitude == 1e-150
+
+    def test_pure_stokes_with_subnormal_s0_rejected(self):
+        with pytest.raises(ValueError, match="underflows"):
+            wave_from_stokes(StokesVector(1e-310, 0.0, 0.0, 1e-310))
