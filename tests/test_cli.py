@@ -436,11 +436,15 @@ class TestDecompose:
 
     def test_tiny_polarized_beam_is_polarized(self, capsys):
         # s_vec's squares underflow here; its norm does not
-        code, out, _ = run(capsys, "decompose", '{"stokes": [1e-300, 0, 0, 1e-300]}')
+        beam = '{"stokes": [1e-300, 0, 0, 1e-300]}'
+        code, out, _ = run(capsys, "decompose", beam)
         assert code == 0
         obj = json.loads(out)
         assert obj["dop"] == 1.0 and obj["degenerate"] is False
         assert obj["eigenvalues"] == [1e-300, 0.0]
+        # and the beam is classified pure
+        code, out, _ = run(capsys, "convert", "--to", "angles", beam)
+        assert code == 0 and json.loads(out)["angles"]["amp"] == 1e-150
 
 
 class TestFluxFloor:

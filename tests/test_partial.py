@@ -261,12 +261,6 @@ class TestScaleInvariance:
         assert dec_small.lambda_plus == math.ldexp(dec.lambda_plus, -k)
         assert dec_small.lambda_minus == math.ldexp(dec.lambda_minus, -k)
 
-    def test_tiny_polarized_beam_is_not_degenerate(self):
-        s = StokesVector(1e-300, 0.0, 0.0, 1e-300)
-        dec = eig_decompose(coherency_from_stokes(s))
-        assert degree_of_polarization(s) == 1.0
-        assert not dec.degenerate and dec.point_plus.tolist() == [0.0, 0.0, 1.0]
-
 
 class TestFilterAction:
     def test_unitary_preserves_spectrum(self, rng):
