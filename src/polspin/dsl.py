@@ -77,14 +77,14 @@ _HEADS = {c: (h, tuple(zip(k, [f.name for f in fields(c)]))) for c, (h, k) in _H
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _parse_number(text):
-    """Float literal or deg(<float>), in radians; None if malformed (finite or not)."""
-    deg = text.startswith("deg(") and text.endswith(")")
+def _parse_deg(text):
+    """deg(<float>) in radians; None unless text has that form (finite or not)."""
+    if not (text.startswith("deg(") and text.endswith(")")):
+        return None
     try:
-        value = float(text[4:-1] if deg else text)
+        return math.radians(float(text[4:-1]))
     except ValueError:
         return None
-    return math.radians(value) if deg else value
 
 
 def parse_train(source):
@@ -150,7 +150,7 @@ def parse_train(source):
                 try:
                     value = float(raw)
                 except ValueError:  # deg(...) or malformed
-                    value = _parse_number(raw)
+                    value = _parse_deg(raw)
                 if value is not None and math.isfinite(value):
                     values[key] = value
                     continue

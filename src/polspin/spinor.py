@@ -84,12 +84,10 @@ def _require_unit(c1, c2, tol=1e-10):
 
 
 def _check_wave(amp, c1, c2):
-    """The WaveState invariants on raw scalars: 0 < A <= MAX_MAGNITUDE,
-    A^2 >= FLUX_MIN (a subnormal flux has lost digits), |o| = 1."""
+    """The WaveState invariants on raw scalars, bar the flux floor that
+    filters._step enforces on every step: 0 < A <= MAX_MAGNITUDE, |o| = 1."""
     if not 0.0 < amp <= MAX_MAGNITUDE:
         raise ValueError(f"amplitude out of (0, {MAX_MAGNITUDE:.4g}]: {amp}")
-    if not amp * amp >= FLUX_MIN:
-        raise ValueError(f"flux A^2 of amplitude {amp} underflows (below {FLUX_MIN:.4g})")
     _require_unit(c1, c2)
 
 
@@ -118,7 +116,11 @@ class WaveState:
     spinor: Spinor2
 
     def __post_init__(self):
-        _check_wave(self.amplitude, self.spinor.c1, self.spinor.c2)
+        amp = self.amplitude
+        _check_wave(amp, self.spinor.c1, self.spinor.c2)
+        # a subnormal flux A^2 has lost digits
+        if not amp * amp >= FLUX_MIN:
+            raise ValueError(f"flux A^2 of amplitude {amp} underflows (below {FLUX_MIN:.4g})")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,17 @@
 """Benchmark a change against its parent in alternating pairs; write BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --pr 7 --parent HEAD~1 --change HEAD \\
-        --pairs 10 --seconds 30 --first-seed 701 \\
+    python3 tools/bench_pairs.py --pr 7 --parent HEAD~1 --change HEAD --first-seed 701 \\
         --claim cli-requests:ops_per_s --claim-target "median at least 3x the parent's" \\
-        --held-out 90210 --traced cli-requests --traced-pairs 5
+        --held-out 90210 --traced cli-requests
 
 Exports both committed revisions with `git archive` into a temporary
 directory (so uncommitted edits never leak into either side, and `.git`
 gets no worktree entry) and runs `perfbench/run.py` in each, for every
-workload.  Pair i
-of a workload runs the parent first when i is even, the change first when
+workload.  Pair i of a workload runs the parent first when i is even, the change first when
 it is odd, so the host's slow drift hits both sides alike.  Each workload
-gets --pairs consecutive seeds, starting at --first-seed.  The summary
+gets PAIRS consecutive seeds, starting at --first-seed; every run lasts
+SECONDS, the run length BENCHMARK.json fixes.  The traced workload gets
+TRACED_PAIRS more pairs with the per-layer tracer on.  The summary
 gives, per end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
 change was better (the direction comes from BENCHMARK.json) and the
@@ -31,7 +31,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("long-train", "cli-requests", "beam-sweep")
 SIDES = ("parent", "change")
-COMMAND = "python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds} --trace {trace}"
+PAIRS = 10  # alternating pairs per workload
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+SECONDS = SPEC["run_seconds"]
+TRACED_PAIRS = 5
+COMMAND = f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {SECONDS:g} --trace "
 
 
 def git(*args):
@@ -51,10 +55,10 @@ def export(rev, dest):
             tar.extractall(dest)
 
 
-def run_bench(tree, workload, seed, seconds, trace):
+def run_bench(tree, workload, seed, trace):
     """One perfbench run in tree; return its full result record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench failed in {tree} ({workload}, seed {seed}):\n"
@@ -63,12 +67,12 @@ def run_bench(tree, workload, seed, seconds, trace):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def run_pairs(trees, workload, seeds, seconds, trace):
+def run_pairs(trees, workload, seeds, trace):
     """{side: [record per seed]}, alternating which side runs first."""
     records = {side: [] for side in SIDES}
     for i, seed in enumerate(seeds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            records[side].append(run_bench(trees[side], workload, seed, seconds, trace))
+            records[side].append(run_bench(trees[side], workload, seed, trace))
             value = records[side][-1]["metrics"]
             print(f"{workload} seed {seed} {side}: "
                   + " ".join(f"{k}={v['value']:.4g}" for k, v in sorted(value.items())
@@ -155,8 +159,7 @@ def held_out_summary(records, workload, seed):
 
 
 def directions_from_spec():
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 
 
 def main():
@@ -164,24 +167,21 @@ def main():
     parser.add_argument("--pr", required=True, help="the record goes to BENCH_<pr>.json")
     parser.add_argument("--parent", default="HEAD~1", help="parent revision")
     parser.add_argument("--change", default="HEAD", help="changed revision")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--claim-target", default="", help="the claim, in words")
     parser.add_argument("--held-out", type=int, help="one more seed for the claim workload")
     parser.add_argument("--traced", choices=WORKLOADS, help="workload for traced pairs")
-    parser.add_argument("--traced-pairs", type=int, default=5)
     args = parser.parse_args()
 
     directions = directions_from_spec()
     revs = {side: git("rev-parse", getattr(args, side)) for side in SIDES}
     result = {
-        "description": f"perfbench/run.py --seconds {args.seconds:g}, calibrated end-to-end "
+        "description": f"perfbench/run.py --seconds {SECONDS:g}, calibrated end-to-end "
         "metrics, parent vs change run in alternating order on the seeds listed (pair i "
         "runs the parent first when i is even); medians and quartiles "
         "(statistics.quantiles, exclusive) over the runs",
-        "command": COMMAND.format(seconds=f"{args.seconds:g}", trace=0),
+        "command": COMMAND + "0",
         "git_sha": revs, "src_sha256": {}, "env": {}, "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
@@ -191,9 +191,9 @@ def main():
 
         seed = args.first_seed
         for workload in WORKLOADS:
-            seeds = list(range(seed, seed + args.pairs))
-            seed += args.pairs
-            records = run_pairs(trees, workload, seeds, args.seconds, 0)
+            seeds = list(range(seed, seed + PAIRS))
+            seed += PAIRS
+            records = run_pairs(trees, workload, seeds, 0)
             result["workloads"][workload] = dict(summarize(records, directions), seeds=seeds)
         env = records["parent"][0]["env"]
         result["env"] = {k: env[k] for k in ("python", "numpy", "nproc", "affinity")}
@@ -203,18 +203,17 @@ def main():
             workload, metric = args.claim.split(":")
             held_out = None
             if args.held_out is not None:
-                records = run_pairs(trees, workload, [args.held_out], args.seconds, 0)
+                records = run_pairs(trees, workload, [args.held_out], 0)
                 held_out = result["held_out"] = held_out_summary(records, workload,
                                                                  args.held_out)
             result["claim"] = claim_summary(result["workloads"][workload], workload, metric,
                                             args.claim_target, held_out)
 
         if args.traced:
-            seeds = list(range(seed, seed + args.traced_pairs))
-            records = run_pairs(trees, args.traced, seeds, args.seconds, 1)
+            seeds = list(range(seed, seed + TRACED_PAIRS))
+            records = run_pairs(trees, args.traced, seeds, 1)
             result[f"traced_{args.traced.replace('-', '_')}"] = {
-                "command": COMMAND.format(seconds=f"{args.seconds:g}", trace=1).replace(
-                    "<w>", args.traced),
+                "command": (COMMAND + "1").replace("<w>", args.traced),
                 "seeds": seeds, "metrics": summarize_traced(records)}
 
     out = ROOT / f"BENCH_{args.pr}.json"
