@@ -151,7 +151,7 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
         for step, element in enumerate(doc.elements, start=1):
             name, _, entries = ELEMENTS[type(element)]
             p, q, r = _step_coherency(entries(element), p, q, r)
-            _require_psd(p, q, q.conjugate(), r)
+            _require_psd(p, q, r)
             lines.append(_mixed_row(step, name, *_read_stokes(p, q, r, "circular")))
     return "\n".join(lines) + "\n"
 

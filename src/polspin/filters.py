@@ -13,8 +13,8 @@ attenuation prefactors live in scale.  Circular-basis matrices:
 
 Linear-basis matrices are U m U^-1 with the same scale.  Composition is in
 propagation order: the first element of a train is the rightmost factor.
-`compose` folds each element's (scale, a, b, c, d) into a running product
-of Python complex scalars, in either basis, and builds one ndarray at the end.
+`_fold` folds each element's (scale, a, b, c, d) into a running product
+of Python complex scalars in either basis; `compose` wraps it in an ndarray.
 """
 
 import cmath
@@ -223,8 +223,8 @@ def classify(e):
     return PoincareRotation(axis, -psi)
 
 
-def compose(train, basis="circular"):
-    """Matrix of a train, first element applied first (rightmost factor)."""
+def _fold(train, basis="circular"):
+    """(scale, a, b, c, d) of a train's F as Python scalars, first element first."""
     if not train:
         raise EmptyTrainError("train has no elements")
     scale, a, b, c, d = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
@@ -232,4 +232,10 @@ def compose(train, basis="circular"):
         s, ea, eb, ec, ed = _entries(e, basis)
         a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
         scale *= s
+    return scale, a, b, c, d
+
+
+def compose(train, basis="circular"):
+    """Matrix of a train, first element applied first (rightmost factor)."""
+    scale, a, b, c, d = _fold(train, basis)
     return ElementMatrix(np.array([[a, b], [c, d]], dtype=complex), scale, basis)

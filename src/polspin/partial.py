@@ -18,30 +18,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStokesError, ZeroFluxError
-from .filters import _entries, _extinction, compose
+from .filters import _entries, _extinction, _fold
 from .pauli import circular_to_linear, linear_to_circular
 from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector
 
 PSD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoherencyMatrix:
-    """2x2 Hermitian PSD matrix in flux-density units, with its basis tag."""
+    """2x2 Hermitian PSD matrix [[p, q], [conj q, r]] in flux-density units,
+    held as its entries p, r (float), q (complex) and its basis tag; `.matrix`
+    is a fresh ndarray on each access, so no caller can change the entries."""
 
-    matrix: np.ndarray
-    basis: str = "circular"
+    p: float
+    q: complex
+    r: float
+    basis: str
 
-    def __post_init__(self):
-        c = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", c)
-        (p, q), (q2, r) = c.tolist()
-        scale = max((p + r).real, 1.0e-30)
+    def __init__(self, matrix, basis="circular"):
+        (p, q), (q2, r) = np.asarray(matrix, dtype=complex).tolist()
         # largest |C - C^dag| entry; |p - conj p| = 2 |Im p|
         skew = max(2.0 * abs(p.imag), abs(q - q2.conjugate()), 2.0 * abs(r.imag))
-        if skew > 1e-12 * scale:
+        self._set(p.real, q, r.real, basis, skew)
+
+    @classmethod
+    def _of(cls, p, q, r, basis):
+        """From raw entries (p, r float), Hermitian by construction."""
+        return object.__new__(cls)._set(p, q, r, basis, 0.0)
+
+    def _set(self, p, q, r, basis, skew):
+        # every CoherencyMatrix is checked here; both tests are relative to
+        # the trace and free of squares, so 2^k scaling keeps the verdict
+        if not 1e12 * skew <= abs(p + r):
             raise ValueError("coherency matrix is not Hermitian")
-        _require_psd(p, q, q2, r)
+        _require_psd(p, q, r)
+        self.__dict__.update(p=p, q=q, r=r, basis=basis)  # frozen: past __setattr__
+        return self
+
+    @property
+    def matrix(self):
+        q = self.q
+        # conj q, but a zero imaginary part stays +0.0 (`convert` prints the sign)
+        return np.array([[self.p, q], [complex(q.real, 0.0 - q.imag), self.r]])
 
 
 @dataclass(frozen=True)
@@ -55,18 +74,15 @@ class PolarizationDecomposition:
     degenerate: bool
 
 
-def _require_psd(p, q, q2, r):
-    # closed-form 2x2 Hermitian spectrum of [[p, q], [q2, r]]:
-    # (tr +- sqrt(tr^2 - 4 det)) / 2; the lower one may dip to -PSD_TOL tr
-    tr = (p + r).real
-    det = (p * r - q * q2).real
-    lo = 0.5 * (tr - math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
-    if lo < -PSD_TOL * max(tr, 1.0e-30):
+def _require_psd(p, q, r):
+    # the lower eigenvalue (tr - hypot(p - r, 2|q|)) / 2 of [[p, q], [conj q, r]]
+    # may dip to -PSD_TOL tr; rearranged so that no product can underflow
+    if not math.hypot(p - r, 2.0 * q.real, 2.0 * q.imag) <= (1.0 + 2.0 * PSD_TOL) * (p + r):
         raise ValueError("coherency matrix is not positive semidefinite")
 
 
 def _check_stokes(s):
-    """Reject s unless it is finite, s0 >= 0 and |s_vec|^2 <= s0^2 (to PSD_TOL)."""
+    """Reject s unless it is finite, s0 >= 0 and |s_vec| <= s0 (to PSD_TOL / 2)."""
     m = MAX_MAGNITUDE
     if not (abs(s.s0) <= m and abs(s.s1) <= m and abs(s.s2) <= m and abs(s.s3) <= m):
         raise InvalidStokesError(
@@ -75,11 +91,9 @@ def _check_stokes(s):
         )
     if s.s0 < 0.0:
         raise InvalidStokesError(f"s0 must be nonnegative: {s.s0}")
-    excess = -purity_invariant(s)
-    if excess > PSD_TOL * max(s.s0**2, 1e-30):
-        raise InvalidStokesError(
-            f"over-polarized Stokes vector: |s_vec|^2 - s0^2 = {excess}"
-        )
+    norm = math.hypot(s.s1, s.s2, s.s3)  # no squares: the verdict is scale-free
+    if not norm <= (1.0 + 0.5 * PSD_TOL) * s.s0:
+        raise InvalidStokesError(f"over-polarized Stokes vector: |s_vec| = {norm} > s0 = {s.s0}")
 
 
 def _coherency_entries(s0, s1, s2, s3, basis):
@@ -100,9 +114,7 @@ def _coherency_entries(s0, s1, s2, s3, basis):
 def coherency_from_stokes(s, basis="circular"):
     """C = (1/2) sum s_a sigma_a, using the Pauli set of the requested basis."""
     _check_stokes(s)
-    p, q, r = _coherency_entries(s.s0, s.s1, s.s2, s.s3, basis)
-    # conj q, but a zero imaginary part stays +0.0 (`convert` prints the sign)
-    return CoherencyMatrix(np.array([[p, q], [complex(q.real, 0.0 - q.imag), r]]), basis)
+    return CoherencyMatrix._of(*_coherency_entries(s.s0, s.s1, s.s2, s.s3, basis), basis)
 
 
 def _read_stokes(p, q, r, basis):
@@ -117,8 +129,7 @@ def _read_stokes(p, q, r, basis):
 
 def stokes_from_coherency(c):
     """s_a = tr(C sigma_a); exact inverse of coherency_from_stokes."""
-    (p, q), (_, r) = c.matrix.tolist()
-    return StokesVector(*_read_stokes(p, q, r, c.basis))
+    return StokesVector(*_read_stokes(c.p, c.q, c.r, c.basis))
 
 
 def purity_invariant(s):
@@ -140,20 +151,15 @@ def eig_decompose(c):
     eigenvectors are not unique; the points are fixed at +-(0, 0, 1) and
     the result is flagged degenerate.
     """
-    s = stokes_from_coherency(c)
-    svec = s.vec3()
-    norm = math.hypot(s.s1, s.s2, s.s3)  # no squares: exact under 2^k scaling
-    lam_plus = 0.5 * (s.s0 + norm)
-    lam_minus = 0.5 * (s.s0 - norm)
-    if 1e12 * norm <= s.s0:
+    s0, s1, s2, s3 = _read_stokes(c.p, c.q, c.r, c.basis)
+    norm = math.hypot(s1, s2, s3)  # no squares: exact under 2^k scaling
+    lam_plus = 0.5 * (s0 + norm)
+    lam_minus = 0.5 * (s0 - norm)
+    if 1e12 * norm <= s0:
         return PolarizationDecomposition(
-            np.array([0.0, 0.0, 1.0]),
-            np.array([0.0, 0.0, -1.0]),
-            lam_plus,
-            lam_minus,
-            True,
+            np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), lam_plus, lam_minus, True
         )
-    point = svec / norm
+    point = np.array([s1, s2, s3]) / norm
     return PolarizationDecomposition(point, -point, lam_plus, lam_minus, False)
 
 
@@ -176,8 +182,7 @@ def _step_coherency(entries, p, q, r):
 
     p and r are floats, so C stays Hermitian by construction; a flux
     s0 = p + r below FLUX_MIN is extinction.  The caller checks that the
-    result is PSD: the CoherencyMatrix constructor does, a raw loop calls
-    _require_psd.
+    result is PSD: CoherencyMatrix._of does, a raw loop calls _require_psd.
     """
     p, q, r = _conjugate_raw(p, q, r, *entries)
     if not p + r >= FLUX_MIN:
@@ -185,22 +190,14 @@ def _step_coherency(entries, p, q, r):
     return p, q, r
 
 
-def _conjugate(c, entries):
-    """C -> F C F^dag for entries (scale, a, b, g, d) of F, as a CoherencyMatrix."""
-    (p, q), (_, r) = c.matrix.tolist()
-    p, q, r = _step_coherency(entries, p.real, q, r.real)
-    return CoherencyMatrix(np.array([[p, q], [q.conjugate(), r]]), c.basis)
-
-
 def apply_filter_to_coherency(e, c):
     """C -> F C F^dag with F = scale * m taken in the matrix basis of c."""
-    return _conjugate(c, _entries(e, c.basis))
+    return CoherencyMatrix._of(*_step_coherency(_entries(e, c.basis), c.p, c.q, c.r), c.basis)
 
 
 def apply_train_to_coherency(train, c):
-    em = compose(train, c.basis)
-    (a, b), (g, d) = em.m.tolist()
-    return _conjugate(c, (em.scale, a, b, g, d))
+    """C -> F C F^dag with F the composed train, in the matrix basis of c."""
+    return CoherencyMatrix._of(*_step_coherency(_fold(train, c.basis), c.p, c.q, c.r), c.basis)
 
 
 # (p, q, r) of C_j = (1/2) sigma_j, the entries of the unit Stokes vector e_j;
@@ -220,17 +217,12 @@ def mueller_of_train(train, basis="circular"):
     probes are not positive, so they are conjugated as raw (p, q, r), not
     as CoherencyMatrix.
     """
-    em = compose(train, basis)
-    (a, b), (g, d) = em.m.tolist()
-    columns = [
-        _read_stokes(*_conjugate_raw(p, q, r, em.scale, a, b, g, d), basis)
-        for p, q, r in _PROBES[basis]
-    ]
+    f = _fold(train, basis)
+    columns = [_read_stokes(*_conjugate_raw(p, q, r, *f), basis) for p, q, r in _PROBES[basis]]
     if not columns[0][0] >= FLUX_MIN:  # M00, the flux of unpolarized light
         raise _extinction(columns[0][0])
     return np.array(columns).T
 
 
 def apply_mueller(mm, s):
-    out = mm @ s.as_array()
-    return StokesVector(*out)
+    return StokesVector(*(mm @ s.as_array()).tolist())

@@ -142,9 +142,6 @@ class StokesVector:
     def as_array(self):
         return np.array([self.s0, self.s1, self.s2, self.s3])
 
-    def vec3(self):
-        return np.array([self.s1, self.s2, self.s3])
-
 
 @dataclass(frozen=True)
 class JonesAmpPhase:

@@ -115,6 +115,21 @@ class TestConvert:
             expected = f'{{"coherency": {{"basis": "{basis}", "matrix": {matrix}}}}}\n'
             assert (code, out, err) == (0, expected, "")
 
+    @pytest.mark.parametrize(
+        "options, stokes, message",
+        [
+            ((), "[0, 1e-300, 0, 0]", "|s_vec| = 1e-300 > s0 = 0.0"),
+            (("--tolerance", "-5"), "[1e-300, 2e-300, 0, 0]", "|s_vec| = 2e-300 > s0 = 1e-300"),
+            ((), "[0, 1e-20, 0, 0]", "|s_vec| = 1e-20 > s0 = 0.0"),
+        ],
+        ids=["zero-s0", "negative-tolerance", "zero-s0-1e-20"],
+    )
+    def test_tiny_over_polarized_beam_exit_2(self, capsys, options, stokes, message):
+        # the over-polarization test is relative, so it holds at every scale
+        beam = f'{{"stokes": {stokes}}}'
+        code, out, err = run(capsys, "convert", "--to", "coherency", *options, beam)
+        assert (code, out, err) == (2, "", f"over-polarized Stokes vector: {message}\n")
+
     def test_round_trip_jones(self, capsys):
         code, out, _ = run(capsys, "convert", "--to", "jones", LINEAR_X)
         assert code == 0

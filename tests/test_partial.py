@@ -33,6 +33,7 @@ from polspin import (
     stokes_from_wave,
     su2_to_so3,
 )
+from polspin.dsl import parse_train
 from polspin.partial import apply_mueller
 from polspin.pauli import U_BASIS
 
@@ -111,6 +112,62 @@ class TestStokesFromCoherency:
                 np.testing.assert_allclose(
                     back.as_array(), s.as_array(), atol=1e-14
                 )
+
+
+class TestCoherencyMatrix:
+    def test_holds_the_entries(self):
+        c = CoherencyMatrix([[0.75, 0.25 - 0.25j], [0.25 + 0.25j, 0.25]], "linear")
+        assert (c.p, c.q, c.r, c.basis) == (0.75, 0.25 - 0.25j, 0.25, "linear")
+        assert type(c.p) is float and type(c.r) is float and type(c.q) is complex
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1, 0.5], [0.4, 1]],  # lower-left is not conj q
+            [[1, 0.5j], [0.5j, 1]],  # q, not conj q
+            [[1 + 1e-6j, 0], [0, 1]],  # complex diagonal
+            [[0, 1e-300], [0, 0]],  # zero trace leaves no room
+        ],
+    )
+    def test_rejects_non_hermitian(self, matrix):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            CoherencyMatrix(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1, 2], [2, 1]],  # eigenvalues 3 and -1
+            [[-1, 0], [0, -1]],
+            [[1, 0], [0, -1e-6]],
+            [[0, 1e-20], [1e-20, 0]],  # eigenvalues +-1e-20
+            [[1e-300, 2e-300], [2e-300, 1e-300]],
+        ],
+    )
+    def test_rejects_non_psd(self, matrix):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            CoherencyMatrix(matrix)
+
+    def test_accepts_rounding_within_the_tolerances(self):
+        CoherencyMatrix([[1, 0], [0, -0.5e-9]])  # lower eigenvalue -PSD_TOL tr / 2
+        CoherencyMatrix([[1, 0.5], [0.5 + 1e-13j, 1]])  # skew 1e-13 tr / 2
+        CoherencyMatrix([[0, 0], [0, 0]])
+
+    def test_matrix_is_a_fresh_array(self):
+        c = coherency_from_stokes(StokesVector(2.0, 0.5, -0.25, 1.0))
+        before = stokes_from_coherency(c)
+        m = c.matrix
+        m[1, 1] = -5
+        c.matrix[0, 1] = 7
+        assert c.matrix is not c.matrix
+        assert stokes_from_coherency(c) == before
+        assert c.matrix.tolist() == [[1.5, 0.25 + 0.125j], [0.25 - 0.125j, 0.5]]
+
+    def test_lower_left_is_conj_q_with_a_positive_zero(self):
+        # a real q gives Im = +0.0 below the diagonal, also after a step
+        c = coherency_from_stokes(StokesVector(1, 0.5, 0, 0))
+        c = apply_filter_to_coherency(Rotator(0.0), c)
+        assert c.q.imag == 0.0
+        assert math.copysign(1.0, c.matrix[1, 0].imag) == 1.0
 
 
 class TestPurity:
@@ -262,6 +319,71 @@ class TestScaleInvariance:
         assert dec_small.lambda_minus == math.ldexp(dec.lambda_minus, -k)
 
 
+# multiples of 2^-21 up to 2^29: every coherency entry stays a normal float
+# for 2^k scaling with k in [-1000, 450], and no product rounds
+DYADIC = st.integers(-(2**50), 2**50).map(lambda n: math.ldexp(n, -21))
+
+
+def _dyadic(x):
+    return math.ldexp(round(math.ldexp(x, 21)), -21)
+
+
+@st.composite
+def stokes_near_and_far(draw):
+    """A Stokes vector whose s0 is random, or within about 1e-8 of |s_vec|."""
+    svec = [draw(DYADIC) for _ in range(3)]
+    if draw(st.booleans()):
+        s0 = abs(draw(DYADIC))
+    else:
+        s0 = _dyadic(math.hypot(*svec) * (1.0 + draw(st.floats(-1e-8, 1e-8))))
+    return (s0, *svec)
+
+
+@st.composite
+def matrices_near_and_far(draw):
+    """A 2x2 matrix, random or near the PSD and Hermitian boundaries."""
+    p, q_re, q_im = draw(DYADIC), draw(DYADIC), draw(DYADIC)
+    if draw(st.booleans()):
+        r = draw(DYADIC)
+    else:  # det near 0: p r ~ |q|^2
+        p = abs(p) or 1.0
+        r = _dyadic((q_re * q_re + q_im * q_im) / p * (1.0 + draw(st.floats(-1e-8, 1e-8))))
+    skew = draw(st.sampled_from([0.0, 0.0, math.ldexp(1, -21), _dyadic(1e-12 * abs(p + r))]))
+    return [[p, complex(q_re, q_im)], [complex(q_re + skew, -q_im), r]]
+
+
+def _verdict(build, *args):
+    try:
+        build(*args)
+    except (ValueError, InvalidStokesError) as exc:
+        return type(exc).__name__, str(exc).split(":")[0]
+    return "accepted"
+
+
+class TestScaleFreeVerdicts:
+    # every test is relative and free of squares, so a beam or matrix scaled
+    # by 2^k gets the verdict of the unscaled one
+
+    @settings(max_examples=300, deadline=None)
+    @given(stokes_near_and_far(), st.integers(-1000, 450), st.sampled_from(["circular", "linear"]))
+    def test_coherency_from_stokes(self, s, k, basis):
+        scaled = StokesVector(*(math.ldexp(v, k) for v in s))
+        assert _verdict(coherency_from_stokes, scaled, basis) == _verdict(
+            coherency_from_stokes, StokesVector(*s), basis
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices_near_and_far(), st.integers(-1000, 450))
+    def test_coherency_matrix(self, m, k):
+        scaled = [[z * math.ldexp(1.0, k) for z in row] for row in m]
+        assert _verdict(CoherencyMatrix, scaled) == _verdict(CoherencyMatrix, m)
+
+    @pytest.mark.parametrize("s", [(0, 1e-300, 0, 0), (1e-300, 2e-300, 0, 0), (0, 1e-20, 0, 0)])
+    def test_tiny_over_polarized_beams_are_rejected(self, s):
+        with pytest.raises(InvalidStokesError, match="over-polarized"):
+            coherency_from_stokes(StokesVector(*s))
+
+
 class TestFilterAction:
     def test_unitary_preserves_spectrum(self, rng):
         s = stokes_vec(random_valid_stokes(rng, 1)[0])
@@ -411,3 +533,94 @@ class TestMueller:
             mueller_of_train(train, "linear"),
             atol=1e-12,
         )
+
+
+# Exact reprs on the README train (the beam-sweep library path), so that a
+# change in the last digit shows; recorded before CoherencyMatrix held raw
+# (p, q, r) and unchanged by it.
+README_TRAIN = """\
+shifter d1=0.1 d2=1.2
+rotate alpha=deg(45)
+gyro d1=0.0 d2=0.3
+qwp axis=0.785
+hwp axis=0.4
+atten e1=0.1 e2=0.8
+"""
+README_MUELLER = {
+    "circular": [
+        [0.5103136355363186, -0.2945820012032449, -0.032972666617202856, -0.08517843750592227],
+        [0.3084171175416632, -0.48742175270892524, -0.0545572875749309, -0.14093808560116117],
+        [2.7755575615628914e-17, -0.011653443393873149, -0.36380536035079275, 0.18113184496018955],
+        [0.0, -0.1198402098534554, 0.17622499004945877, 0.3462397510482216],
+    ],
+    "linear": [
+        [0.5103136355363187, -0.29458200120324496, -0.03297266661720291, -0.0851784375059223],
+        [0.3084171175416633, -0.4874217527089254, -0.05455728757493103, -0.14093808560116122],
+        [-3.469446951953614e-18, -0.011653443393873034, -0.3638053603507929, 0.18113184496018958],
+        [-0.0, -0.11984020985345548, 0.1762249900494588, 0.3462397510482217],
+    ],
+}
+# (basis, beam): stokes_from_coherency, eig_decompose points and
+# eigenvalues of the propagated beam, and apply_mueller
+README_OUTPUTS = {
+    ('circular', (1.0, 0.0, 0.0, 0.5)): (
+        'StokesVector(s0=0.4677244167833574, s1=0.2379480747410826, s2=0.09056592248009479, s3=0.17311987552411076)',
+        '([0.7728521772151502, 0.2941569098485126, 0.5622910496906173], [-0.7728521772151502, -0.2941569098485126, -0.5622910496906173])',
+        '[0.3878037264181211, 0.0799206903652363]',
+        'StokesVector(s0=0.46772441678335747, s1=0.2379480747410826, s2=0.0905659224800948, s3=0.1731198755241108)',
+    ),
+    ('circular', (2.0, 0.3, -0.4, 1.1)): (
+        'StokesVector(s0=0.8517454561020303, s1=0.33739873013934385, s2=0.3412711405783637, s3=0.27442166717722355)',
+        '([0.6103217526765159, 0.6173265695744615, 0.49640232141610013], [-0.6103217526765159, -0.6173265695744615, -0.49640232141610013])',
+        '[0.7022832677865805, 0.14946218831544994]',
+        'StokesVector(s0=0.8517454561020303, s1=0.33739873013934385, s2=0.3412711405783637, s3=0.27442166717722366)',
+    ),
+    ('circular', (1.0, 0.0, 0.0, 0.0)): (
+        'StokesVector(s0=0.5103136355363186, s1=0.3084171175416632, s2=2.7755575615628914e-17, s3=0.0)',
+        '([1.0, 8.99936288778767e-17, 0.0], [-1.0, -8.99936288778767e-17, -0.0])',
+        '[0.40936537653899085, 0.1009482589973277]',
+        'StokesVector(s0=0.5103136355363186, s1=0.3084171175416632, s2=2.7755575615628914e-17, s3=0.0)',
+    ),
+    ('linear', (1.0, 0.0, 0.0, 0.5)): (
+        'StokesVector(s0=0.4677244167833576, s1=0.23794807474108265, s2=0.09056592248009479, s3=0.17311987552411084)',
+        '([0.7728521772151501, 0.2941569098485125, 0.5622910496906174], [-0.7728521772151501, -0.2941569098485125, -0.5622910496906174])',
+        '[0.3878037264181212, 0.07992069036523633]',
+        'StokesVector(s0=0.4677244167833575, s1=0.23794807474108268, s2=0.09056592248009479, s3=0.17311987552411084)',
+    ),
+    ('linear', (2.0, 0.3, -0.4, 1.1)): (
+        'StokesVector(s0=0.8517454561020307, s1=0.33739873013934407, s2=0.34127114057836383, s3=0.2744216671772237)',
+        '([0.6103217526765161, 0.6173265695744614, 0.49640232141610025], [-0.6103217526765161, -0.6173265695744614, -0.49640232141610025])',
+        '[0.7022832677865807, 0.14946218831545]',
+        'StokesVector(s0=0.8517454561020306, s1=0.337398730139344, s2=0.34127114057836383, s3=0.2744216671772237)',
+    ),
+    ('linear', (1.0, 0.0, 0.0, 0.0)): (
+        'StokesVector(s0=0.5103136355363187, s1=0.3084171175416633, s2=-3.469446951953614e-18, s3=-0.0)',
+        '([1.0, -1.1249203609734585e-17, -0.0], [-1.0, 1.1249203609734585e-17, 0.0])',
+        '[0.40936537653899097, 0.1009482589973277]',
+        'StokesVector(s0=0.5103136355363187, s1=0.3084171175416633, s2=-3.469446951953614e-18, s3=0.0)',
+    ),
+}
+
+
+class TestReadmeTrainExactOutputs:
+    @pytest.fixture
+    def train(self):
+        return parse_train(README_TRAIN).document.elements
+
+    @pytest.mark.parametrize("basis", ["circular", "linear"])
+    def test_mueller_of_train(self, train, basis):
+        assert repr(mueller_of_train(train, basis).tolist()) == repr(README_MUELLER[basis])
+
+    @pytest.mark.parametrize("key", list(README_OUTPUTS), ids=str)
+    def test_coherency_and_mueller_routes(self, train, key):
+        basis, beam = key
+        s = StokesVector(*beam)
+        c = apply_train_to_coherency(train, coherency_from_stokes(s, basis))
+        dec = eig_decompose(c)
+        got = (
+            repr(stokes_from_coherency(c)),
+            repr((dec.point_plus.tolist(), dec.point_minus.tolist())),
+            repr([dec.lambda_plus, dec.lambda_minus]),
+            repr(apply_mueller(mueller_of_train(train, basis), s)),
+        )
+        assert got == README_OUTPUTS[key]
