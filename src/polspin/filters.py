@@ -15,10 +15,14 @@ Linear-basis matrices are U m U^-1 with the same scale.  Composition is in
 propagation order: the first element of a train is the rightmost factor.
 `_fold` folds each element's (scale, a, b, c, d) into a running product
 of Python complex scalars in either basis; `compose` wraps it in an ndarray.
+`apply` keeps an element's circular (scale, a, b, c, d) on the instance
+after its first use, beside (not among) the dataclass fields; `_fold` and
+`compose`, which use each element once per call, keep nothing.
 """
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import EmptyTrainError, ExtinctionError
 from .pauli import circular_to_linear
-from .spinor import FLUX_MIN, Spinor2, WaveState, _quaternion
+from .spinor import FLUX_MIN, WaveState, _quaternion
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,10 @@ class HalfWave:
     axis_angle: float
 
 
+# Largest |eta2 - eta1|: cosh and sinh of half of it stay finite.
+ETA_SPREAD_MAX = 2.0 * math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class Attenuator:
     eta1: float
@@ -64,6 +72,9 @@ class Attenuator:
     def __post_init__(self):
         if self.eta1 < 0.0 or self.eta2 < 0.0:
             raise ValueError("attenuation exponents must be nonnegative")
+        spread = abs(self.eta2 - self.eta1)
+        if not spread <= ETA_SPREAD_MAX:
+            raise ValueError(f"attenuation spread |e2 - e1| = {spread!r} > {ETA_SPREAD_MAX!r}")
 
 
 FilterElement = Union[PhaseShifter, Rotator, Gyrotropic, QuarterWave, HalfWave, Attenuator]
@@ -201,8 +212,12 @@ def apply(e, w):
     The global phase of v is retained in the spinor components, so the
     Pancharatnam phase against the input reflects the element's phase.
     """
-    amp, c1, c2 = _step(_entries(e), w.amplitude, w.spinor.c1, w.spinor.c2)
-    return WaveState(amp, Spinor2(c1, c2))
+    try:
+        entries = e._circular
+    except AttributeError:
+        entries = _entries(e)
+        object.__setattr__(e, "_circular", entries)  # not a field: == and hash unchanged
+    return WaveState._of(*_step(entries, w.amplitude, w.spinor.c1, w.spinor.c2))
 
 
 def classify(e):

@@ -122,6 +122,15 @@ class WaveState:
         if not amp * amp >= FLUX_MIN:
             raise ValueError(f"flux A^2 of amplitude {amp} underflows (below {FLUX_MIN:.4g})")
 
+    @classmethod
+    def _of(cls, amp, c1, c2):
+        """From a raw step result whose flux filters._step has checked."""
+        _check_wave(amp, c1, c2)
+        s, w = object.__new__(Spinor2), object.__new__(cls)
+        s.__dict__.update(c1=c1, c2=c2)  # frozen: past __setattr__
+        w.__dict__.update(amplitude=amp, spinor=s)
+        return w
+
 
 @dataclass(frozen=True)
 class EllipseParams:

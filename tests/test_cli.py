@@ -407,6 +407,18 @@ class TestMueller:
         code, _, err = run(capsys, "mueller", str(path))
         assert code == 2 and "no elements" in err
 
+    @pytest.mark.parametrize(
+        "argv", [(), (LINEAR_X,), ('{"stokes": [1, 0, 0, 0]}',)], ids=["mueller", "pure", "mixed"]
+    )
+    def test_attenuator_spread_over_bound_exit_2(self, capsys, tmp_path, argv):
+        # cosh(1000) overflows a double: one diagnostic, not an OverflowError
+        path = tmp_path / "t.pol"
+        path.write_text("qwp axis=0.1\natten e1=0 e2=2000\n")
+        code, out, err = run(capsys, "trace" if argv else "mueller", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"{path}:2:1: error: attenuation spread |e2 - e1| = 2000.0 "
+                       "> 1419.565425786768\n")
+
 
 class TestDecompose:
     def test_unpolarized(self, capsys):

@@ -1,8 +1,12 @@
 import cmath
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polspin import (
     AngleSet,
@@ -25,11 +29,16 @@ from polspin import (
     pancharatnam_phase,
     poincare_frame,
     spinor_from_angles,
+    stokes_from_wave,
     su2_to_so3,
     wave_from_jones,
     JonesAmpPhase,
 )
+from polspin.dsl import TrainDocument, parse_train, serialize_train
+from polspin.filters import ELEMENTS, ETA_SPREAD_MAX, _step
 from polspin.pauli import SIGMA1, U_BASIS, U_BASIS_INV
+
+from .test_partial import README_TRAIN
 
 ALL_UNITARY = [
     PhaseShifter(0.3, 1.1),
@@ -281,3 +290,149 @@ class TestCompose:
         ] + [Attenuator(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(4)]
         em = compose(train)
         assert np.linalg.det(em.m) == pytest.approx(1.0, abs=1e-10 * len(train))
+
+
+class TestAttenuatorBound:
+    """|eta2 - eta1| <= 2 ln(float max): cosh and sinh of half of it stay finite."""
+
+    def test_bound_is_twice_the_log_of_the_float_range(self):
+        assert ETA_SPREAD_MAX == 2.0 * math.log(1.7976931348623157e308)
+        assert math.isfinite(math.cosh(0.5 * ETA_SPREAD_MAX))
+
+    @pytest.mark.parametrize("eta1, eta2", [(0.0, 2000.0), (2000.0, 0.0), (0.0, math.inf),
+                                            (0.0, math.nextafter(ETA_SPREAD_MAX, math.inf)),
+                                            (math.inf, math.inf), (0.0, math.nan)])
+    def test_spread_over_the_bound_rejected(self, eta1, eta2):
+        with pytest.raises(ValueError, match=r"^attenuation spread \|e2 - e1\| = "):
+            Attenuator(eta1, eta2)
+
+    def test_message(self):
+        with pytest.raises(ValueError) as exc:
+            Attenuator(0.0, 2000.0)
+        assert str(exc.value) == "attenuation spread |e2 - e1| = 2000.0 > 1419.565425786768"
+
+    def test_spread_at_the_bound_passes_its_eigenwave(self):
+        # the e1 = 0 axis (linear x) keeps the whole flux, the other is extinguished
+        e = Attenuator(0.0, ETA_SPREAD_MAX)
+        w = apply(e, linear_x_wave())
+        assert w.amplitude == pytest.approx(linear_x_wave().amplitude, rel=1e-12)
+        with pytest.raises(ExtinctionError):
+            apply(e, linear_y_wave())
+
+
+def _kind(index, x, y):
+    u, v = abs(x) % 3.0, abs(y) % 3.0
+    return [PhaseShifter(x, y), Rotator(x), Gyrotropic(x, y), QuarterWave(x), HalfWave(y),
+            Attenuator(u, v)][index]
+
+
+ELEMENT = st.builds(_kind, st.integers(0, 5), st.floats(-7.0, 7.0), st.floats(-7.0, 7.0))
+WAVE = st.builds(
+    lambda amp, t, p, c: WaveState(amp, spinor_from_angles(AngleSet(t, p, c))),
+    st.floats(0.1, 10.0), st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True), st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+)
+
+
+def fresh_step(e, w):
+    """apply's result from the element's closed form, computed anew."""
+    return _step(ELEMENTS[type(e)][2](e), w.amplitude, w.spinor.c1, w.spinor.c2)
+
+
+def as_fields(e):
+    return tuple(getattr(e, f.name) for f in dataclasses.fields(e))
+
+
+class TestKeptClosedForm:
+    """apply keeps each element's closed form after its first use; nothing
+    else about the element changes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ELEMENT, min_size=1, max_size=8), WAVE)
+    def test_apply_equals_the_fresh_closed_form_on_every_use(self, train, w0):
+        for _ in range(2):  # first use, then the kept closed form
+            w = w0
+            for e in train:
+                try:
+                    want = fresh_step(e, w)
+                except ExtinctionError:
+                    with pytest.raises(ExtinctionError):
+                        apply(e, w)
+                    break
+                w = apply(e, w)
+                assert repr((w.amplitude, w.spinor.c1, w.spinor.c2)) == repr(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ELEMENT)
+    def test_element_identity_unchanged_by_apply(self, e):
+        before = (hash(e), repr(e), serialize_train(TrainDocument(elements=[e])))
+        apply(e, linear_x_wave())
+        assert e == type(e)(*as_fields(e))
+        assert (hash(e), repr(e), serialize_train(TrainDocument(elements=[e]))) == before
+        assert [f.name for f in dataclasses.fields(e)] == list(type(e).__dataclass_fields__)
+
+    @pytest.mark.parametrize("e", ALL_ELEMENTS, ids=lambda e: type(e).__name__)
+    def test_pickle_and_replace_carry_the_right_closed_form(self, e):
+        w = linear_x_wave()
+        first = apply(e, w)
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and apply(copy, w) == first
+        name = dataclasses.fields(e)[0].name
+        other = dataclasses.replace(e, **{name: getattr(e, name) + 0.25})
+        got = apply(other, w)
+        assert repr((got.amplitude, got.spinor.c1, got.spinor.c2)) == repr(fresh_step(other, w))
+        assert got != first
+
+    def test_train_calls_keep_nothing(self):
+        e = QuarterWave(0.35)
+        compose([e])
+        assert "_circular" not in vars(e)
+
+
+# Exact reprs of the pure-beam library path on the README train (the
+# beam-sweep trace_pure op), recorded before apply kept closed forms:
+# (amp, theta, phi, chi) -> final amplitude, final spinor, poincare_frame
+# (r, m_re, m_im), stokes_from_wave and pancharatnam_phase against the input.
+README_PURE_OUTPUTS = {
+    (1.0, 0.4, 1.0, 0.2): (
+        '0.5992272976641966',
+        'Spinor2(c1=(-0.9815937153664759-0.16075918155774305j), c2=(-0.07014616799732185-0.0755630770496673j))',
+        '([0.16200499217140268, 0.12579120197808963, 0.9787394730041549], [0.9384720013203521, -0.32620132520331874, -0.1134151584814459], [0.3049994840148366, 0.9368934138633412, -0.17089776420473524])',
+        'StokesVector(s0=0.3590733542659357, s1=0.05817167594681221, s2=0.04516826883141645, s3=0.35143926552407606)',
+        '-2.386126766506172',
+    ),
+    (2.5, 2.0, 5.5, 3.0): (
+        '1.5351866490031874',
+        'Spinor2(c1=(0.15626539087437014+0.17951778810604688j), c2=(-0.3106554775261906+0.9202432643879376j))',
+        '([0.23331067143903272, 0.3991407151952338, -0.886708982736786], [0.7425330760729743, 0.5156523868228029, 0.4274894699306099], [0.6278620561319779, -0.7581486037957099, -0.17606797844111582])',
+        'StokesVector(s0=2.3567980472776355, s1=0.5498661348565463, s2=0.940694058161126, s3=-2.089793999017596)',
+        '0.4891142529466494',
+    ),
+    (0.7, 0.0, 0.0, 0.0): (
+        '0.4564167471016967',
+        'Spinor2(c1=(-0.6091176537946114-0.7322479280915261j), c2=(0.03969403365338267-0.3020149654135362j))',
+        '([0.393942992056206, 0.42605704208767725, 0.8144226887171694], [-0.07552528900401713, -0.8680738955082511, 0.4906563386505771], [0.9160266643120515, -0.2548001350561443, -0.3097935464865381])',
+        'StokesVector(s0=0.20831624703489418, s1=0.08206472565084597, s2=0.08875460403049289, s3=0.16965747801362857)',
+        '-2.26465630625789',
+    ),
+}
+
+
+@pytest.mark.parametrize("beam", list(README_PURE_OUTPUTS), ids=str)
+def test_readme_train_exact_pure_outputs(beam):
+    train = parse_train(README_TRAIN).document.elements
+    amp, theta, phi, chi = beam
+    w0 = WaveState(amp, spinor_from_angles(AngleSet(theta, phi, chi)))
+    for _ in range(2):  # first use, then the kept closed forms
+        w = w0
+        for e in train:
+            w = apply(e, w)
+        f = poincare_frame(w.spinor)
+        got = (
+            repr(w.amplitude),
+            repr(w.spinor),
+            repr((f.r.tolist(), f.m_re.tolist(), f.m_im.tolist())),
+            repr(stokes_from_wave(w)),
+            repr(pancharatnam_phase(w0.spinor, w.spinor)),
+        )
+        assert got == README_PURE_OUTPUTS[beam]

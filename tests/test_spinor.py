@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -404,6 +405,27 @@ class TestWaveStateFluxFloor:
 
     def test_normal_flux_constructs(self):
         assert WaveState(1e-150, Spinor2(1.0, 0.0)).amplitude == 1e-150
+
+    @pytest.mark.parametrize(
+        "amp, c1, c2",
+        [(1.0, 0.6, 0.6), (1.0, 1.0 + 1e-9, 0.0), (1e155, 1.0, 0.0), (math.inf, 1.0, 0.0),
+         (0.0, 1.0, 0.0), (-1.0, 1.0, 0.0)],
+    )
+    def test_raw_constructor_raises_the_constructor_text(self, amp, c1, c2):
+        # WaveState._of (the raw filters.apply step) checks all but the flux floor
+        with pytest.raises(ValueError) as want:
+            WaveState(amp, Spinor2(c1, c2))
+        with pytest.raises(ValueError) as got:
+            WaveState._of(amp, c1, c2)
+        assert str(got.value) == str(want.value)
+
+    def test_raw_constructor_equals_the_constructor(self):
+        w = WaveState._of(0.5, 0.6 + 0.0j, 0.8j)
+        assert type(w) is WaveState and type(w.spinor) is Spinor2
+        assert w == WaveState(0.5, Spinor2(0.6 + 0.0j, 0.8j))
+        assert hash(w) == hash(WaveState(0.5, Spinor2(0.6 + 0.0j, 0.8j)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.amplitude = 1.0
 
     def test_pure_stokes_with_subnormal_s0_rejected(self):
         with pytest.raises(ValueError, match="underflows"):
