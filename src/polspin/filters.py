@@ -193,8 +193,8 @@ def _step(entries, amp, c1, c2):
     """One element F = scale [[a, b], [c, d]] on a raw wave (A, c1, c2).
 
     v = F o, A' = A ||v||, o' = v / ||v||; a flux A'^2 below FLUX_MIN is
-    extinction.  The caller checks the WaveState invariants on the result:
-    the WaveState constructor does, a raw loop calls spinor._check_wave.
+    extinction.  The caller checks the other WaveState invariants on the
+    result: `apply` through WaveState._of, a raw loop with spinor._check_wave.
     """
     scale, a, b, c, d = entries
     v1 = scale * (a * c1 + b * c2)

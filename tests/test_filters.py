@@ -295,10 +295,6 @@ class TestCompose:
 class TestAttenuatorBound:
     """|eta2 - eta1| <= 2 ln(float max): cosh and sinh of half of it stay finite."""
 
-    def test_bound_is_twice_the_log_of_the_float_range(self):
-        assert ETA_SPREAD_MAX == 2.0 * math.log(1.7976931348623157e308)
-        assert math.isfinite(math.cosh(0.5 * ETA_SPREAD_MAX))
-
     @pytest.mark.parametrize("eta1, eta2", [(0.0, 2000.0), (2000.0, 0.0), (0.0, math.inf),
                                             (0.0, math.nextafter(ETA_SPREAD_MAX, math.inf)),
                                             (math.inf, math.inf), (0.0, math.nan)])
@@ -313,6 +309,7 @@ class TestAttenuatorBound:
 
     def test_spread_at_the_bound_passes_its_eigenwave(self):
         # the e1 = 0 axis (linear x) keeps the whole flux, the other is extinguished
+        assert math.isfinite(math.cosh(0.5 * ETA_SPREAD_MAX))
         e = Attenuator(0.0, ETA_SPREAD_MAX)
         w = apply(e, linear_x_wave())
         assert w.amplitude == pytest.approx(linear_x_wave().amplitude, rel=1e-12)
@@ -369,7 +366,6 @@ class TestKeptClosedForm:
         apply(e, linear_x_wave())
         assert e == type(e)(*as_fields(e))
         assert (hash(e), repr(e), serialize_train(TrainDocument(elements=[e]))) == before
-        assert [f.name for f in dataclasses.fields(e)] == list(type(e).__dataclass_fields__)
 
     @pytest.mark.parametrize("e", ALL_ELEMENTS, ids=lambda e: type(e).__name__)
     def test_pickle_and_replace_carry_the_right_closed_form(self, e):
