@@ -15,14 +15,12 @@ Linear-basis matrices are U m U^-1 with the same scale.  Composition is in
 propagation order: the first element of a train is the rightmost factor.
 `_fold` folds each element's (scale, a, b, c, d) into a running product
 of Python complex scalars in either basis; `compose` wraps it in an ndarray.
-`apply` keeps an element's circular (scale, a, b, c, d) on the instance
-after its first use, beside (not among) the dataclass fields; `_fold` and
-`compose`, which use each element once per call, keep nothing.
+`apply` keeps an element's circular (scale, a, b, c, d) after its first use, for the
+next beam, outside its fields and pickled state; `_fold` and `compose` keep nothing.
 """
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,40 +30,44 @@ from .errors import EmptyTrainError, ExtinctionError
 from .pauli import circular_to_linear
 from .spinor import FLUX_MIN, WaveState, _quaternion
 
+# Largest |e2 - e1| at which m's gain e^{|e2 - e1|/2} is finite (cosh alone: ~1420.95).
+ETA_SPREAD_MAX = 2.0 * math.log(np.finfo(float).max)
+
+
+class _Element:
+    def __getstate__(self):  # pickles and copies leave out the closed form apply keeps
+        return {k: v for k, v in vars(self).items() if k != "_circular"}
+
 
 @dataclass(frozen=True)
-class PhaseShifter:
+class PhaseShifter(_Element):
     delta1: float
     delta2: float
 
 
 @dataclass(frozen=True)
-class Rotator:
+class Rotator(_Element):
     alpha: float
 
 
 @dataclass(frozen=True)
-class Gyrotropic:
+class Gyrotropic(_Element):
     delta1: float
     delta2: float
 
 
 @dataclass(frozen=True)
-class QuarterWave:
+class QuarterWave(_Element):
     axis_angle: float
 
 
 @dataclass(frozen=True)
-class HalfWave:
+class HalfWave(_Element):
     axis_angle: float
 
 
-# Largest |eta2 - eta1|: cosh and sinh of half of it stay finite.
-ETA_SPREAD_MAX = 2.0 * math.log(sys.float_info.max)
-
-
 @dataclass(frozen=True)
-class Attenuator:
+class Attenuator(_Element):
     eta1: float
     eta2: float
 
@@ -212,9 +214,8 @@ def apply(e, w):
     The global phase of v is retained in the spinor components, so the
     Pancharatnam phase against the input reflects the element's phase.
     """
-    try:
-        entries = e._circular
-    except AttributeError:
+    entries = getattr(e, "_circular", None)
+    if entries is None:  # first use: pays off when the element is applied again
         entries = _entries(e)
         object.__setattr__(e, "_circular", entries)  # not a field: == and hash unchanged
     return WaveState._of(*_step(entries, w.amplitude, w.spinor.c1, w.spinor.c2))

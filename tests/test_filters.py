@@ -1,7 +1,9 @@
 import cmath
+import copy
 import dataclasses
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,7 +295,7 @@ class TestCompose:
 
 
 class TestAttenuatorBound:
-    """|eta2 - eta1| <= 2 ln(float max): cosh and sinh of half of it stay finite."""
+    """|eta2 - eta1| <= 2 ln(float max): m's gain e^{|eta2 - eta1|/2} stays finite."""
 
     @pytest.mark.parametrize("eta1, eta2", [(0.0, 2000.0), (2000.0, 0.0), (0.0, math.inf),
                                             (0.0, math.nextafter(ETA_SPREAD_MAX, math.inf)),
@@ -308,13 +310,26 @@ class TestAttenuatorBound:
         assert str(exc.value) == "attenuation spread |e2 - e1| = 2000.0 > 1419.565425786768"
 
     def test_spread_at_the_bound_passes_its_eigenwave(self):
-        # the e1 = 0 axis (linear x) keeps the whole flux, the other is extinguished
-        assert math.isfinite(math.cosh(0.5 * ETA_SPREAD_MAX))
+        # the e1 = 0 axis (linear x), whose gain is e^{spread/2}, keeps the whole
+        # flux; the other is extinguished
+        assert math.isfinite(math.exp(0.5 * ETA_SPREAD_MAX))
         e = Attenuator(0.0, ETA_SPREAD_MAX)
         w = apply(e, linear_x_wave())
         assert w.amplitude == pytest.approx(linear_x_wave().amplitude, rel=1e-12)
         with pytest.raises(ExtinctionError):
             apply(e, linear_y_wave())
+
+    def test_past_the_bound_the_gain_overflows_before_cosh(self):
+        # cosh(spread/2) stays finite up to a spread of 2 ln(2 float max), but
+        # the x wave's step overflows sooner, into a NaN flux: a false extinction
+        assert math.isfinite(math.cosh(0.5 * 1420.95))
+        spread = 1420.5
+        with pytest.raises(OverflowError):
+            math.exp(0.5 * spread)
+        entries = ELEMENTS[Attenuator][2](SimpleNamespace(eta1=0.0, eta2=spread))
+        s = linear_x_wave().spinor
+        with pytest.raises(ExtinctionError, match=r"^flux nan "):
+            _step(entries, 1.0, s.c1, s.c2)
 
 
 def _kind(index, x, y):
@@ -368,13 +383,19 @@ class TestKeptClosedForm:
         assert (hash(e), repr(e), serialize_train(TrainDocument(elements=[e]))) == before
 
     @pytest.mark.parametrize("e", ALL_ELEMENTS, ids=lambda e: type(e).__name__)
-    def test_pickle_and_replace_carry_the_right_closed_form(self, e):
+    def test_pickles_and_copies_recompute_the_closed_form(self, e):
+        # the kept closed form is no part of the element's state: a copy
+        # computes its own from its fields on its first apply
         w = linear_x_wave()
         first = apply(e, w)
-        copy = pickle.loads(pickle.dumps(e))
-        assert copy == e and apply(copy, w) == first
+        assert "_circular" in vars(e)
+        assert pickle.dumps(e) == pickle.dumps(type(e)(*as_fields(e)))
+        for dup in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+            assert dup == e and "_circular" not in vars(dup)
+            assert apply(dup, w) == first
         name = dataclasses.fields(e)[0].name
         other = dataclasses.replace(e, **{name: getattr(e, name) + 0.25})
+        assert "_circular" not in vars(other)
         got = apply(other, w)
         assert repr((got.amplitude, got.spinor.c1, got.spinor.c2)) == repr(fresh_step(other, w))
         assert got != first
