@@ -30,6 +30,7 @@ from .spinor import (
 )
 
 PURITY_TOL = 1e-12
+_DECODER = json.JSONDecoder(parse_int=float)  # json.loads(..., parse_int=float) makes one per call
 
 
 @dataclass(frozen=True)
@@ -89,17 +90,26 @@ def beam_from_stokes(s, tol=PURITY_TOL):
     return Beam(s, None)
 
 
-def parse_beam_json(text, tol=PURITY_TOL):
-    """Parse one beam JSON object into a Beam."""
+def decode_json(text):
+    """json.loads(text, parse_int=float), on the shared decoder for str without a BOM."""
     try:
-        obj = json.loads(text, parse_int=float)
+        if isinstance(text, str) and not text.startswith("\ufeff"):
+            return _DECODER.decode(text)
+        return json.loads(text, parse_int=float)  # its own handling of bytes and a BOM
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise BeamFormatError(f"malformed JSON: {exc}") from exc
+
+
+def parse_beam_json(text, tol=PURITY_TOL):
+    """Parse one beam JSON object into a Beam."""
+    return beam_from_json(decode_json(text), tol)
+
+
+def beam_from_json(obj, tol=PURITY_TOL):
+    """Beam from one decoded beam JSON object."""
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise BeamFormatError(
-            "beam JSON must be an object with exactly one of "
-            "'angles', 'stokes', 'jones'"
-        )
+        raise BeamFormatError("beam JSON must be an object with exactly one of "
+                              "'angles', 'stokes', 'jones'")
     (form, body), = obj.items()
     if form not in BEAM_FORMS:
         raise BeamFormatError(f"unknown beam form {form!r}")

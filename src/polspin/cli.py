@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .beamio import PURITY_TOL, parse_beam_json
+from .beamio import PURITY_TOL, beam_from_json, decode_json, parse_beam_json
 from .dsl import parse_train
 from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
 from .filters import ELEMENTS, _step
@@ -57,8 +57,10 @@ def _complex_pair(z):
 
 def _load_train(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:  # universal newlines
             source = fh.read()
+    except UnicodeDecodeError as exc:  # parse_train diagnoses the undecodable bytes
+        source = exc.object
     except OSError as exc:
         raise CliError(f"cannot read train file: {exc}")
     result = parse_train(source)
@@ -163,14 +165,10 @@ def cmd_mueller(train_path):
 
 
 def cmd_decompose(beam_json, tol=PURITY_TOL):
-    try:
-        obj = json.loads(beam_json)
-    except (ValueError, RecursionError) as exc:  # bad JSON, long int, deep nesting
-        raise CliError(f"malformed JSON: {exc}")
+    obj = decode_json(beam_json)
     if not isinstance(obj, dict) or set(obj) != {"stokes"}:
         raise CliError("decompose requires the Stokes beam form")
-    beam = parse_beam_json(beam_json, tol)
-    s = beam.stokes
+    s = beam_from_json(obj, tol).stokes
     _require_flux(s.s0)
     dec = eig_decompose(coherency_from_stokes(s))
     return json.dumps(

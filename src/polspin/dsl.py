@@ -93,15 +93,8 @@ def parse_train(source):
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
-            doc = TrainDocument()
-            return ParseResult(
-                doc,
-                [
-                    ParseDiagnostic(
-                        "error", 1, 1, f"input is not valid UTF-8: {exc}", ""
-                    )
-                ],
-            )
+            diagnostic = ParseDiagnostic("error", 1, 1, f"input is not valid UTF-8: {exc}", "")
+            return ParseResult(TrainDocument(), [diagnostic])
     doc = TrainDocument()
     diagnostics = []
 

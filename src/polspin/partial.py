@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStokesError, ZeroFluxError
-from .filters import _entries, _extinction, _fold
+from .filters import _entries, _extinction, _fold, _kept
 from .pauli import circular_to_linear, linear_to_circular
 from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector
 
@@ -192,12 +192,14 @@ def _step_coherency(entries, p, q, r):
 
 def apply_filter_to_coherency(e, c):
     """C -> F C F^dag with F = scale * m taken in the matrix basis of c."""
-    return CoherencyMatrix._of(*_step_coherency(_entries(e, c.basis), c.p, c.q, c.r), c.basis)
+    entries = _entries(e, c.basis, _kept)
+    return CoherencyMatrix._of(*_step_coherency(entries, c.p, c.q, c.r), c.basis)
 
 
 def apply_train_to_coherency(train, c):
     """C -> F C F^dag with F the composed train, in the matrix basis of c."""
-    return CoherencyMatrix._of(*_step_coherency(_fold(train, c.basis), c.p, c.q, c.r), c.basis)
+    f = _fold(train, c.basis, _kept)
+    return CoherencyMatrix._of(*_step_coherency(f, c.p, c.q, c.r), c.basis)
 
 
 # (p, q, r) of C_j = (1/2) sigma_j, the entries of the unit Stokes vector e_j;

@@ -420,7 +420,49 @@ class TestMueller:
                        "> 1419.565425786768\n")
 
 
+class TestTrainFile:
+    """How `trace` and `mueller` read a `.pol` file."""
+
+    @pytest.mark.parametrize("argv", [(), (LINEAR_X,), (UNPOLARIZED,)],
+                             ids=["mueller", "pure", "mixed"])
+    def test_invalid_utf8_exit_2(self, capsys, tmp_path, argv):
+        raw = "rotate alpha=0.1\r\nqwp axis=0.".encode() + b"\xff3\n"
+        path = tmp_path / "bad.pol"
+        path.write_bytes(raw)
+        (diagnostic,) = parse_train(raw).diagnostics  # the library's verdict on the bytes
+        code, out, err = run(capsys, "trace" if argv else "mueller", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"{path}:1:1: error: {diagnostic.message}\n"
+        assert "position 29: invalid start byte" in err  # a byte offset into the file
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_any_newline_reads_as_lf(self, capsys, tmp_path, newline):
+        lf = tmp_path / "lf.pol"
+        lf.write_bytes(b"beam stokes s0=1 s1=0 s2=0 s3=0\nqwp axis=0.3\natten e1=0 e2=0.4\n")
+        other = tmp_path / "other.pol"
+        other.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
+        for argv in (("mueller",), ("trace", LINEAR_X), ("trace", UNPOLARIZED)):
+            want = run(capsys, argv[0], str(lf), *argv[1:])
+            assert want[0] == 0
+            assert run(capsys, argv[0], str(other), *argv[1:]) == want
+
+
 class TestDecompose:
+    def test_huge_integer_message_as_convert(self, capsys):
+        # one decode with integers as floats: 5000 digits read as inf, not as
+        # an int past Python's digit limit
+        beam = '{"stokes": [%s, 0, 0, 0]}' % ("1" * 5000)
+        code, out, err = run(capsys, "decompose", beam)
+        assert (code, out, err) == (2, "", "stokes.s0 must be a finite number\n")
+        assert run(capsys, "convert", "--to", "stokes", beam) == (code, out, err)
+
+    def test_byte_order_mark_message(self, capsys):
+        code, out, err = run(capsys, "decompose", "\ufeff" + UNPOLARIZED)
+        assert (code, out) == (2, "")
+        assert err == ("malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                       "line 1 column 1 (char 0)\n")
+
     def test_unpolarized(self, capsys):
         code, out, _ = run(capsys, "decompose", UNPOLARIZED)
         assert code == 0

@@ -22,6 +22,7 @@ from polspin import (
     PoincareRotation,
     QuarterWave,
     Rotator,
+    StokesVector,
     WaveState,
     apply,
     classify,
@@ -37,7 +38,15 @@ from polspin import (
     JonesAmpPhase,
 )
 from polspin.dsl import TrainDocument, parse_train, serialize_train
-from polspin.filters import ELEMENTS, ETA_SPREAD_MAX, _step
+from polspin.filters import ELEMENTS, ETA_SPREAD_MAX, _entries, _fold, _step, element_matrix
+from polspin.partial import (
+    CoherencyMatrix,
+    _step_coherency,
+    apply_filter_to_coherency,
+    apply_train_to_coherency,
+    coherency_from_stokes,
+    mueller_of_train,
+)
 from polspin.pauli import SIGMA1, U_BASIS, U_BASIS_INV
 
 from .test_partial import README_TRAIN
@@ -355,6 +364,29 @@ def as_fields(e):
     return tuple(getattr(e, f.name) for f in dataclasses.fields(e))
 
 
+COHERENCY = st.builds(
+    lambda s0, dop, t, p, basis: coherency_from_stokes(StokesVector(
+        s0, s0 * dop * math.sin(t) * math.cos(p), s0 * dop * math.sin(t) * math.sin(p),
+        s0 * dop * math.cos(t)), basis),
+    st.floats(0.1, 10.0), st.floats(0.0, 1.0), st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi), st.sampled_from(["circular", "linear"]),
+)
+
+
+def fresh_coherency(entries, c):
+    """F C F^dag from a closed form computed anew, as a coherency call builds it."""
+    return CoherencyMatrix._of(*_step_coherency(entries, c.p, c.q, c.r), c.basis)
+
+
+def coherency_outcome(call):
+    """repr of the result's (p, q, r) and basis, or the error it raised."""
+    try:
+        c = call()
+    except (ExtinctionError, ValueError) as exc:
+        return (type(exc), str(exc))
+    return repr((c.p, c.q, c.r, c.basis))
+
+
 class TestKeptClosedForm:
     """apply keeps each element's closed form after its first use; nothing
     else about the element changes."""
@@ -400,9 +432,41 @@ class TestKeptClosedForm:
         assert repr((got.amplitude, got.spinor.c1, got.spinor.c2)) == repr(fresh_step(other, w))
         assert got != first
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ELEMENT, min_size=1, max_size=8), COHERENCY)
+    def test_coherency_step_equals_the_fresh_closed_form_on_every_use(self, train, c0):
+        copies = [type(e)(*as_fields(e)) for e in train]
+        for _ in range(2):  # first use, then the kept closed forms
+            c = c0
+            for e, f in zip(train, copies):
+                want = coherency_outcome(lambda: fresh_coherency(_entries(f, c.basis), c))
+                assert coherency_outcome(lambda: apply_filter_to_coherency(e, c)) == want
+                if not isinstance(want, str):  # extinct or not PSD: the beam stops here
+                    break
+                c = apply_filter_to_coherency(e, c)
+            assert "_circular" in vars(train[0])
+        assert not any("_circular" in vars(f) for f in copies)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ELEMENT, min_size=1, max_size=8), COHERENCY)
+    def test_coherency_train_equals_the_fresh_closed_form_on_every_use(self, train, c):
+        copies = [type(e)(*as_fields(e)) for e in train]
+        want = coherency_outcome(lambda: fresh_coherency(_fold(copies, c.basis), c))
+        for _ in range(2):  # first use, then the kept closed forms
+            assert coherency_outcome(lambda: apply_train_to_coherency(train, c)) == want
+            assert all("_circular" in vars(e) for e in train)
+        assert not any("_circular" in vars(f) for f in copies)
+
     def test_train_calls_keep_nothing(self):
+        # calls that describe an element or a train use each element about
+        # once (the CLI parses fresh ones per call), so keeping only costs
         e = QuarterWave(0.35)
         compose([e])
+        for basis in ("circular", "linear"):
+            compose([e], basis)
+            mueller_of_train([e], basis)
+            element_matrix(e, basis)
+        classify(e)
         assert "_circular" not in vars(e)
 
 
