@@ -90,7 +90,7 @@ def beam_from_stokes(s, tol=PURITY_TOL):
     return Beam(s, None)
 
 
-def decode_json(text):
+def _decode_json(text):
     """json.loads(text, parse_int=float), on the shared decoder for str without a BOM."""
     try:
         if isinstance(text, str) and not text.startswith("\ufeff"):
@@ -102,10 +102,10 @@ def decode_json(text):
 
 def parse_beam_json(text, tol=PURITY_TOL):
     """Parse one beam JSON object into a Beam."""
-    return beam_from_json(decode_json(text), tol)
+    return _beam_from_json(_decode_json(text), tol)
 
 
-def beam_from_json(obj, tol=PURITY_TOL):
+def _beam_from_json(obj, tol=PURITY_TOL):
     """Beam from one decoded beam JSON object."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise BeamFormatError("beam JSON must be an object with exactly one of "

@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .beamio import PURITY_TOL, beam_from_json, decode_json, parse_beam_json
+from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
 from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
 from .filters import ELEMENTS, _step
@@ -165,10 +165,10 @@ def cmd_mueller(train_path):
 
 
 def cmd_decompose(beam_json, tol=PURITY_TOL):
-    obj = decode_json(beam_json)
+    obj = _decode_json(beam_json)
     if not isinstance(obj, dict) or set(obj) != {"stokes"}:
         raise CliError("decompose requires the Stokes beam form")
-    s = beam_from_json(obj, tol).stokes
+    s = _beam_from_json(obj, tol).stokes
     _require_flux(s.s0)
     dec = eig_decompose(coherency_from_stokes(s))
     return json.dumps(

@@ -388,8 +388,8 @@ def coherency_outcome(call):
 
 
 class TestKeptClosedForm:
-    """apply keeps each element's closed form after its first use; nothing
-    else about the element changes."""
+    """apply and the coherency propagation calls keep each element's closed
+    form after its first use; nothing else about the element changes."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(ELEMENT, min_size=1, max_size=8), WAVE)
