@@ -10,6 +10,7 @@ actions; coherency matrices for partially polarized beams; a small
 from .errors import (
     EmptyTrainError,
     ExtinctionError,
+    FloatRangeError,
     InvalidStokesError,
     NonUnimodularError,
     NonUnitaryError,

@@ -16,7 +16,9 @@ Angles are radians; a `deg(<r>)` value is converted at parse time.
 key=value pairs may appear in any order within a line; duplicates are
 errors.  Parsing recovers per line: one bad line yields one diagnostic
 and later lines are still parsed.  Serialization is canonical (grammar
-key order, shortest round-tripping decimals, LF endings).
+key order, shortest round-tripping decimals, LF endings).  An element line
+already in that form (single spaces, no comment) takes a faster path with
+the identical element and span; every other line takes the general loop.
 """
 
 import math
@@ -87,6 +89,34 @@ def _parse_deg(text):
         return None
 
 
+# statement head -> (class, matcher of the line in canonical form), for
+# _canonical_element; a value is printable ASCII without spaces
+_CANONICAL = {
+    head: (cls, re.compile(" ".join([head] + [f"{k}=([!-~]+)" for k in keys])).fullmatch)
+    for head, (cls, keys) in _ELEMENT_STATEMENTS.items()
+}
+
+
+def _canonical_element(line):
+    """The element of a line in serialize_train's form, else None.
+
+    That form is `<head> k1=v1[ k2=v2]`: keys in grammar order, single
+    spaces, no comment, finite values.  None sends the line to the general
+    loop, which gives the same element for every line accepted here and
+    writes every diagnostic.
+    """
+    syntax = _CANONICAL.get(line.partition(" ")[0])
+    match = syntax[1](line) if syntax else None
+    if not match:
+        return None
+    try:
+        values = [float(v) for v in match.groups()]
+        # a sum of finite values may overflow: that line takes the general loop
+        return syntax[0](*values) if math.isfinite(sum(values)) else None
+    except ValueError:  # deg(...), malformed, or refused by the constructor
+        return None
+
+
 def parse_train(source):
     """Parse `.pol` text into a TrainDocument plus diagnostics."""
     if isinstance(source, bytes):
@@ -104,6 +134,11 @@ def parse_train(source):
         diagnostics.append(ParseDiagnostic("error", line_no, column, message, token))
 
     for line_no, line in enumerate(source.split("\n"), start=1):
+        element = _canonical_element(line)
+        if element is not None:
+            doc.elements.append(element)
+            doc.element_spans.append((line_no, 1, 1 + len(line)))
+            continue
         # a CRLF's "\r" is whitespace to str.split() and str.strip()
         code = line.split("#", 1)[0] if "#" in line else line
         words = code.split()

@@ -35,3 +35,7 @@ class InvalidStokesError(PolspinError):
 
 class ZeroFluxError(PolspinError):
     """Zero total flux where a positive one is required (DoP, a pure beam)."""
+
+
+class FloatRangeError(PolspinError):
+    """A factor of a result lies past the float range, though the result does not."""

@@ -15,6 +15,9 @@ Linear-basis matrices are U m U^-1 with the same scale.  Composition is in
 propagation order: the first element of a train is the rightmost factor.
 `_fold` folds each element's (scale, a, b, c, d) into a running product
 of Python complex scalars in either basis; `compose` wraps it in an ndarray.
+A product of strong attenuators has a scale past the float range on one side
+and an m past it on the other while F = scale m is fine, so `_fold` moves the
+binary exponent of m into scale where scale gets small, and carries it.
 The calls that propagate a beam (`apply`, `partial.apply_filter_to_coherency` and
 `apply_train_to_coherency`) keep each element's circular form after first use (`_kept`),
 outside its fields and pickled state; a one-shot call on a fresh element pays the store.
@@ -23,17 +26,22 @@ Train-describing calls and the CLI keep nothing; keeping slowed a 6000-element m
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import EmptyTrainError, ExtinctionError
+from .errors import EmptyTrainError, ExtinctionError, FloatRangeError
 from .pauli import circular_to_linear
 from .spinor import FLUX_MIN, WaveState, _quaternion
 
 # Largest |e2 - e1| at which m's gain e^{|e2 - e1|/2} is finite (cosh alone: ~1420.95).
-ETA_SPREAD_MAX = 2.0 * math.log(np.finfo(float).max)
+ETA_SPREAD_MAX = 2.0 * math.log(sys.float_info.max)
+# At an Attenuator, a scale below this takes m's binary exponent (_fold).  F
+# has no entry above 1, so max |m| <= 1 / |scale|: no product of two factors
+# within it underflows or overflows.
+_TINY = 2.0**-300
 
 
 class _Element:
@@ -246,19 +254,56 @@ def classify(e):
     return PoincareRotation(axis, -psi)
 
 
+def _ldexp(z, k):
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+def _balance(j, scale, a, b, c, d):
+    """Move m's binary exponent k into scale, so that max |m| is in [1/2, 1).
+
+    Exact (powers of two), so F = scale m is unchanged; j + k is returned.
+    """
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    f = math.ldexp(1.0, -k)
+    return j + k, _ldexp(scale, k), a * f, b * f, c * f, d * f
+
+
 def _fold(train, basis="circular", circular=None):
-    """(scale, a, b, c, d) of a train's F, first element first; circular as in _entries."""
+    """((scale, a, b, c, d), j) of a train's F, first element first; circular as in _entries.
+
+    F = scale [[a, b], [c, d]] exactly; the unimodular m of the train is
+    2^j [[a, b], [c, d]].  Only an Attenuator has |scale| < 1: before each
+    one, the element and the running product that have a scale below _TINY
+    are balanced.  Elsewhere j stays 0 and the result is the plain product.
+    """
     if not train:
         raise EmptyTrainError("train has no elements")
-    scale, a, b, c, d = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
+    scale, a, b, c, d, j = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, 0
     for e in train:
         s, ea, eb, ec, ed = _entries(e, basis, circular)
+        if type(e) is Attenuator:
+            if abs(s) < _TINY:
+                j, s, ea, eb, ec, ed = _balance(j, s, ea, eb, ec, ed)
+            if abs(scale) < _TINY:
+                j, scale, a, b, c, d = _balance(j, scale, a, b, c, d)
         a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
         scale *= s
-    return scale, a, b, c, d
+    return (scale, a, b, c, d), j
 
 
 def compose(train, basis="circular"):
-    """Matrix of a train, first element applied first (rightmost factor)."""
-    scale, a, b, c, d = _fold(train, basis)
-    return ElementMatrix(np.array([[a, b], [c, d]], dtype=complex), scale, basis)
+    """Matrix of a train, first element applied first (rightmost factor).
+
+    Raises FloatRangeError where m overflows or scale underflows to 0 as
+    factors of an F that does not (strong attenuators).
+    """
+    (scale, *m), j = _fold(train, basis)
+    if j:  # give m its exponent back
+        try:
+            m = [_ldexp(z, j) for z in m]
+        except OverflowError:
+            raise FloatRangeError("the unimodular factor m of the train overflows a float") from None
+        if scale and not _ldexp(scale, -j):
+            raise FloatRangeError("the scale of the train underflows a float")
+        scale = _ldexp(scale, -j)
+    return ElementMatrix(np.array(m, dtype=complex).reshape(2, 2), scale, basis)

@@ -28,7 +28,9 @@ def coherency_invariants(stokes):
 
     Input is an (N, 4) array of Stokes rows; the quantities are computed
     from the explicit matrix elements, not from the closed-form identities
-    they are tested against.
+    they are tested against.  Built from products of entries ~ s0 / 2: below
+    s0 ~ 3e-154 they are subnormal and lose digits, and below about 3e-162
+    det C reads 0 for any beam, which then does not mean the beam is pure.
     """
     c00, c01, c11 = _coherency_entries(*np.asarray(stokes, dtype=float).T, "circular")
     off = (c01 * np.conj(c01)).real

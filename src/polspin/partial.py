@@ -48,8 +48,11 @@ class CoherencyMatrix:
         return object.__new__(cls)._set(p, q, r, basis, 0.0)
 
     def _set(self, p, q, r, basis, skew):
-        # every CoherencyMatrix is checked here; both tests are relative to
-        # the trace and free of squares, so 2^k scaling keeps the verdict
+        # every CoherencyMatrix is checked here, its basis tag included; both
+        # matrix tests are relative to the trace and free of squares, so 2^k
+        # scaling keeps the verdict
+        if basis not in ("circular", "linear"):
+            raise ValueError(f"unknown basis tag: {basis!r}")
         if not 1e12 * skew <= abs(p + r):
             raise ValueError("coherency matrix is not Hermitian")
         _require_psd(p, q, r)
@@ -101,11 +104,10 @@ def _coherency_entries(s0, s1, s2, s3, basis):
     Pauli set of the basis; Python floats or NumPy arrays alike.
 
     Exact inverse of _read_stokes.  Every zero entry comes out as +0.0.
+    Any tag but "linear" reads as circular: CoherencyMatrix checks the tag.
     """
     if basis == "linear":
         s1, s2, s3 = circular_to_linear(s1, s2, s3)
-    elif basis != "circular":
-        raise ValueError(f"unknown basis tag: {basis!r}")
     p, r = 0.5 * (s0 + s3) + 0.0, 0.5 * (s0 - s3) + 0.0
     # x + 1j * y with y never -0.0 gives Im q = y under every complex rule
     return p, 0.5 * s1 + 0.0 + 1j * (0.0 - 0.5 * s2), r
@@ -118,13 +120,12 @@ def coherency_from_stokes(s, basis="circular"):
 
 
 def _read_stokes(p, q, r, basis):
-    """s_a = tr(C sigma_a) of C = [[p, q], [conj q, r]], Pauli set of the basis."""
+    """s_a = tr(C sigma_a) of C = [[p, q], [conj q, r]], Pauli set of the basis
+    (circular unless "linear", as in _coherency_entries)."""
     s0, t1, t2, t3 = (p + r).real, 2.0 * q.real, -2.0 * q.imag, (p - r).real
-    if basis == "circular":
-        return s0, t1, t2, t3
     if basis == "linear":
         return (s0, *linear_to_circular(t1, t2, t3))
-    raise ValueError(f"unknown basis tag: {basis!r}")
+    return s0, t1, t2, t3
 
 
 def stokes_from_coherency(c):
@@ -133,7 +134,11 @@ def stokes_from_coherency(c):
 
 
 def purity_invariant(s):
-    """S = s0^2 - s1^2 - s2^2 - s3^2; zero for a completely polarized beam."""
+    """S = s0^2 - s1^2 - s2^2 - s3^2; zero for a completely polarized beam.
+
+    Built from squares: below s0 ~ 1.5e-154 they are subnormal and S loses
+    digits, and below about 2e-162 S reads 0 for any beam, pure or not.
+    """
     return s.s0**2 - s.s1**2 - s.s2**2 - s.s3**2
 
 
@@ -198,7 +203,7 @@ def apply_filter_to_coherency(e, c):
 
 def apply_train_to_coherency(train, c):
     """C -> F C F^dag with F the composed train, in the matrix basis of c."""
-    f = _fold(train, c.basis, _kept)
+    f, _ = _fold(train, c.basis, _kept)
     return CoherencyMatrix._of(*_step_coherency(f, c.p, c.q, c.r), c.basis)
 
 
@@ -219,7 +224,7 @@ def mueller_of_train(train, basis="circular"):
     probes are not positive, so they are conjugated as raw (p, q, r), not
     as CoherencyMatrix.
     """
-    f = _fold(train, basis)
+    f, _ = _fold(train, basis)
     columns = [_read_stokes(*_conjugate_raw(p, q, r, *f), basis) for p, q, r in _PROBES[basis]]
     if not columns[0][0] >= FLUX_MIN:  # M00, the flux of unpolarized light
         raise _extinction(columns[0][0])

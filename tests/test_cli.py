@@ -420,6 +420,40 @@ class TestMueller:
                        "> 1419.565425786768\n")
 
 
+class TestStrongAttenuators:
+    """Strong attenuators whose scale and m leave the float range while F does not."""
+
+    TRAINS = {
+        "double": "atten e1=0 e2=1000\n" * 2,
+        "rising": "atten e1=0 e2=400\natten e1=0 e2=1100\n",
+        "interleaved": "atten e1=0.5 e2=700\nrotate alpha=3.141592653589793\n" * 3,
+    }
+
+    def test_double_attenuator_mueller(self, capsys, tmp_path):
+        path = tmp_path / "t.pol"
+        path.write_text(self.TRAINS["double"])
+        code, out, err = run(capsys, "mueller", str(path))
+        assert (code, err) == (0, "")
+        assert abs(float(out.split(",")[0]) - 0.5) <= 1e-15  # (1 + e^-2000) / 2
+
+    @pytest.mark.parametrize("beam", ['{"stokes": [1, 1, 0, 0]}', '{"stokes": [1, 0.5, 0, 0]}',
+                                      '{"stokes": [2, 0.6, -0.9, 0.5]}'],
+                             ids=["pure", "mixed", "mixed-oblique"])
+    @pytest.mark.parametrize("train", list(TRAINS))
+    def test_mueller_times_input_equals_last_trace_row(self, capsys, tmp_path, beam, train):
+        path = tmp_path / "t.pol"
+        path.write_text(self.TRAINS[train])
+        code, out, err = run(capsys, "mueller", str(path))
+        assert (code, err) == (0, "")
+        mm = np.array([[float(v) for v in line.split(",")] for line in out.split()])
+        code, out, err = run(capsys, "trace", str(path), beam)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.split()[1:]]
+        s_in = np.array([float(v) for v in rows[0][8:12]])
+        final = np.array([float(v) for v in rows[-1][8:12]])
+        np.testing.assert_allclose(mm @ s_in, final, rtol=0, atol=1e-13 * s_in[0])
+
+
 class TestTrainFile:
     """How `trace` and `mueller` read a `.pol` file."""
 

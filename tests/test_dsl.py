@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polspin.beamio import BEAM_FORMS
 from polspin.dsl import (
     AnglesBeam,
     JonesBeam,
     StokesBeam,
     TrainDocument,
+    _canonical_element,
     parse_train,
     serialize_train,
 )
 from polspin.filters import (
+    ELEMENTS,
     Attenuator,
     Gyrotropic,
     HalfWave,
@@ -245,6 +248,88 @@ class TestParse:
         doc = parse_ok(source)
         assert doc.element_spans == [(1, 3, 20)]
         assert doc.beam_spans == [(2, 2, 33)]
+
+
+# .pol lines for the canonical-form fast path of parse_train: statement
+# head -> keys in grammar order, for elements and beams
+KEYS_OF = {name: keys for name, keys, _ in ELEMENTS.values()}
+KEYS_OF.update({f"beam {form}": keys for form, (_, keys) in BEAM_FORMS.items()})
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(0, 3).map(str),
+    # non-finite, out of range, a digit separator, deg(...), malformed;
+    # -0.5 is a negative attenuation and 1500 a spread past ETA_SPREAD_MAX
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "1_0", "-0.5", "1500", "deg(45)",
+                     "deg(1", "1x", "0.5=1", "#", ""]),
+)
+# characters str.split() treats as whitespace, "" and runs of spaces
+BLANK = st.sampled_from(["", " ", "  ", "\t", "\r", "\x85", "\u2000"])
+
+
+@st.composite
+def canonical_line(draw):
+    head = draw(st.sampled_from(sorted(KEYS_OF)))
+    return " ".join([head] + [f"{k}={draw(NUMBER)}" for k in KEYS_OF[head]])
+
+
+@st.composite
+def messy_line(draw):
+    head = draw(st.sampled_from(sorted(KEYS_OF) + ["beam", "beam laser", "bogus", "qwp#"]))
+    keys = list(KEYS_OF.get(head, ("x",)))
+    # swapped, duplicate, unknown and missing keys
+    names = draw(st.one_of(st.permutations(keys),
+                           st.lists(st.sampled_from(keys + ["bogus"]), max_size=4)))
+    line = draw(BLANK) + head
+    for name in names:
+        eq = draw(st.sampled_from(["=", "=", "", "=="]))
+        line += draw(BLANK.filter(bool)) + name + eq + draw(BLANK) + draw(NUMBER) + draw(BLANK)
+    return line + draw(st.sampled_from(["", "#", " # note", "#x=1"]))
+
+
+LINES = st.lists(st.one_of(canonical_line(), messy_line(), st.just("")), max_size=8)
+
+
+class TestCanonicalFastPath:
+    """Lines in serialize_train's form skip the general loop of parse_train;
+    the general loop is the oracle for every result."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(LINES, st.sampled_from(["", "\n"]))
+    def test_same_result_as_the_general_loop(self, lines, end):
+        # a trailing comment sends every line through the general loop and
+        # moves no column, span or token
+        fast = parse_train("\n".join(lines) + end)
+        general = parse_train("\n".join(line + " #" for line in lines) + end)
+        assert fast == general
+        assert repr(fast) == repr(general)  # float signs too
+
+    def test_serialized_lines_take_the_fast_path(self, rng):
+        for _ in range(50):
+            doc = random_document(rng)
+            doc.beams.clear()
+            lines = serialize_train(doc).splitlines()
+            assert [_canonical_element(line) for line in lines] == doc.elements
+            spans = parse_train(serialize_train(doc)).document.element_spans
+            assert spans == [(i, 1, 1 + len(line)) for i, line in enumerate(lines, start=1)]
+
+    @pytest.mark.parametrize(
+        "line, diagnostic",
+        [
+            ("qwp axis=\t0.5", (5, "malformed or non-finite number ''", "axis=")),
+            ("qwp axis=0.5\x85", None),
+            ("qwp axis=inf", (5, "malformed or non-finite number 'inf'", "axis=inf")),
+            ("atten e1=-0.5 e2=1", (1, "attenuation exponents must be nonnegative",
+                                    "atten e1=-0.5 e2=1")),
+        ],
+    )
+    def test_whitespace_and_refusals_keep_their_diagnostics(self, line, diagnostic):
+        assert _canonical_element(line) is None
+        result = parse_train(line)
+        got = [(d.column, d.message, d.offending_token) for d in result.diagnostics]
+        assert got == ([diagnostic] if diagnostic else [])
+        if diagnostic is None:  # float() would strip the \x85; the general loop splits it off
+            assert result.document.elements == [QuarterWave(0.5)]
+            assert result.document.element_spans == [(1, 1, 13)]
 
 
 class TestSerialize:

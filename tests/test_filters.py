@@ -16,6 +16,7 @@ from polspin import (
     ConformalMap,
     EmptyTrainError,
     ExtinctionError,
+    FloatRangeError,
     Gyrotropic,
     HalfWave,
     PhaseShifter,
@@ -44,8 +45,10 @@ from polspin.partial import (
     _step_coherency,
     apply_filter_to_coherency,
     apply_train_to_coherency,
+    apply_mueller,
     coherency_from_stokes,
     mueller_of_train,
+    stokes_from_coherency,
 )
 from polspin.pauli import SIGMA1, U_BASIS, U_BASIS_INV
 
@@ -451,7 +454,7 @@ class TestKeptClosedForm:
     @given(st.lists(ELEMENT, min_size=1, max_size=8), COHERENCY)
     def test_coherency_train_equals_the_fresh_closed_form_on_every_use(self, train, c):
         copies = [type(e)(*as_fields(e)) for e in train]
-        want = coherency_outcome(lambda: fresh_coherency(_fold(copies, c.basis), c))
+        want = coherency_outcome(lambda: fresh_coherency(_fold(copies, c.basis)[0], c))
         for _ in range(2):  # first use, then the kept closed forms
             assert coherency_outcome(lambda: apply_train_to_coherency(train, c)) == want
             assert all("_circular" in vars(e) for e in train)
@@ -517,3 +520,75 @@ def test_readme_train_exact_pure_outputs(beam):
             repr(pancharatnam_phase(w0.spinor, w.spinor)),
         )
         assert got == README_PURE_OUTPUTS[beam]
+
+
+# An attenuator with e1 <= 1 and a spread up to ETA_SPREAD_MAX, either way
+# round: its scale e^-(e1+e2)/2 and its m are far past 2^-+300 while F is not.
+STRONG = st.builds(
+    lambda e, spread, swap: Attenuator(e + spread, e) if swap else Attenuator(e, e + spread),
+    st.floats(0.0, 1.0), st.floats(0.0, ETA_SPREAD_MAX - 2.0), st.booleans(),
+)
+STRONG_TRAIN = st.lists(st.one_of(ELEMENT, STRONG), min_size=1, max_size=30)
+
+
+def coherency_steps(train, c):
+    """F C F^dag one element at a time: no train product, no fold."""
+    for e in train:
+        c = apply_filter_to_coherency(e, c)
+    return c
+
+
+class TestStrongAttenuatorTrains:
+    """A product of strong attenuators: scale underflows and m overflows while
+    F = scale m is fine, so the fold carries m's binary exponent."""
+
+    DOUBLE = [Attenuator(0.0, 1000.0)] * 2  # F = [[1, 1], [1, 1]] (1 + e^-2000) / 2
+
+    @pytest.mark.parametrize("basis", ["circular", "linear"])
+    def test_double_attenuator(self, basis):
+        mm = mueller_of_train(self.DOUBLE, basis)
+        assert abs(mm[0, 0] - 0.5) <= 1e-15
+        c = coherency_from_stokes(StokesVector(1.0, 0.5, 0.0, 0.0), basis)
+        want = stokes_from_coherency(coherency_steps(self.DOUBLE, c))
+        assert want.s0 == pytest.approx(0.75, rel=1e-15)
+        got = stokes_from_coherency(apply_train_to_coherency(self.DOUBLE, c))
+        np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=0, atol=1e-15)
+
+    def test_compose_raises_where_m_overflows(self):
+        with pytest.raises(FloatRangeError, match="overflows"):
+            compose(self.DOUBLE)
+
+    @pytest.mark.parametrize("basis", ["circular", "linear"])
+    def test_compose_of_one_element_gives_its_matrix(self, basis):
+        # the fold balances the element and gives m its exponent back exactly
+        for e in (Attenuator(0.0, ETA_SPREAD_MAX), Attenuator(710.0, 710.0), Attenuator(5.0, 900.0)):
+            got, want = compose([e], basis), element_matrix(e, basis)
+            assert got.scale == want.scale and (got.m == want.m).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(STRONG_TRAIN, st.sampled_from(["circular", "linear"]))
+    def test_compose_is_finite_or_raises(self, train, basis):
+        try:
+            em = compose(train, basis)
+        except FloatRangeError:
+            return
+        assert np.isfinite(em.m).all() and cmath.isfinite(em.scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(STRONG_TRAIN, COHERENCY)
+    def test_mueller_and_train_equal_the_steps(self, train, c):
+        try:
+            want = stokes_from_coherency(coherency_steps(train, c))
+            # the flux of unpolarized light, at least half the largest gain of F
+            m00 = stokes_from_coherency(coherency_steps(train, coherency_from_stokes(
+                StokesVector(1.0, 0.0, 0.0, 0.0), c.basis))).s0
+        except ExtinctionError:
+            want = None
+        if want is None or want.s0 < 1e-200:  # at or near extinction
+            return
+        s = stokes_from_coherency(c)
+        tol = 1e-12 * len(train) * m00 * s.s0
+        got = stokes_from_coherency(apply_train_to_coherency(train, c))
+        np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=0, atol=tol)
+        via_mueller = apply_mueller(mueller_of_train(train, c.basis), s)
+        np.testing.assert_allclose(via_mueller.as_array(), want.as_array(), rtol=0, atol=tol)

@@ -115,6 +115,15 @@ class TestStokesFromCoherency:
 
 
 class TestCoherencyMatrix:
+    @pytest.mark.parametrize("basis", ["bogus", "Linear", None])
+    def test_unknown_basis_tag_rejected_at_construction(self, basis):
+        with pytest.raises(ValueError, match="unknown basis tag"):
+            CoherencyMatrix([[0.5, 0], [0, 0.5]], basis)
+        with pytest.raises(ValueError, match="unknown basis tag"):
+            CoherencyMatrix._of(0.5, 0j, 0.5, basis)
+        with pytest.raises(ValueError, match="unknown basis tag"):
+            coherency_from_stokes(StokesVector(1.0, 0.0, 0.0, 0.0), basis)
+
     def test_holds_the_entries(self):
         c = CoherencyMatrix([[0.75, 0.25 - 0.25j], [0.25 + 0.25j, 0.25]], "linear")
         assert (c.p, c.q, c.r, c.basis) == (0.75, 0.25 - 0.25j, 0.25, "linear")
