@@ -89,10 +89,11 @@ def _parse_deg(text):
         return None
 
 
-# statement head -> (class, matcher of the line in canonical form), for
-# _canonical_element; a value is printable ASCII without spaces
+# An element line as serialize_train writes it, `<head> k1=v1[ k2=v2]`, with
+# each value printable ASCII without spaces; (head, k1, k2 or None) -> class
+_CANONICAL_LINE = re.compile(r"([a-z]+) ([a-z0-9]+)=([!-~]+)(?: ([a-z0-9]+)=([!-~]+))?").fullmatch
 _CANONICAL = {
-    head: (cls, re.compile(" ".join([head] + [f"{k}=([!-~]+)" for k in keys])).fullmatch)
+    (head, *keys, None) if len(keys) == 1 else (head, *keys): cls
     for head, (cls, keys) in _ELEMENT_STATEMENTS.items()
 }
 
@@ -100,19 +101,20 @@ _CANONICAL = {
 def _canonical_element(line):
     """The element of a line in serialize_train's form, else None.
 
-    That form is `<head> k1=v1[ k2=v2]`: keys in grammar order, single
-    spaces, no comment, finite values.  None sends the line to the general
-    loop, which gives the same element for every line accepted here and
-    writes every diagnostic.
+    That form has the keys in grammar order, single spaces, no comment and
+    finite values.  None sends the line to the general loop, which gives
+    the same element for every line accepted here and writes every
+    diagnostic.
     """
-    syntax = _CANONICAL.get(line.partition(" ")[0])
-    match = syntax[1](line) if syntax else None
-    if not match:
+    match = _CANONICAL_LINE(line)
+    cls = match and _CANONICAL.get(match.group(1, 2, 4))
+    if not cls:
         return None
+    v1, v2 = match.group(3, 5)
     try:
-        values = [float(v) for v in match.groups()]
+        values = (float(v1),) if v2 is None else (float(v1), float(v2))
         # a sum of finite values may overflow: that line takes the general loop
-        return syntax[0](*values) if math.isfinite(sum(values)) else None
+        return cls(*values) if math.isfinite(sum(values)) else None
     except ValueError:  # deg(...), malformed, or refused by the constructor
         return None
 

@@ -272,22 +272,27 @@ def _fold(train, basis="circular", circular=None):
     """((scale, a, b, c, d), j) of a train's F, first element first; circular as in _entries.
 
     F = scale [[a, b], [c, d]] exactly; the unimodular m of the train is
-    2^j [[a, b], [c, d]].  Only an Attenuator has |scale| < 1: before each
-    one, the element and the running product that have a scale below _TINY
-    are balanced.  Elsewhere j stays 0 and the result is the plain product.
+    2^j [[a, b], [c, d]].  |scale| only falls along a train, and only at an
+    Attenuator, so a plain product whose last scale is at least _TINY
+    balanced nothing and is returned with j = 0.  Otherwise the product is
+    taken again, and before each Attenuator the element and the running
+    product whose scale is below _TINY are balanced.
     """
     if not train:
         raise EmptyTrainError("train has no elements")
-    scale, a, b, c, d, j = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, 0
-    for e in train:
-        s, ea, eb, ec, ed = _entries(e, basis, circular)
-        if type(e) is Attenuator:
-            if abs(s) < _TINY:
-                j, s, ea, eb, ec, ed = _balance(j, s, ea, eb, ec, ed)
-            if abs(scale) < _TINY:
-                j, scale, a, b, c, d = _balance(j, scale, a, b, c, d)
-        a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
-        scale *= s
+    for balance in (False, True):
+        scale, a, b, c, d, j = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, 0
+        for e in train:
+            s, ea, eb, ec, ed = _entries(e, basis, circular)
+            if balance and type(e) is Attenuator:
+                if abs(s) < _TINY:
+                    j, s, ea, eb, ec, ed = _balance(j, s, ea, eb, ec, ed)
+                if abs(scale) < _TINY:
+                    j, scale, a, b, c, d = _balance(j, scale, a, b, c, d)
+            a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
+            scale *= s
+        if abs(scale) >= _TINY:
+            break
     return (scale, a, b, c, d), j
 
 

@@ -426,6 +426,7 @@ class TestStrongAttenuators:
     TRAINS = {
         "double": "atten e1=0 e2=1000\n" * 2,
         "rising": "atten e1=0 e2=400\natten e1=0 e2=1100\n",
+        "repeated": "atten e1=0 e2=400\n" * 4,  # no element alone is balanced
         "interleaved": "atten e1=0.5 e2=700\nrotate alpha=3.141592653589793\n" * 3,
     }
 

@@ -232,6 +232,14 @@ class TestParse:
                     "beam\xa0angles theta=4.0 phi=0 chi=0 amp=1",
                 ),
             ),
+            # canonical in shape, refused by parse_train's fast path (float()
+            # would strip the tab): the general loop words the diagnostic
+            ("qwp axis=\t0.5", (5, "malformed or non-finite number ''", "axis=")),
+            ("qwp axis=inf", (5, "malformed or non-finite number 'inf'", "axis=inf")),
+            (
+                "atten e1=-0.5 e2=1",
+                (1, "attenuation exponents must be nonnegative", "atten e1=-0.5 e2=1"),
+            ),
         ],
     )
     def test_diagnostic_position_per_branch(self, line, diagnostic):
@@ -244,9 +252,12 @@ class TestParse:
         assert result.document.elements == [Rotator(0.5), QuarterWave(0.1)]
 
     def test_spans_under_unusual_whitespace(self):
-        source = "\x1c\trotate\xa0alpha=0.25\x1c\r\n\xa0beam stokes s0=1 s1=0 s2=0 s3=0 #c\n"
+        source = (
+            "\x1c\trotate\xa0alpha=0.25\x1c\r\n\xa0beam stokes s0=1 s1=0 s2=0 s3=0 #c\n"
+            "qwp axis=0.5\x85\n"
+        )
         doc = parse_ok(source)
-        assert doc.element_spans == [(1, 3, 20)]
+        assert doc.element_spans == [(1, 3, 20), (3, 1, 13)]
         assert doc.beam_spans == [(2, 2, 33)]
 
 
@@ -311,25 +322,6 @@ class TestCanonicalFastPath:
             assert [_canonical_element(line) for line in lines] == doc.elements
             spans = parse_train(serialize_train(doc)).document.element_spans
             assert spans == [(i, 1, 1 + len(line)) for i, line in enumerate(lines, start=1)]
-
-    @pytest.mark.parametrize(
-        "line, diagnostic",
-        [
-            ("qwp axis=\t0.5", (5, "malformed or non-finite number ''", "axis=")),
-            ("qwp axis=0.5\x85", None),
-            ("qwp axis=inf", (5, "malformed or non-finite number 'inf'", "axis=inf")),
-            ("atten e1=-0.5 e2=1", (1, "attenuation exponents must be nonnegative",
-                                    "atten e1=-0.5 e2=1")),
-        ],
-    )
-    def test_whitespace_and_refusals_keep_their_diagnostics(self, line, diagnostic):
-        assert _canonical_element(line) is None
-        result = parse_train(line)
-        got = [(d.column, d.message, d.offending_token) for d in result.diagnostics]
-        assert got == ([diagnostic] if diagnostic else [])
-        if diagnostic is None:  # float() would strip the \x85; the general loop splits it off
-            assert result.document.elements == [QuarterWave(0.5)]
-            assert result.document.element_spans == [(1, 1, 13)]
 
 
 class TestSerialize:
