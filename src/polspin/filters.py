@@ -278,6 +278,7 @@ def _fold(train, basis="circular", circular=None):
     taken again, and before each Attenuator the element and the running
     product whose scale is below _TINY are balanced.
     """
+    train = list(train)  # any iterable; a balancing pass reads it twice
     if not train:
         raise EmptyTrainError("train has no elements")
     for balance in (False, True):

@@ -554,6 +554,13 @@ class TestStrongAttenuatorTrains:
         got = stokes_from_coherency(apply_train_to_coherency(self.DOUBLE, c))
         np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=0, atol=1e-15)
 
+    def test_a_train_read_once_is_folded_whole(self):
+        # the balancing pass reads the train a second time
+        want = mueller_of_train(self.DOUBLE)
+        assert (mueller_of_train(iter(self.DOUBLE)) == want).all()
+        with pytest.raises(EmptyTrainError):
+            mueller_of_train(iter([]))
+
     def test_compose_raises_where_m_overflows(self):
         with pytest.raises(FloatRangeError, match="overflows"):
             compose(self.DOUBLE)
