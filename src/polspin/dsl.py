@@ -90,10 +90,9 @@ def _parse_deg(text):
 
 
 # An element line as serialize_train writes it, `<head> k1=v1[ k2=v2]`, with
-# each value printable ASCII without spaces; (head, k1, k2 or None) -> class
-_CANONICAL_LINE = re.compile(r"([a-z]+) ([a-z0-9]+)=([!-~]+)(?: ([a-z0-9]+)=([!-~]+))?").fullmatch
+# each value printable ASCII without spaces: head -> (class, its line's fullmatch)
 _CANONICAL = {
-    (head, *keys, None) if len(keys) == 1 else (head, *keys): cls
+    head: (cls, re.compile(head + "".join(f" {k}=([!-~]+)" for k in keys)).fullmatch)
     for head, (cls, keys) in _ELEMENT_STATEMENTS.items()
 }
 
@@ -106,13 +105,14 @@ def _canonical_element(line):
     the same element for every line accepted here and writes every
     diagnostic.
     """
-    match = _CANONICAL_LINE(line)
-    cls = match and _CANONICAL.get(match.group(1, 2, 4))
-    if not cls:
+    cls, fullmatch = _CANONICAL.get(line[: line.find(" ")], (None, None))
+    match = fullmatch and fullmatch(line)
+    if not match:
         return None
-    v1, v2 = match.group(3, 5)
     try:
-        values = (float(v1),) if v2 is None else (float(v1), float(v2))
+        # a group per key, one or two; faster than map() over groups()
+        first = float(match[1])
+        values = (first,) if match.lastindex == 1 else (first, float(match[2]))
         # a sum of finite values may overflow: that line takes the general loop
         return cls(*values) if math.isfinite(sum(values)) else None
     except ValueError:  # deg(...), malformed, or refused by the constructor

@@ -269,32 +269,33 @@ def _balance(j, scale, a, b, c, d):
 
 
 def _fold(train, basis="circular", circular=None):
-    """((scale, a, b, c, d), j) of a train's F, first element first; circular as in _entries.
+    """(scale, a, b, c, d, j) of a train's F, first element first; circular as in _entries.
 
     F = scale [[a, b], [c, d]] exactly; the unimodular m of the train is
-    2^j [[a, b], [c, d]].  |scale| only falls along a train, and only at an
-    Attenuator, so a plain product whose last scale is at least _TINY
-    balanced nothing and is returned with j = 0.  Otherwise the product is
-    taken again, and before each Attenuator the element and the running
-    product whose scale is below _TINY are balanced.
+    2^j [[a, b], [c, d]].  |scale| falls only at an Attenuator; there, the
+    element and the running product each have m's exponent moved into
+    scale (_balance) where their scale is below _TINY.  On trains where no
+    scale gets that small the product is the plain one, with j = 0.
     """
-    train = list(train)  # any iterable; a balancing pass reads it twice
     if not train:
         raise EmptyTrainError("train has no elements")
-    for balance in (False, True):
-        scale, a, b, c, d, j = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, 0
+    # fresh circular forms (the CLI's case) skip _entries' per-element dispatch
+    fresh = basis == "circular" and circular is None
+    scale, a, b, c, d, j = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, 0
+    try:
         for e in train:
-            s, ea, eb, ec, ed = _entries(e, basis, circular)
-            if balance and type(e) is Attenuator:
+            kind = type(e)
+            s, ea, eb, ec, ed = ELEMENTS[kind][2](e) if fresh else _entries(e, basis, circular)
+            if kind is Attenuator:
                 if abs(s) < _TINY:
                     j, s, ea, eb, ec, ed = _balance(j, s, ea, eb, ec, ed)
                 if abs(scale) < _TINY:
                     j, scale, a, b, c, d = _balance(j, scale, a, b, c, d)
             a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
             scale *= s
-        if abs(scale) >= _TINY:
-            break
-    return (scale, a, b, c, d), j
+    except KeyError:
+        raise TypeError(f"not a filter element: {e!r}") from None
+    return scale, a, b, c, d, j
 
 
 def compose(train, basis="circular"):
@@ -303,13 +304,14 @@ def compose(train, basis="circular"):
     Raises FloatRangeError where m overflows or scale underflows to 0 as
     factors of an F that does not (strong attenuators).
     """
-    (scale, *m), j = _fold(train, basis)
+    scale, *m, j = _fold(train, basis)
     if j:  # give m its exponent back
         try:
             m = [_ldexp(z, j) for z in m]
         except OverflowError:
             raise FloatRangeError("the unimodular factor m of the train overflows a float") from None
-        if scale and not _ldexp(scale, -j):
+        s = _ldexp(scale, -j)
+        if scale and not s:
             raise FloatRangeError("the scale of the train underflows a float")
-        scale = _ldexp(scale, -j)
+        scale = s
     return ElementMatrix(np.array(m, dtype=complex).reshape(2, 2), scale, basis)

@@ -203,7 +203,7 @@ def apply_filter_to_coherency(e, c):
 
 def apply_train_to_coherency(train, c):
     """C -> F C F^dag with F the composed train, in the matrix basis of c."""
-    f, _ = _fold(train, c.basis, _kept)
+    f = _fold(train, c.basis, _kept)[:5]
     return CoherencyMatrix._of(*_step_coherency(f, c.p, c.q, c.r), c.basis)
 
 
@@ -224,7 +224,7 @@ def mueller_of_train(train, basis="circular"):
     probes are not positive, so they are conjugated as raw (p, q, r), not
     as CoherencyMatrix.
     """
-    f, _ = _fold(train, basis)
+    f = _fold(train, basis)[:5]
     columns = [_read_stokes(*_conjugate_raw(p, q, r, *f), basis) for p, q, r in _PROBES[basis]]
     if not columns[0][0] >= FLUX_MIN:  # M00, the flux of unpolarized light
         raise _extinction(columns[0][0])

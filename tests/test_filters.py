@@ -298,6 +298,14 @@ class TestCompose:
         with pytest.raises(EmptyTrainError):
             compose([])
 
+    @pytest.mark.parametrize("basis", ["circular", "linear"])
+    def test_non_element_rejected(self, basis):
+        train = [Rotator(0.5), (0.0, 1.0)]
+        with pytest.raises(TypeError, match="not a filter element"):
+            compose(train, basis)
+        with pytest.raises(TypeError, match="not a filter element"):
+            mueller_of_train(train, basis)
+
     def test_det_stays_one(self, rng):
         train = [
             PhaseShifter(rng.uniform(0, 2), rng.uniform(0, 2))
@@ -455,7 +463,7 @@ class TestKeptClosedForm:
     @given(st.lists(ELEMENT, min_size=1, max_size=8), COHERENCY)
     def test_coherency_train_equals_the_fresh_closed_form_on_every_use(self, train, c):
         copies = [type(e)(*as_fields(e)) for e in train]
-        want = coherency_outcome(lambda: fresh_coherency(_fold(copies, c.basis)[0], c))
+        want = coherency_outcome(lambda: fresh_coherency(_fold(copies, c.basis)[:5], c))
         for _ in range(2):  # first use, then the kept closed forms
             assert coherency_outcome(lambda: apply_train_to_coherency(train, c)) == want
             assert all("_circular" in vars(e) for e in train)
@@ -565,13 +573,6 @@ class TestStrongAttenuatorTrains:
         assert want.s0 == pytest.approx(0.75, rel=1e-15)
         got = stokes_from_coherency(apply_train_to_coherency(train, c))
         np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=0, atol=1e-15)
-
-    def test_a_train_read_once_is_folded_whole(self):
-        # the balancing pass reads the train a second time
-        want = mueller_of_train(self.DOUBLE)
-        assert (mueller_of_train(iter(self.DOUBLE)) == want).all()
-        with pytest.raises(EmptyTrainError):
-            mueller_of_train(iter([]))
 
     def test_compose_raises_where_m_overflows(self):
         with pytest.raises(FloatRangeError, match="overflows"):
