@@ -14,6 +14,7 @@ from .errors import (
     InvalidStokesError,
     NonUnimodularError,
     NonUnitaryError,
+    NotPositiveSemidefiniteError,
     OrthogonalStatesError,
     PolspinError,
     ZeroFieldError,

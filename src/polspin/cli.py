@@ -5,13 +5,17 @@ Exit codes are a stable contract for scripts: 0 success, 2 input error,
 a train), 4 undefined phase (orthogonal states).  All numeric output uses
 shortest round-tripping decimals, so every printed value reparses to the
 identical double.
+
+COMMANDS gives every command's arguments.  A plain command line is read
+straight from it; argparse is imported, and its parser built from it, only
+for help, usage and errors, so their text is argparse's own.
 """
 
-import argparse
 import cmath
 import functools
 import json
 import sys
+import types
 
 from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
@@ -193,61 +197,83 @@ def cmd_phase(beam_a_json, beam_b_json, tol=PURITY_TOL):
     return json.dumps({"phase": phase, "in_phase": abs(phase) < IN_PHASE_TOL})
 
 
-@functools.cache  # built on the first call, then reused by every main() call
+_OUTPUT = {"--output": {"dest": "output", "help": "write output to a file instead of stdout"}}
+_COMMON = {**_OUTPUT, "--tolerance": {
+    "dest": "tolerance", "type": float, "default": PURITY_TOL,
+    "help": "purity tolerance for classifying Stokes beams (default %(default)g)"}}
+_BEAM, _TRAIN = {"beam": "beam JSON text"}, {"train": "path to a .pol train file"}
+
+# command: (help, {positional: help}, {long flag: add_argument keywords}), in argparse's order
+COMMANDS = {
+    "convert": ("convert a beam between representations", _BEAM, {
+        "--to": {"dest": "target", "required": True,
+                 "choices": ["angles", "stokes", "jones", "spinor", "coherency"]},
+        "--basis": {"dest": "basis", "choices": ["circular", "linear"], "default": "circular"},
+        **_COMMON}),
+    "trace": ("Poincare trajectory of a beam through a train", {**_TRAIN, **_BEAM}, _COMMON),
+    "mueller": ("4x4 Stokes-space matrix of a train", _TRAIN, _OUTPUT),
+    "decompose": ("antipodal eigen-decomposition of a beam",
+                  {"beam": "Stokes beam JSON text"}, _COMMON),
+    "phase": ("relative phase between two pure beams",
+              {"beam_a": "beam JSON text", "beam_b": "beam JSON text"}, _COMMON),
+}
+
+
+@functools.cache  # built on the first call that needs it, then reused
 def _build_parser():
+    import argparse  # only help, usage and error text pay for it
     parser = argparse.ArgumentParser(
         prog="polspin",
         description="Polarization-optics toolkit: spinor conversions, "
         "optical trains, coherency decomposition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def output(p):
-        p.add_argument("--output", help="write output to a file instead of stdout")
-
-    def common(p):
-        output(p)
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=PURITY_TOL,
-            help="purity tolerance for classifying Stokes beams (default %(default)g)",
-        )
-
-    p = sub.add_parser("convert", help="convert a beam between representations")
-    p.add_argument("beam", help="beam JSON text")
-    p.add_argument(
-        "--to",
-        dest="target",
-        required=True,
-        choices=["angles", "stokes", "jones", "spinor", "coherency"],
-    )
-    p.add_argument("--basis", choices=["circular", "linear"], default="circular")
-    common(p)
-
-    p = sub.add_parser("trace", help="Poincare trajectory of a beam through a train")
-    p.add_argument("train", help="path to a .pol train file")
-    p.add_argument("beam", help="beam JSON text")
-    common(p)
-
-    p = sub.add_parser("mueller", help="4x4 Stokes-space matrix of a train")
-    p.add_argument("train", help="path to a .pol train file")
-    output(p)
-
-    p = sub.add_parser("decompose", help="antipodal eigen-decomposition of a beam")
-    p.add_argument("beam", help="Stokes beam JSON text")
-    common(p)
-
-    p = sub.add_parser("phase", help="relative phase between two pure beams")
-    p.add_argument("beam_a", help="beam JSON text")
-    p.add_argument("beam_b", help="beam JSON text")
-    common(p)
-
+    for name, (text, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, help_text in positionals.items():
+            p.add_argument(dest, help=help_text)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
+def _read_argv(argv):
+    """argparse's namespace for a plain command line, else None (argparse parses it).
+
+    Plain: a known command, exactly its positionals and every required option;
+    exact long flags, each with a value that passes its type and choices; no
+    value or positional starting with '-'."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, positionals, options = COMMANDS[argv[0]]
+    args = {"command": argv[0], **dict.fromkeys(positionals)}
+    args.update((o["dest"], o.get("default")) for o in options.values())
+    given, words = [], iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            given.append(word)
+            continue
+        option, value = options.get(word), next(words, "-")
+        if option is None or value[:1] == "-":
+            return None
+        try:
+            value = option.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in option.get("choices", (value,)):
+            return None
+        args[option["dest"]] = value
+    if len(given) != len(positionals) or any(
+        o.get("required") and args[o["dest"]] is None for o in options.values()
+    ):
+        return None
+    args.update(zip(positionals, given))
+    return types.SimpleNamespace(**args)
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         if args.command == "convert":
             out = cmd_convert(args.beam, args.target, args.basis, args.tolerance)
@@ -257,10 +283,8 @@ def main(argv=None):
             out = cmd_mueller(args.train)
         elif args.command == "decompose":
             out = cmd_decompose(args.beam, args.tolerance)
-        elif args.command == "phase":
+        else:  # phase: argparse and _read_argv accept only the five commands
             out = cmd_phase(args.beam_a, args.beam_b, args.tolerance)
-        else:  # pragma: no cover - argparse rejects unknown commands
-            raise CliError(f"unknown command {args.command!r}")
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

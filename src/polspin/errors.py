@@ -29,6 +29,10 @@ class EmptyTrainError(PolspinError):
     """Operation requires at least one optical element."""
 
 
+class NotPositiveSemidefiniteError(PolspinError, ValueError):
+    """Coherency matrix has an eigenvalue below -PSD_TOL times its trace."""
+
+
 class InvalidStokesError(PolspinError):
     """Stokes vector violates s0 >= 0 or s0^2 >= s1^2 + s2^2 + s3^2."""
 

@@ -277,11 +277,10 @@ def _fold(train, basis="circular", circular=None):
     scale (_balance) where their scale is below _TINY.  On trains where no
     scale gets that small the product is the plain one, with j = 0.
     """
-    if not train:
-        raise EmptyTrainError("train has no elements")
     # fresh circular forms (the CLI's case) skip _entries' per-element dispatch
     fresh = basis == "circular" and circular is None
     scale, a, b, c, d, j = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, 0
+    e = None  # still None after the loop only if train was empty (None is no element)
     try:
         for e in train:
             kind = type(e)
@@ -295,6 +294,8 @@ def _fold(train, basis="circular", circular=None):
             scale *= s
     except KeyError:
         raise TypeError(f"not a filter element: {e!r}") from None
+    if e is None:
+        raise EmptyTrainError("train has no elements")
     return scale, a, b, c, d, j
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStokesError, ZeroFluxError
+from .errors import InvalidStokesError, NotPositiveSemidefiniteError, ZeroFluxError
 from .filters import _entries, _extinction, _fold, _kept
 from .pauli import circular_to_linear, linear_to_circular
 from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector
@@ -81,7 +81,7 @@ def _require_psd(p, q, r):
     # the lower eigenvalue (tr - hypot(p - r, 2|q|)) / 2 of [[p, q], [conj q, r]]
     # may dip to -PSD_TOL tr; rearranged so that no product can underflow
     if not math.hypot(p - r, 2.0 * q.real, 2.0 * q.imag) <= (1.0 + 2.0 * PSD_TOL) * (p + r):
-        raise ValueError("coherency matrix is not positive semidefinite")
+        raise NotPositiveSemidefiniteError("coherency matrix is not positive semidefinite")
 
 
 def _check_stokes(s):

@@ -78,3 +78,23 @@ def test_unpaired_records_rejected():
     records["change"].pop()
     with pytest.raises(ValueError):
         bench_pairs.summarize(records, DIRECTIONS)
+
+
+def test_cold_pairs_time_each_command_in_each_tree(tmp_path):
+    trees = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for tree in trees.values():
+        tree.mkdir()
+        (tree / "src").symlink_to(bench_pairs.ROOT / "src", target_is_directory=True)
+    train = tmp_path / "t.pol"
+    train.write_text("qwp axis=0.3\n")
+    argvs = {"convert": ["convert", "--to", "stokes", '{"stokes": [1, 0, 0, 1]}'],
+             "mueller": ["mueller", str(train)]}
+    records = bench_pairs.cold_pairs(trees, argvs, runs=2)
+    assert [len(records[side]) for side in bench_pairs.SIDES] == [2, 2]
+    layers = bench_pairs.summarize_traced(records)
+    assert sorted(layers) == ["cold.convert_ms", "cold.mueller_ms"]
+    for layer in layers.values():
+        assert layer["parent_median"] > 0 and layer["change_median"] > 0
+        assert 0 <= layer["change_lower"] <= 2
+    with pytest.raises(SystemExit, match="polspin convert failed"):
+        bench_pairs.cold_pairs(trees, {"convert": ["convert", "--to", "bogus", "{}"]}, runs=1)

@@ -454,6 +454,15 @@ class TestStrongAttenuators:
         final = np.array([float(v) for v in rows[-1][8:12]])
         np.testing.assert_allclose(mm @ s_in, final, rtol=0, atol=1e-13 * s_in[0])
 
+    def test_crossed_attenuators_mixed_trace_exit_2(self, capsys, tmp_path):
+        # the third step's entries cancel to rounding noise that is not PSD
+        path = tmp_path / "crossed.pol"
+        path.write_text("atten e1=0 e2=20\nrotate alpha=1.5707963267948966\natten e1=0 e2=20\n")
+        argv = ("trace", str(path), '{"stokes":[1,0,0.5,0]}')
+        assert run(capsys, *argv) == (2, "", "coherency matrix is not positive semidefinite\n")
+        code, out, err = run_fresh(*argv)
+        assert (code, out) == (2, "") and "Traceback" not in err
+
 
 class TestTrainFile:
     """How `trace` and `mueller` read a `.pol` file."""
@@ -839,14 +848,14 @@ def test_trace_final_row_equals_mueller_times_input(tmp_path_factory, case):
     assert np.max(np.abs(final - expected)) <= 1e-9 * expected[0]
 
 
-def run_fresh(*argv):
-    """(exit code, stdout, stderr) of `python -m polspin argv` in a new process."""
+def run_fresh(*argv, python=()):
+    """(exit code, stdout, stderr) of `python [python] -m polspin argv` in a new process."""
     import polspin
 
     src = os.path.dirname(os.path.dirname(polspin.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "polspin", *argv],
+        [sys.executable, *python, "-m", "polspin", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr

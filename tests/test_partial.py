@@ -23,6 +23,7 @@ from polspin import (
     apply_filter_to_coherency,
     apply_train_to_coherency,
     coherency_from_stokes,
+    compose,
     degree_of_polarization,
     eig_decompose,
     matrix_circular,
@@ -478,6 +479,20 @@ class TestMueller:
     def test_empty_train(self):
         with pytest.raises(EmptyTrainError):
             mueller_of_train([])
+
+    @pytest.mark.parametrize(
+        "call",
+        [compose, mueller_of_train,
+         lambda t: apply_train_to_coherency(t, coherency_from_stokes(StokesVector(1, 0, 0.5, 0)))],
+        ids=["compose", "mueller_of_train", "apply_train_to_coherency"],
+    )
+    def test_iterators_read_as_lists(self, call):
+        """An empty iterator is an empty train; a generator gives the list's result."""
+        for empty in (iter([]), (e for e in [])):
+            with pytest.raises(EmptyTrainError):
+                call(empty)
+        train = [Rotator(0.3), Attenuator(0.1, 0.8), QuarterWave(0.785)]
+        assert repr(call(e for e in train)) == repr(call(train))
 
     @pytest.mark.parametrize("basis", ["circular", "linear"])
     def test_extinction_when_m00_underflows(self, basis):

@@ -11,7 +11,9 @@ workload.  Pair i of a workload runs the parent first when i is even, the change
 it is odd, so the host's slow drift hits both sides alike.  Each workload
 gets PAIRS consecutive seeds, starting at --first-seed; every run lasts
 SECONDS, the run length BENCHMARK.json fixes.  The traced workload gets
-TRACED_PAIRS more pairs with the per-layer tracer on.  The summary
+TRACED_PAIRS more pairs with the per-layer tracer on.  Last, COLD_RUNS
+alternating pairs of cold `python -m polspin` processes time `convert` and
+`mueller` on the README train; their medians are layers, not bounds.  The summary
 gives, per end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
 change was better (the direction comes from BENCHMARK.json) and the
@@ -21,11 +23,13 @@ relative change of the medians.  Standard library only.
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +39,7 @@ PAIRS = 10  # alternating pairs per workload
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = SPEC["run_seconds"]
 TRACED_PAIRS = 5
+COLD_RUNS = 10  # alternating pairs of cold processes per command
 COMMAND = f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {SECONDS:g} --trace "
 
 
@@ -78,6 +83,29 @@ def run_pairs(trees, workload, seeds, trace):
                   + " ".join(f"{k}={v['value']:.4g}" for k, v in sorted(value.items())
                              if not trace or k.startswith("cli.")),
                   file=sys.stderr, flush=True)
+    return records
+
+
+def cold_pairs(trees, argvs, runs=COLD_RUNS):
+    """Wall ms of cold `python -m polspin <argv>` processes in each tree, alternating sides.
+
+    argvs maps a command name to its argv.  Returns {side: [record per pair]},
+    each record {"metrics": {"cold.<name>_ms": {"value": ms}}}, the shape
+    summarize_traced reads.
+    """
+    records = {side: [] for side in SIDES}
+    for i in range(runs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            metrics = {}
+            for name, argv in argvs.items():
+                start = time.perf_counter_ns()
+                proc = subprocess.run([sys.executable, "-m", "polspin", *argv], cwd=trees[side],
+                                      env={**os.environ, "PYTHONPATH": "src"}, capture_output=True)
+                if proc.returncode != 0:
+                    raise SystemExit(f"polspin {name} failed in {trees[side]}:\n"
+                                     f"{proc.stderr.decode()[-2000:]}")
+                metrics[f"cold.{name}_ms"] = {"value": (time.perf_counter_ns() - start) / 1e6}
+            records[side].append({"metrics": metrics})
     return records
 
 
@@ -215,6 +243,18 @@ def main():
             result[f"traced_{args.traced.replace('-', '_')}"] = {
                 "command": (COMMAND + "1").replace("<w>", args.traced),
                 "seeds": seeds, "metrics": summarize_traced(records)}
+
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        from workloads import README_PURE_BEAM, README_TRAIN
+
+        train = Path(workdir) / "readme.pol"
+        train.write_text(README_TRAIN, encoding="utf-8")
+        argvs = {"convert": ["convert", "--to", "stokes", json.dumps(README_PURE_BEAM)],
+                 "mueller": ["mueller", str(train)]}
+        result["cold_process"] = {
+            "command": "python -m polspin convert --to stokes <README pure beam>; "
+                       "python -m polspin mueller <README train>",
+            "runs": COLD_RUNS, "metrics": summarize_traced(cold_pairs(trees, argvs))}
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
