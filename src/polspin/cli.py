@@ -272,7 +272,7 @@ def _read_argv(argv):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
+    argv = sys.argv[1:] if argv is None else list(argv)  # any iterable, as argparse takes
     args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         if args.command == "convert":

@@ -176,7 +176,7 @@ def test_help_and_errors_match_hand_written_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
     want = exit_out_err(capsys, reference_parser().parse_args, argv)
     assert exit_out_err(capsys, cli.main, argv) == want
-    if sys.version_info[:2] == (3, 11):  # the argparse GOLDEN was captured with
+    if sys.version_info[:2] == (3, 11):  # GOLDEN holds Python 3.11's argparse text
         assert want == GOLDEN[argv]
 
 
@@ -205,6 +205,15 @@ def test_plain_lines_are_read_as_argparse_reads_them(argv):
     got = cli._read_argv(argv)
     assert got is not None
     assert repr(vars(got)) == repr(vars(cli._build_parser().parse_args(argv)))
+
+
+def test_main_takes_any_iterable(capsys):
+    argv = ["convert", "--to", "stokes", LINEAR_X]
+    outputs = []
+    for args in (argv, tuple(argv), iter(argv)):
+        assert cli.main(args) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # one rule of a plain line broken in each; argparse accepts the first six
