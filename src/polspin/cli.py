@@ -20,16 +20,16 @@ import types
 from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
 from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
-from .filters import ELEMENTS, _step
+from .filters import ELEMENTS, _fold, _step
 from .partial import (
     _coherency_entries,
+    _mueller_rows,
     _read_stokes,
     _require_psd,
     _step_coherency,
     coherency_from_stokes,
     degree_of_polarization,
     eig_decompose,
-    mueller_of_train,
 )
 from .spinor import (
     FLUX_MIN,
@@ -163,9 +163,9 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
 
 
 def cmd_mueller(train_path):
-    doc = _load_train(train_path)
-    mm = mueller_of_train(doc.elements)
-    return "\n".join(",".join(map(repr, row)) for row in mm.tolist()) + "\n"
+    """The Mueller rows of a fresh fold, as mueller_of_train's, with no ndarray and nothing kept."""
+    rows = _mueller_rows(*_fold(_load_train(train_path).elements)[:5], "circular")
+    return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 
 
 def cmd_decompose(beam_json, tol=PURITY_TOL):

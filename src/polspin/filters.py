@@ -19,9 +19,10 @@ A product of strong attenuators has a scale past the float range on one side
 and an m past it on the other while F = scale m is fine, so `_fold` moves the
 binary exponent of m into scale where scale gets small, and carries it.
 The calls that propagate a beam (`apply`, `partial.apply_filter_to_coherency` and
-`apply_train_to_coherency`) keep each element's circular form after first use (`_kept`),
-outside its fields and pickled state; a one-shot call on a fresh element pays the store.
-Train-describing calls and the CLI keep nothing; keeping slowed a 6000-element mueller 10-20%.
+`apply_train_to_coherency`) and `partial.mueller_of_train`, which a sweep calls per beam, keep
+each element's circular form after first use (`_kept`), outside its fields and pickled state;
+a one-shot call on a fresh element pays the store.  The other train-describing calls and the
+CLI keep nothing; keeping in the CLI's fold slowed a 6000-element mueller 10-20%.
 """
 
 import cmath

@@ -10,6 +10,7 @@ C = [[p, q], [conj q, r]] = (1/2)[[s0 + t3, t1 - i t2], [t1 + i t2, s0 - t3]]
 with t = (s1, s2, s3) in the circular basis and t = circular_to_linear(s1,
 s2, s3) in the linear one; `_read_stokes` is its exact inverse.
 `coherency_from_stokes`, the Mueller probes and `kernels` all use it.
+`_mueller_rows` is the one Mueller kernel: `mueller_of_train` and the CLI read its rows.
 """
 
 import math
@@ -207,28 +208,34 @@ def apply_train_to_coherency(train, c):
     return CoherencyMatrix._of(*_step_coherency(f, c.p, c.q, c.r), c.basis)
 
 
-# (p, q, r) of C_j = (1/2) sigma_j, the entries of the unit Stokes vector e_j;
-# built once per basis, since four calls per train slow a 6-element
-# mueller_of_train by 10-20%
-_PROBES = {
-    basis: [_coherency_entries(*e, basis) for e in np.eye(4).tolist()]
-    for basis in ("circular", "linear")
-}
+# (p, q, r) of the probes C_j = (1/2) sigma_j, the unit Stokes vectors e_j, once per
+# basis: four calls per train slow a 6-element mueller_of_train by 10-20%
+_UNITS = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
+_PROBES = {b: [_coherency_entries(*e, b) for e in _UNITS] for b in ("circular", "linear")}
+
+
+def _mueller_rows(scale, a, b, g, d, basis):
+    """Mueller rows (float tuples) of F = scale [[a, b], [g, d]]: column j reads F C_j F^dag
+    by _conjugate_raw's operations, with F's scaled entries and their conjugates made once;
+    the probes are not positive, so they are conjugated as raw (p, q, r)."""
+    a, b, g, d = scale * a, scale * b, scale * g, scale * d
+    ac, bc, gc, dc = a.conjugate(), b.conjugate(), g.conjugate(), d.conjugate()
+    columns = []
+    for p, q, r in _PROBES[basis]:
+        qc = q.conjugate()
+        u0, u1, w0, w1 = a * p + b * qc, a * q + b * r, g * p + d * qc, g * q + d * r
+        top, bottom = (u0 * ac + u1 * bc).real, (w0 * gc + w1 * dc).real
+        columns.append(_read_stokes(top, u0 * gc + u1 * dc, bottom, basis))
+    if not columns[0][0] >= FLUX_MIN:  # M00, the flux of unpolarized light
+        raise _extinction(columns[0][0])
+    return list(zip(*columns))
 
 
 def mueller_of_train(train, basis="circular"):
-    """4x4 real Stokes-space matrix of a train.
-
-    Column j is the Stokes reading of F C_j F^dag, with F the composed
-    train and C_j the probe of the unit Stokes vector e_j in `basis`.  The
-    probes are not positive, so they are conjugated as raw (p, q, r), not
-    as CoherencyMatrix.
-    """
-    f = _fold(train, basis)[:5]
-    columns = [_read_stokes(*_conjugate_raw(p, q, r, *f), basis) for p, q, r in _PROBES[basis]]
-    if not columns[0][0] >= FLUX_MIN:  # M00, the flux of unpolarized light
-        raise _extinction(columns[0][0])
-    return np.array(columns).T
+    """4x4 real Stokes-space matrix of a train; keeps element forms (filters._kept), since
+    a sweep asks again for every beam.  Column-major: the order in which `mm @ s` sums,
+    and so apply_mueller's last digits, depend on the layout."""
+    return np.array(_mueller_rows(*_fold(train, basis, _kept)[:5], basis), order="F")
 
 
 def apply_mueller(mm, s):
