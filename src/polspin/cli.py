@@ -85,11 +85,13 @@ def _require_flux(s0):
 
 def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
     beam = parse_beam_json(beam_json, tol)
+    s = beam.stokes
     if target == "stokes":
-        return json.dumps({"stokes": list(beam.stokes.as_array())})
+        return json.dumps({"stokes": [s.s0, s.s1, s.s2, s.s3]})
     if target == "coherency":
-        c = coherency_from_stokes(beam.stokes, basis)
-        matrix = [[_complex_pair(z) for z in row] for row in c.matrix]
+        c = coherency_from_stokes(s, basis)
+        q = c.q  # .matrix's entries as pairs: Im conj q is +0.0 where Im q is 0
+        matrix = [[[c.p, 0.0], [q.real, q.imag]], [[q.real, 0.0 - q.imag], [c.r, 0.0]]]
         return json.dumps({"coherency": {"basis": basis, "matrix": matrix}})
     if not beam.pure:
         raise CliError(
@@ -135,7 +137,7 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
     the WaveState and CoherencyMatrix constructors would."""
     doc = _load_train(train_path)
     beam = parse_beam_json(beam_json, tol)
-    s = beam.stokes.as_array().tolist()  # (s0, s1, s2, s3) as Python floats
+    s = beam.stokes.s0, beam.stokes.s1, beam.stokes.s2, beam.stokes.s3
     _require_flux(s[0])
     lines = [TRACE_HEADER]
     if beam.pure:
@@ -298,8 +300,12 @@ def main(argv=None):
     if not out.endswith("\n"):
         out += "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            print(f"cannot write output file: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(out)
     return 0

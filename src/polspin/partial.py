@@ -11,6 +11,8 @@ with t = (s1, s2, s3) in the circular basis and t = circular_to_linear(s1,
 s2, s3) in the linear one; `_read_stokes` is its exact inverse.
 `coherency_from_stokes`, the Mueller probes and `kernels` all use it.
 `_mueller_rows` is the one Mueller kernel: `mueller_of_train` and the CLI read its rows.
+`apply_train_to_coherency` and `mueller_of_train` share filters._train_product, the one-train
+memo of the last train they folded; every per-beam check still runs on every call.
 """
 
 import math
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStokesError, NotPositiveSemidefiniteError, ZeroFluxError
-from .filters import _entries, _extinction, _fold, _kept
+from .filters import _entries, _extinction, _kept, _train_product
 from .pauli import circular_to_linear, linear_to_circular
 from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector
 
@@ -204,7 +206,7 @@ def apply_filter_to_coherency(e, c):
 
 def apply_train_to_coherency(train, c):
     """C -> F C F^dag with F the composed train, in the matrix basis of c."""
-    f = _fold(train, c.basis, _kept)[:5]
+    f = _train_product(train, c.basis)
     return CoherencyMatrix._of(*_step_coherency(f, c.p, c.q, c.r), c.basis)
 
 
@@ -232,11 +234,13 @@ def _mueller_rows(scale, a, b, g, d, basis):
 
 
 def mueller_of_train(train, basis="circular"):
-    """4x4 real Stokes-space matrix of a train; keeps element forms (filters._kept), since
-    a sweep asks again for every beam.  Column-major: the order in which `mm @ s` sums,
-    and so apply_mueller's last digits, depend on the layout."""
-    return np.array(_mueller_rows(*_fold(train, basis, _kept)[:5], basis), order="F")
+    """4x4 real Stokes-space matrix of a train, a fresh array on each call.  Keeps element
+    forms (filters._kept) and the train product (filters._train_product), since a sweep asks
+    again for every beam.  Column-major: see apply_mueller."""
+    return np.array(_mueller_rows(*_train_product(train, basis), basis), order="F")
 
 
 def apply_mueller(mm, s):
+    """mm @ s.  Its last digits follow mm's memory layout, since `mm @ s` sums in a
+    layout-dependent order: pass mueller_of_train's column-major array unchanged."""
     return StokesVector(*(mm @ s.as_array()).tolist())

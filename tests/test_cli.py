@@ -23,7 +23,7 @@ from polspin import (
     stokes_from_wave,
 )
 from polspin.beamio import parse_beam_json
-from polspin.cli import cmd_mueller, cmd_trace, main
+from polspin.cli import cmd_convert, cmd_mueller, cmd_trace, main
 from polspin.dsl import parse_train
 from polspin.filters import ELEMENTS
 
@@ -242,6 +242,66 @@ class TestConvert:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["stokes"][3] == 1.0
+
+
+    @pytest.mark.parametrize("command", ["convert", "mueller"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, command, where):
+        target = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+        train = tmp_path / "t.pol"
+        train.write_text("qwp axis=0.3\n")
+        argv = {"convert": ["convert", "--to", "stokes", NORTH_POLE],
+                "mueller": ["mueller", str(train)]}[command] + ["--output", str(target)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot write output file: [Errno ") and str(target) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert run_fresh(*argv) == (code, out, err)
+
+
+def old_convert_text(beam_json, target, basis):
+    """cmd_convert's stokes and coherency text as built through as_array() and .matrix."""
+    beam = parse_beam_json(beam_json)
+    if target == "stokes":
+        return json.dumps({"stokes": list(beam.stokes.as_array())})
+    c = coherency_from_stokes(beam.stokes, basis)
+    matrix = [[[z.real, z.imag] for z in row] for row in c.matrix]
+    return json.dumps({"coherency": {"basis": basis, "matrix": matrix}})
+
+
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def any_beam(draw):
+    """A beam JSON in each of the three forms; Stokes beams pure, mixed, at zero flux and
+    with signed zeros."""
+    form = draw(st.sampled_from(["angles", "jones", "stokes"]))
+    if form == "angles":
+        keys = {"theta": (0.0, math.pi), "phi": (-7.0, 7.0), "chi": (-7.0, 7.0), "amp": (0.1, 3.0)}
+        body = {k: draw(st.floats(*bounds)) for k, bounds in keys.items()}
+    elif form == "jones":
+        a1, a2 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+        body = {"a1": a1 + (a1 == a2 == 0.0), "a2": a2,
+                "phi1": draw(st.floats(-7.0, 7.0)), "phi2": draw(st.floats(-7.0, 7.0))}
+    else:
+        s0 = draw(st.sampled_from([0.0, 1.0, 2.5, 1e-300, 3e100]))
+        t = [draw(SIGNED) for _ in range(3)]
+        scale = min(1.0, 1.0 / max(math.hypot(*t), 1e-300)) * draw(st.sampled_from([0.0, 0.3, 1.0]))
+        body = [s0] + [s0 * scale * x for x in t]
+    return json.dumps({form: body})
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_beam(), st.sampled_from(["stokes", "coherency"]), st.sampled_from(["circular", "linear"]))
+def test_convert_text_equals_the_array_route(beam, target, basis):
+    def outcome(build):
+        try:
+            return build(beam, target, basis)
+        except Exception as exc:  # a beam both routes refuse, with one message
+            return type(exc), str(exc)
+
+    assert outcome(cmd_convert) == outcome(old_convert_text)
 
 
 class TestTrace:

@@ -1,0 +1,232 @@
+"""filters._train_product: the one-entry train-product memo of apply_train_to_coherency and
+mueller_of_train.  Every call must give exactly what a memo-free fold gives."""
+
+import copy
+import gc
+import sys
+import threading
+import weakref
+
+import numpy as np
+import pytest
+
+from polspin import (
+    Attenuator,
+    EmptyTrainError,
+    ExtinctionError,
+    HalfWave,
+    QuarterWave,
+    Rotator,
+    StokesVector,
+    apply_filter_to_coherency,
+    apply_train_to_coherency,
+    coherency_from_stokes,
+    mueller_of_train,
+    stokes_from_coherency,
+)
+from polspin import filters
+from polspin.dsl import parse_train
+from polspin.filters import _fold, _kept, _train_product
+from polspin.partial import apply_mueller
+
+from .test_cli import long_train_text
+from .test_partial import README_TRAIN
+
+BASES = ["circular", "linear"]
+
+
+@pytest.fixture(autouse=True)
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(filters, "_last_fold", None)
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The trains _fold is called on, as lists."""
+    calls = []
+
+    def counting(train, *args):
+        calls.append(list(train))
+        return _fold(train, *args)
+
+    monkeypatch.setattr(filters, "_fold", counting)
+    return calls
+
+
+def readme():
+    return list(parse_train(README_TRAIN).document.elements)
+
+
+def memo_free(train, basis):
+    """repr of _fold(train, basis, _kept)[:5] on copies, so no element of train is touched."""
+    return repr(_fold(copy.deepcopy(list(train)), basis, _kept)[:5])
+
+
+@pytest.mark.parametrize("basis", BASES)
+class TestHitsAndMisses:
+    def test_repeat_call_hits(self, basis, folds):
+        train = readme()
+        first = _train_product(train, basis)
+        assert _train_product(train, basis) is first
+        assert repr(first) == memo_free(train, basis)
+        assert folds == [train]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t.__setitem__(2, Rotator(0.7)),
+            lambda t: t.append(QuarterWave(0.3)),
+            lambda t: t.reverse(),
+            lambda t: t.pop(),
+        ],
+        ids=["replaced", "appended", "reordered", "removed"],
+    )
+    def test_in_place_list_edit_misses(self, basis, folds, edit):
+        train = readme()
+        _train_product(train, basis)
+        edit(train)
+        assert repr(_train_product(train, basis)) == memo_free(train, basis)
+        assert len(folds) == 2 and folds[1] == train
+
+    def test_value_equal_copy_misses(self, basis, folds):
+        train = readme()
+        _train_product(train, basis)
+        twin = copy.deepcopy(train[3])
+        assert twin == train[3] and "_circular" not in vars(twin)
+        train[3] = twin
+        assert repr(_train_product(train, basis)) == memo_free(train, basis)
+        assert len(folds) == 2 and "_circular" in vars(twin)
+
+    def test_switch_of_basis_misses(self, basis, folds):
+        train = readme()
+        other = "linear" if basis == "circular" else "circular"
+        _train_product(train, basis)
+        assert repr(_train_product(train, other)) == memo_free(train, other)
+        assert repr(_train_product(train, basis)) == memo_free(train, basis)
+        assert len(folds) == 3
+
+    def test_generator_train(self, basis, folds):
+        train = readme()
+        assert repr(_train_product((e for e in train), basis)) == memo_free(train, basis)
+        assert repr(_train_product(iter(train), basis)) == memo_free(train, basis)
+        assert len(folds) == 1  # the same objects: the second generator hits
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [([], EmptyTrainError), ([Rotator(0.1), "qwp"], TypeError), ([None], TypeError)],
+        ids=["empty", "non-element", "none"],
+    )
+    def test_a_fold_that_raises_stores_nothing(self, basis, bad, error):
+        train = readme()
+        first = _train_product(train, basis)
+        entry = filters._last_fold
+        for _ in range(2):
+            with pytest.raises(error):
+                _train_product(bad, basis)
+            assert filters._last_fold is entry
+        assert _train_product(train, basis) is first
+
+    def test_raises_as_before_on_an_empty_memo(self, basis):
+        with pytest.raises(EmptyTrainError):
+            _train_product(iter([]), basis)
+        assert filters._last_fold is None
+
+    def test_extinct_train_raises_on_every_call(self, basis, folds):
+        train = [Attenuator(400.0, 400.0)]  # M00 and s0 underflow: the checks are per beam
+        assert repr(_train_product(train, basis)) == memo_free(train, basis)
+        c = coherency_from_stokes(StokesVector(1.0, 0.2, 0.0, 0.1), basis)
+        for _ in range(2):
+            with pytest.raises(ExtinctionError):
+                mueller_of_train(train, basis)
+            with pytest.raises(ExtinctionError):
+                apply_train_to_coherency(train, c)
+        assert len(folds) == 1
+
+
+class TestTrainCalls:
+    def test_calls_share_the_entry_and_build_fresh_results(self, folds):
+        train = readme()
+        c = coherency_from_stokes(StokesVector(1.0, 0.0, 0.0, 0.5))
+        first = apply_train_to_coherency(train, c)
+        mm = mueller_of_train(train)
+        again = apply_train_to_coherency(train, c)
+        assert len(folds) == 1
+        assert again is not first and repr(again) == repr(first)
+        mm[:] = 7.0  # the caller's array: the next call is built anew
+        fresh = mueller_of_train(train)
+        assert fresh is not mm and fresh.flags.f_contiguous
+        np.testing.assert_array_equal(fresh, mueller_of_train(copy.deepcopy(train)))
+
+    def test_keeps_the_last_train_alive_until_another_is_folded(self):
+        train = [HalfWave(0.4), Rotator(0.2)]
+        ref = weakref.ref(train[0])
+        mueller_of_train(train)
+        del train
+        gc.collect()
+        assert ref() is not None
+        mueller_of_train([Rotator(0.3)])
+        gc.collect()
+        assert ref() is None
+
+    def test_concurrent_sweeps_over_different_trains(self):
+        # more threads than cores, switching often: a hit must never return another train's
+        # product, whichever thread replaced the entry between its check and its store
+        trains = [readme(), [QuarterWave(0.2), Attenuator(0.1, 0.4), Rotator(1.1)],
+                  readme()[::-1], [HalfWave(0.3)]]
+        c = coherency_from_stokes(StokesVector(1.0, 0.3, -0.2, 0.4))
+        want = [(repr(mueller_of_train(copy.deepcopy(t)).tolist()),
+                 repr(apply_train_to_coherency(copy.deepcopy(t), c))) for t in trains]
+        bad = []
+
+        def sweep(i):
+            for _ in range(300):
+                got = (repr(mueller_of_train(trains[i]).tolist()),
+                       repr(apply_train_to_coherency(trains[i], c)))
+                if got != want[i]:
+                    bad.append(i)
+
+        threads = [threading.Thread(target=sweep, args=(i % 4,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and bad == []
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_ten_thousand_elements_mueller_train_and_steps_agree(basis):
+    """Mueller x s_in == train == element-by-element propagation on a seeded 10^4-element
+    train of weak attenuators and unitary elements, on a memo miss and on a hit."""
+    n = 10_000
+    text = long_train_text(np.random.default_rng(10_000), per_kind=n // 6 + 1)
+    train = list(parse_train(text).document.elements)[:n]
+    s_in = StokesVector(2.0, 0.6, -0.9, 0.5)
+    c_in = coherency_from_stokes(s_in, basis)
+    c = c_in
+    for e in train:
+        c = apply_filter_to_coherency(e, c)
+    steps = stokes_from_coherency(c).as_array()
+    tol = n * 1e-13 * steps[0]  # the s0 that comes out: about 6e-8 of the s0 that goes in
+
+    def via_mueller():
+        return apply_mueller(mueller_of_train(train, basis), s_in).as_array()
+
+    def via_train():
+        return stokes_from_coherency(apply_train_to_coherency(train, c_in)).as_array()
+
+    runs = []
+    for first, second in ((via_mueller, via_train), (via_train, via_mueller)):
+        filters._last_fold = None
+        runs.append({first: first(), second: second()})  # a miss, then a hit
+        assert filters._last_fold[0] == tuple(train)
+    for run in runs:
+        for got in run.values():
+            np.testing.assert_allclose(got, steps, rtol=0, atol=tol)
+    for call in (via_mueller, via_train):
+        assert repr(runs[0][call].tolist()) == repr(runs[1][call].tolist())
+    assert 0.0 < steps[0] < 1e-6 * s_in.s0

@@ -12,8 +12,8 @@ it is odd, so the host's slow drift hits both sides alike.  Each workload
 gets PAIRS consecutive seeds, starting at --first-seed; every run lasts
 SECONDS, the run length BENCHMARK.json fixes.  The traced workload gets
 TRACED_PAIRS more pairs with the per-layer tracer on.  Last, COLD_RUNS
-alternating pairs of cold `python -m polspin` processes time `convert` and
-`mueller` on the README train; their medians are layers, not bounds.  The summary
+alternating pairs of cold `python -m polspin` processes time `convert`, `trace`
+and `mueller` on the README train and pure beam; their medians are layers, not bounds.  The summary
 gives, per end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
 change was better (the direction comes from BENCHMARK.json) and the
@@ -107,6 +107,20 @@ def cold_pairs(trees, argvs, runs=COLD_RUNS):
                 metrics[f"cold.{name}_ms"] = {"value": (time.perf_counter_ns() - start) / 1e6}
             records[side].append({"metrics": metrics})
     return records
+
+
+def cold_argvs(workdir):
+    """The cold commands' argvs: the README pure beam converted, and traced through the
+    README train (written to workdir), and that train's Mueller matrix."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import README_PURE_BEAM, README_TRAIN
+
+    train, beam = Path(workdir) / "readme.pol", json.dumps(README_PURE_BEAM)
+    train.write_text(README_TRAIN, encoding="utf-8")
+    return {"convert": ["convert", "--to", "stokes", beam],
+            "trace": ["trace", str(train), beam],
+            "mueller": ["mueller", str(train)]}
 
 
 def spread(values):
@@ -244,15 +258,10 @@ def main():
                 "command": (COMMAND + "1").replace("<w>", args.traced),
                 "seeds": seeds, "metrics": summarize_traced(records)}
 
-        sys.path.insert(0, str(ROOT / "perfbench"))
-        from workloads import README_PURE_BEAM, README_TRAIN
-
-        train = Path(workdir) / "readme.pol"
-        train.write_text(README_TRAIN, encoding="utf-8")
-        argvs = {"convert": ["convert", "--to", "stokes", json.dumps(README_PURE_BEAM)],
-                 "mueller": ["mueller", str(train)]}
+        argvs = cold_argvs(workdir)
         result["cold_process"] = {
             "command": "python -m polspin convert --to stokes <README pure beam>; "
+                       "python -m polspin trace <README train> <README pure beam>; "
                        "python -m polspin mueller <README train>",
             "runs": COLD_RUNS, "metrics": summarize_traced(cold_pairs(trees, argvs))}
 
