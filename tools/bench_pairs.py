@@ -12,9 +12,9 @@ it is odd, so the host's slow drift hits both sides alike.  Each workload
 gets PAIRS consecutive seeds, starting at --first-seed; every run lasts
 SECONDS, the run length BENCHMARK.json fixes.  The traced workload gets
 TRACED_PAIRS more pairs with the per-layer tracer on.  Last, COLD_RUNS
-alternating pairs of cold `python -m polspin` processes time `convert`, `trace`
-and `mueller` on the README train and pure beam; their medians are layers, not bounds.  The summary
-gives, per end-to-end metric, the medians and quartiles
+alternating pairs of cold `python -m polspin` processes time `convert`,
+`trace` and `mueller` on the README train and pure beam; their medians are
+layers, not bounds.  The summary gives, per end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
 change was better (the direction comes from BENCHMARK.json) and the
 relative change of the medians.  Standard library only.
