@@ -83,10 +83,14 @@ def beam_from_wave(wave):
 
 
 def beam_from_stokes(s, tol=PURITY_TOL):
-    """Classify a Stokes vector as pure or mixed; reject over-polarized input."""
+    """Classify a Stokes vector as pure (DoP >= 1 - tol) or mixed; reject over-polarized input.
+    tol must be below 1 and not NaN; below 0 every beam is mixed.  A pure beam's wave is
+    checked at tol, or at 1e-9 if tol is less."""
+    if not tol < 1.0:  # at 1 even unpolarized light would read as pure
+        raise ValueError(f"purity tolerance must be below 1: {tol!r}")
     _check_stokes(s)
     if s.s0 > 0.0 and degree_of_polarization(s) >= 1.0 - tol:
-        return Beam(s, wave_from_stokes(s))
+        return Beam(s, wave_from_stokes(s, max(tol, 1e-9)))
     return Beam(s, None)
 
 

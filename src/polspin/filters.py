@@ -18,14 +18,12 @@ of Python complex scalars in either basis; `compose` wraps it in an ndarray.
 A product of strong attenuators has a scale past the float range on one side
 and an m past it on the other while F = scale m is fine, so `_fold` moves the
 binary exponent of m into scale where scale gets small, and carries it.
-The calls that propagate a beam (`apply`, `partial.apply_filter_to_coherency` and
-`apply_train_to_coherency`) and `partial.mueller_of_train`, which a sweep calls per beam, keep
-each element's circular form after first use (`_kept`), outside its fields and pickled state;
-a one-shot call on a fresh element pays the store.  The other train-describing calls and the
-CLI keep nothing; keeping in the CLI's fold slowed a 6000-element mueller 10-20%.
-The two train calls fold through `_train_product`, which holds one train, the last one they
-folded, keyed by its element objects: it keeps them alive until a different train is folded,
-and calls alternating between trains (concurrent sweeps) only miss, never mix products.
+One cache per level.  `apply`, which a sweep calls per element and beam, keeps the element's
+circular form after first use, outside its fields and pickled state.  The two train calls of
+`partial` fold through `_train_product`, which keeps the product of one train, the last one
+they folded, keyed by its element objects: it keeps them alive until a different train is
+folded, and calls alternating between trains (concurrent sweeps) only miss, never mix
+products.  Everything else, the CLI included, computes each closed form afresh.
 """
 
 import cmath
@@ -169,12 +167,12 @@ ELEMENTS = {
 }
 
 
-def _entries(e, basis="circular", circular=None):
-    """(scale, a, b, c, d) of one element in either basis, from circular(e) or else fresh."""
+def _entries(e, basis="circular"):
+    """(scale, a, b, c, d) of one element in either basis, from its closed form."""
     kind = ELEMENTS.get(type(e))
     if kind is None:
         raise TypeError(f"not a filter element: {e!r}")
-    entries = (circular or kind[2])(e)
+    entries = kind[2](e)
     if basis == "circular":
         return entries
     scale, a, b, c, d = entries
@@ -184,14 +182,6 @@ def _entries(e, basis="circular", circular=None):
         q1, q2, q3 = circular_to_linear(0.5 * (b + c), 0.5j * (b - c), 0.5 * (a - d))
         return scale, p + q3, q1 - 1j * q2, q1 + 1j * q2, p - q3
     raise ValueError(f"unknown basis tag: {basis!r}")
-
-
-def _kept(e):
-    """e's circular closed form, kept on e after its first use for the next beam."""
-    entries = getattr(e, "_circular", None)
-    if entries is None:  # first use; not a field, so == and hash are unchanged
-        object.__setattr__(e, "_circular", entries := _entries(e))
-    return entries
 
 
 def element_matrix(e, basis="circular"):
@@ -238,7 +228,10 @@ def apply(e, w):
     The global phase of v is retained in the spinor components, so the
     Pancharatnam phase against the input reflects the element's phase.
     """
-    return WaveState._of(*_step(_kept(e), w.amplitude, w.spinor.c1, w.spinor.c2))
+    entries = getattr(e, "_circular", None)  # e's circular form, kept for the next beam
+    if entries is None:  # first use; not a field, so == and hash are unchanged
+        object.__setattr__(e, "_circular", entries := _entries(e))
+    return WaveState._of(*_step(entries, w.amplitude, w.spinor.c1, w.spinor.c2))
 
 
 def classify(e):
@@ -273,8 +266,8 @@ def _balance(j, scale, a, b, c, d):
     return j + k, _ldexp(scale, k), a * f, b * f, c * f, d * f
 
 
-def _fold(train, basis="circular", circular=None):
-    """(scale, a, b, c, d, j) of a train's F, first element first; circular as in _entries.
+def _fold(train, basis="circular"):
+    """(scale, a, b, c, d, j) of a train's F, first element first.
 
     F = scale [[a, b], [c, d]] exactly; the unimodular m of the train is
     2^j [[a, b], [c, d]].  |scale| falls only at an Attenuator; there, the
@@ -282,14 +275,13 @@ def _fold(train, basis="circular", circular=None):
     scale (_balance) where their scale is below _TINY.  On trains where no
     scale gets that small the product is the plain one, with j = 0.
     """
-    # fresh circular forms (the CLI's case) skip _entries' per-element dispatch
-    fresh = basis == "circular" and circular is None
+    circular = basis == "circular"  # circular forms skip _entries' per-element dispatch
     scale, a, b, c, d, j = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, 0
     e = None  # still None after the loop only if train was empty (None is no element)
     try:
         for e in train:
             kind = type(e)
-            s, ea, eb, ec, ed = ELEMENTS[kind][2](e) if fresh else _entries(e, basis, circular)
+            s, ea, eb, ec, ed = ELEMENTS[kind][2](e) if circular else _entries(e, basis)
             if kind is Attenuator:
                 if abs(s) < _TINY:
                     j, s, ea, eb, ec, ed = _balance(j, s, ea, eb, ec, ed)
@@ -308,14 +300,14 @@ _last_fold = None  # (elements, basis, product); its references keep the element
 
 
 def _train_product(train, basis):
-    """_fold(train, basis, _kept)[:5], reused while train holds the same element objects (`is`,
+    """_fold(train, basis)[:5], reused while train holds the same element objects (`is`,
     in order) in the same basis; a fold that returns replaces the one entry, whole."""
     global _last_fold
     elements, last = tuple(train), _last_fold
     if last and last[1] == basis and len(last[0]) == len(elements):
         if not any(map(is_not, last[0], elements)):
             return last[2]
-    product = _fold(elements, basis, _kept)[:5]
+    product = _fold(elements, basis)[:5]
     _last_fold = elements, basis, product
     return product
 

@@ -12,7 +12,8 @@ s2, s3) in the linear one; `_read_stokes` is its exact inverse.
 `coherency_from_stokes`, the Mueller probes and `kernels` all use it.
 `_mueller_rows` is the one Mueller kernel: `mueller_of_train` and the CLI read its rows.
 `apply_train_to_coherency` and `mueller_of_train` share filters._train_product, the one-train
-memo of the last train they folded; every per-beam check still runs on every call.
+memo of the last train they folded; every per-beam check still runs on every call.  No call
+here keeps element forms: a memo miss and `apply_filter_to_coherency` compute them afresh.
 """
 
 import math
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStokesError, NotPositiveSemidefiniteError, ZeroFluxError
-from .filters import _entries, _extinction, _kept, _train_product
+from .filters import _entries, _extinction, _train_product
 from .pauli import circular_to_linear, linear_to_circular
 from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector
 
@@ -171,28 +172,22 @@ def eig_decompose(c):
     return PolarizationDecomposition(point, -point, lam_plus, lam_minus, False)
 
 
-def _conjugate_raw(p, q, r, scale, a, b, g, d):
-    """(top, off, bottom) of F C F^dag in closed form, for any Hermitian
-    C = [[p, q], [conj q, r]] (p, r real) and F = scale [[a, b], [g, d]]."""
-    qc = q.conjugate()
-    # scale first: a strong attenuator's cosh^2 overflows, scale * cosh does not
-    a, b, g, d = scale * a, scale * b, scale * g, scale * d
-    u0, u1 = a * p + b * qc, a * q + b * r  # rows of F C
-    w0, w1 = g * p + d * qc, g * q + d * r
-    top = (u0 * a.conjugate() + u1 * b.conjugate()).real
-    off = u0 * g.conjugate() + u1 * d.conjugate()
-    bottom = (w0 * g.conjugate() + w1 * d.conjugate()).real
-    return top, off, bottom
-
-
 def _step_coherency(entries, p, q, r):
-    """One element F = scale [[a, b], [g, d]] on raw C = [[p, q], [conj q, r]].
+    """One element F = scale [[a, b], [g, d]] on raw C = [[p, q], [conj q, r]]: F C F^dag.
 
     p and r are floats, so C stays Hermitian by construction; a flux
     s0 = p + r below FLUX_MIN is extinction.  The caller checks that the
     result is PSD: CoherencyMatrix._of does, a raw loop calls _require_psd.
     """
-    p, q, r = _conjugate_raw(p, q, r, *entries)
+    scale, a, b, g, d = entries
+    qc = q.conjugate()
+    # scale first: a strong attenuator's cosh^2 overflows, scale * cosh does not
+    a, b, g, d = scale * a, scale * b, scale * g, scale * d
+    u0, u1 = a * p + b * qc, a * q + b * r  # rows of F C
+    w0, w1 = g * p + d * qc, g * q + d * r
+    p = (u0 * a.conjugate() + u1 * b.conjugate()).real
+    q = u0 * g.conjugate() + u1 * d.conjugate()
+    r = (w0 * g.conjugate() + w1 * d.conjugate()).real
     if not p + r >= FLUX_MIN:
         raise _extinction(p + r)
     return p, q, r
@@ -200,8 +195,7 @@ def _step_coherency(entries, p, q, r):
 
 def apply_filter_to_coherency(e, c):
     """C -> F C F^dag with F = scale * m taken in the matrix basis of c."""
-    entries = _entries(e, c.basis, _kept)
-    return CoherencyMatrix._of(*_step_coherency(entries, c.p, c.q, c.r), c.basis)
+    return CoherencyMatrix._of(*_step_coherency(_entries(e, c.basis), c.p, c.q, c.r), c.basis)
 
 
 def apply_train_to_coherency(train, c):
@@ -218,7 +212,7 @@ _PROBES = {b: [_coherency_entries(*e, b) for e in _UNITS] for b in ("circular", 
 
 def _mueller_rows(scale, a, b, g, d, basis):
     """Mueller rows (float tuples) of F = scale [[a, b], [g, d]]: column j reads F C_j F^dag
-    by _conjugate_raw's operations, with F's scaled entries and their conjugates made once;
+    by _step_coherency's operations, with F's scaled entries and their conjugates made once;
     the probes are not positive, so they are conjugated as raw (p, q, r)."""
     a, b, g, d = scale * a, scale * b, scale * g, scale * d
     ac, bc, gc, dc = a.conjugate(), b.conjugate(), g.conjugate(), d.conjugate()
@@ -234,9 +228,9 @@ def _mueller_rows(scale, a, b, g, d, basis):
 
 
 def mueller_of_train(train, basis="circular"):
-    """4x4 real Stokes-space matrix of a train, a fresh array on each call.  Keeps element
-    forms (filters._kept) and the train product (filters._train_product), since a sweep asks
-    again for every beam.  Column-major: see apply_mueller."""
+    """4x4 real Stokes-space matrix of a train, a fresh array on each call.  Keeps the train
+    product (filters._train_product), since a sweep asks again for every beam.  Column-major:
+    see apply_mueller."""
     return np.array(_mueller_rows(*_train_product(train, basis), basis), order="F")
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from polspin import (
     OrthogonalStatesError,
+    StokesVector,
     apply,
     apply_filter_to_coherency,
     coherency_from_stokes,
@@ -22,7 +23,7 @@ from polspin import (
     stokes_from_coherency,
     stokes_from_wave,
 )
-from polspin.beamio import parse_beam_json
+from polspin.beamio import BeamFormatError, beam_from_stokes, parse_beam_json
 from polspin.cli import cmd_convert, cmd_mueller, cmd_trace, main
 from polspin.dsl import parse_train
 from polspin.filters import ELEMENTS
@@ -669,6 +670,58 @@ class TestPhase:
         south = '{"angles": {"theta": 3.141592653589793, "phi": 0.0, "chi": 0.0, "amp": 1.0}}'
         code, _, err = run(capsys, "phase", NORTH_POLE, south)
         assert code == 4
+
+
+NEAR_PURE = '{"stokes": [1, 0.9999999, 0, 0]}'  # DoP 1 - 1e-7: pure at tolerance 1e-6 only
+# the pure wave NEAR_PURE is built as at tolerance 1e-6
+NEAR_PURE_ANGLES = '{"angles": {"theta": 1.5707963267948966, "phi": 0, "chi": 0, "amp": 1}}'
+
+
+class TestTolerance:
+    """--tolerance classifies a Stokes beam, and a beam it calls pure runs as pure."""
+
+    @staticmethod
+    def argv(command, tmp_path):
+        """The command line up to its beam; trace runs the README train."""
+        if command == "trace":
+            (tmp_path / "t.pol").write_text(README_ELEMENTS)
+            return ["trace", str(tmp_path / "t.pol")]
+        return ["convert", "--to", "angles"] if command == "convert" else [command]
+
+    @pytest.mark.parametrize("command", ["decompose", "convert", "trace"])
+    def test_beam_pure_at_a_wider_tolerance_runs(self, capsys, tmp_path, command):
+        argv = self.argv(command, tmp_path)
+        code, out, err = run(capsys, *argv, NEAR_PURE, "--tolerance", "1e-6")
+        assert (code, err) == (0, "")
+        default = run(capsys, *argv, NEAR_PURE)
+        if command == "decompose":  # the eigen-decomposition is the same either way
+            assert default == (0, out, "")
+        elif command == "convert":
+            assert json.loads(out) == json.loads(NEAR_PURE_ANGLES)
+            assert default[0] == 2 and "mixed beam" in default[2]
+        else:  # pure rows, the angle beam's past the input row
+            pure = run(capsys, *argv, NEAR_PURE_ANGLES)[1]
+            assert out.splitlines()[2:] == pure.splitlines()[2:]
+            assert default[0] == 0 and default[1].splitlines()[1].endswith(",")  # mixed row
+
+    @pytest.mark.parametrize("tol", ["1", "2", "inf", "nan"])
+    @pytest.mark.parametrize("command", ["decompose", "convert", "trace"])
+    def test_tolerance_of_1_or_more_or_nan_exit_2(self, capsys, tmp_path, command, tol):
+        code, out, err = run(capsys, *self.argv(command, tmp_path), UNPOLARIZED, "--tolerance", tol)
+        assert (code, out) == (2, "")
+        assert err == f"purity tolerance must be below 1: {float(tol)!r}\n"
+
+    def test_library_tolerance(self):
+        near_pure = StokesVector(1.0, 0.9999999, 0.0, 0.0)
+        assert beam_from_stokes(near_pure, 1e-6).wave == parse_beam_json(NEAR_PURE_ANGLES).wave
+        assert not beam_from_stokes(near_pure).pure
+        for tol in (1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="purity tolerance must be below 1"):
+                beam_from_stokes(StokesVector(1.0, 0.0, 0.0, 0.0), tol)
+            with pytest.raises(BeamFormatError, match="purity tolerance must be below 1"):
+                parse_beam_json(UNPOLARIZED, tol)
+        # below 0 no beam is pure, so every Stokes beam takes the mixed path
+        assert not beam_from_stokes(StokesVector(1.0, 0.0, 0.0, 1.0), -1.0).pure
 
 
 def test_numeric_output_reparses_bit_exact(capsys, tmp_path):

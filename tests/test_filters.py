@@ -38,6 +38,7 @@ from polspin import (
     wave_from_jones,
     JonesAmpPhase,
 )
+from polspin.cli import cmd_mueller, cmd_trace
 from polspin.dsl import TrainDocument, parse_train, serialize_train
 from polspin.filters import ELEMENTS, ETA_SPREAD_MAX, _entries, _fold, _step, element_matrix
 from polspin.partial import (
@@ -399,9 +400,28 @@ def coherency_outcome(call):
     return repr((c.p, c.q, c.r, c.basis))
 
 
+BASES = ("circular", "linear")
+MIXED = StokesVector(1.0, 0.3, -0.2, 0.4)
+
+# every public call on elements but apply, over a train of fresh elements
+NON_KEEPING_CALLS = {
+    "compose": lambda t: [compose(t, b) for b in BASES],
+    "element_matrix": lambda t: [element_matrix(e, b) for e in t for b in BASES],
+    "classify": lambda t: [classify(e) for e in t],
+    "apply_filter_to_coherency": lambda t: [
+        apply_filter_to_coherency(e, coherency_from_stokes(MIXED, b)) for e in t for b in BASES],
+    "apply_train_to_coherency": lambda t: [
+        apply_train_to_coherency(t, coherency_from_stokes(MIXED, b)) for b in BASES],
+    "mueller_of_train": lambda t: [mueller_of_train(t, b) for b in BASES],
+    "cli-trace": lambda t: [cmd_trace("t.pol", beam) for beam in (
+        '{"stokes": [1, 0.6, 0, 0.8]}', '{"stokes": [1, 0.3, -0.2, 0.4]}')],
+    "cli-mueller": lambda t: cmd_mueller("t.pol"),
+}
+
+
 class TestKeptClosedForm:
-    """apply and the coherency propagation calls keep each element's closed
-    form after its first use; nothing else about the element changes."""
+    """apply keeps each element's closed form after its first use; nothing
+    else about the element changes, and no other call keeps anything on it."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(ELEMENT, min_size=1, max_size=8), WAVE)
@@ -448,7 +468,7 @@ class TestKeptClosedForm:
     @given(st.lists(ELEMENT, min_size=1, max_size=8), COHERENCY)
     def test_coherency_step_equals_the_fresh_closed_form_on_every_use(self, train, c0):
         copies = [type(e)(*as_fields(e)) for e in train]
-        for _ in range(2):  # first use, then the kept closed forms
+        for _ in range(2):  # a second use computes the same
             c = c0
             for e, f in zip(train, copies):
                 want = coherency_outcome(lambda: fresh_coherency(_entries(f, c.basis), c))
@@ -456,31 +476,23 @@ class TestKeptClosedForm:
                 if not isinstance(want, str):  # extinct or not PSD: the beam stops here
                     break
                 c = apply_filter_to_coherency(e, c)
-            assert "_circular" in vars(train[0])
-        assert not any("_circular" in vars(f) for f in copies)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(ELEMENT, min_size=1, max_size=8), COHERENCY)
     def test_coherency_train_equals_the_fresh_closed_form_on_every_use(self, train, c):
         copies = [type(e)(*as_fields(e)) for e in train]
         want = coherency_outcome(lambda: fresh_coherency(_fold(copies, c.basis)[:5], c))
-        for _ in range(2):  # first use, then the kept closed forms
+        for _ in range(2):  # first use, then the memo's product
             assert coherency_outcome(lambda: apply_train_to_coherency(train, c)) == want
-            assert all("_circular" in vars(e) for e in train)
-        assert not any("_circular" in vars(f) for f in copies)
 
-    def test_train_calls_keep_nothing(self):
-        # calls that describe an element or a train use each element about
-        # once (the CLI parses fresh ones per call), so keeping only costs;
-        # mueller_of_train keeps, as a sweep calls it again per beam
-        # (test_mueller.TestKeptForms)
-        e = QuarterWave(0.35)
-        compose([e])
-        for basis in ("circular", "linear"):
-            compose([e], basis)
-            element_matrix(e, basis)
-        classify(e)
-        assert "_circular" not in vars(e)
+    @pytest.mark.parametrize("call", NON_KEEPING_CALLS.values(), ids=NON_KEEPING_CALLS)
+    def test_only_apply_keeps(self, call, monkeypatch):
+        # the train memo keeps products, not element forms; the rest keep nothing
+        train = [type(e)(*as_fields(e)) for e in ALL_ELEMENTS]
+        monkeypatch.setattr("polspin.cli._load_train", lambda path: TrainDocument(elements=train))
+        call(train)
+        for e in train:
+            assert vars(e) == {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
 
 
 # Exact reprs of the pure-beam library path on the README train (the

@@ -26,7 +26,7 @@ from polspin import (
 )
 from polspin import filters
 from polspin.dsl import parse_train
-from polspin.filters import _fold, _kept, _train_product
+from polspin.filters import _fold, _train_product
 from polspin.partial import apply_mueller
 
 from .test_cli import long_train_text
@@ -58,8 +58,8 @@ def readme():
 
 
 def memo_free(train, basis):
-    """repr of _fold(train, basis, _kept)[:5] on copies, so no element of train is touched."""
-    return repr(_fold(copy.deepcopy(list(train)), basis, _kept)[:5])
+    """repr of _fold(train, basis)[:5], folded without the memo."""
+    return repr(_fold(train, basis)[:5])
 
 
 @pytest.mark.parametrize("basis", BASES)
@@ -92,10 +92,10 @@ class TestHitsAndMisses:
         train = readme()
         _train_product(train, basis)
         twin = copy.deepcopy(train[3])
-        assert twin == train[3] and "_circular" not in vars(twin)
+        assert twin == train[3]
         train[3] = twin
         assert repr(_train_product(train, basis)) == memo_free(train, basis)
-        assert len(folds) == 2 and "_circular" in vars(twin)
+        assert len(folds) == 2
 
     def test_switch_of_basis_misses(self, basis, folds):
         train = readme()
