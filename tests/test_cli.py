@@ -673,7 +673,7 @@ class TestPhase:
 
 
 NEAR_PURE = '{"stokes": [1, 0.9999999, 0, 0]}'  # DoP 1 - 1e-7: pure at tolerance 1e-6 only
-# the pure wave NEAR_PURE is built as at tolerance 1e-6
+# NEAR_PURE's wave at tolerance 1e-6, given as angles
 NEAR_PURE_ANGLES = '{"angles": {"theta": 1.5707963267948966, "phi": 0, "chi": 0, "amp": 1}}'
 
 
@@ -699,7 +699,7 @@ class TestTolerance:
         elif command == "convert":
             assert json.loads(out) == json.loads(NEAR_PURE_ANGLES)
             assert default[0] == 2 and "mixed beam" in default[2]
-        else:  # pure rows, the angle beam's past the input row
+        else:  # pure rows: past the input row, those of the same wave given as angles
             pure = run(capsys, *argv, NEAR_PURE_ANGLES)[1]
             assert out.splitlines()[2:] == pure.splitlines()[2:]
             assert default[0] == 0 and default[1].splitlines()[1].endswith(",")  # mixed row

@@ -413,7 +413,7 @@ NON_KEEPING_CALLS = {
     "apply_train_to_coherency": lambda t: [
         apply_train_to_coherency(t, coherency_from_stokes(MIXED, b)) for b in BASES],
     "mueller_of_train": lambda t: [mueller_of_train(t, b) for b in BASES],
-    "cli-trace": lambda t: [cmd_trace("t.pol", beam) for beam in (
+    "cli-trace": lambda t: [cmd_trace("t.pol", beam) for beam in (  # pure, mixed
         '{"stokes": [1, 0.6, 0, 0.8]}', '{"stokes": [1, 0.3, -0.2, 0.4]}')],
     "cli-mueller": lambda t: cmd_mueller("t.pol"),
 }
