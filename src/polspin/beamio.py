@@ -19,6 +19,7 @@ from typing import Optional, Union
 from .errors import PolspinError
 from .partial import _check_stokes, degree_of_polarization
 from .spinor import (
+    PURITY_FLOOR,
     AngleSet,
     JonesAmpPhase,
     StokesVector,
@@ -85,12 +86,12 @@ def beam_from_wave(wave):
 def beam_from_stokes(s, tol=PURITY_TOL):
     """Classify a Stokes vector as pure (DoP >= 1 - tol) or mixed; reject over-polarized input.
     tol must be below 1 and not NaN; below 0 every beam is mixed.  A pure beam's wave is
-    checked at tol, or at 1e-9 if tol is less."""
+    checked at tol, or at PURITY_FLOOR if tol is less."""
     if not tol < 1.0:  # at 1 even unpolarized light would read as pure
         raise ValueError(f"purity tolerance must be below 1: {tol!r}")
     _check_stokes(s)
     if s.s0 > 0.0 and degree_of_polarization(s) >= 1.0 - tol:
-        return Beam(s, wave_from_stokes(s, max(tol, 1e-9)))
+        return Beam(s, wave_from_stokes(s, max(tol, PURITY_FLOOR)))
     return Beam(s, None)
 
 

@@ -277,6 +277,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)  # any iterable, as argparse takes
     args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
+        if not getattr(args, "tolerance", 0.0) < 1.0:  # for every beam form, as for Stokes ones
+            raise CliError(f"purity tolerance must be below 1: {args.tolerance!r}")
         if args.command == "convert":
             out = cmd_convert(args.beam, args.target, args.basis, args.tolerance)
         elif args.command == "trace":

@@ -20,10 +20,10 @@ and an m past it on the other while F = scale m is fine, so `_fold` moves the
 binary exponent of m into scale where scale gets small, and carries it.
 One cache per level.  `apply`, which a sweep calls per element and beam, keeps the element's
 circular form after first use, outside its fields and pickled state.  The two train calls of
-`partial` fold through `_train_product`, which keeps the product of one train, the last one
-they folded, keyed by its element objects: it keeps them alive until a different train is
-folded, and calls alternating between trains (concurrent sweeps) only miss, never mix
-products.  Everything else, the CLI included, computes each closed form afresh.
+`partial` fold through `_train_product`, which keeps the product of the last train they folded
+and, once `mueller_of_train` asks, its Mueller matrix, keyed by its element objects: it keeps
+them alive until a different train is folded, and calls alternating between trains (concurrent
+sweeps) only miss, never mix entries.  The CLI included, all else computes closed forms afresh.
 """
 
 import cmath
@@ -296,7 +296,7 @@ def _fold(train, basis="circular"):
     return scale, a, b, c, d, j
 
 
-_last_fold = None  # (elements, basis, product); its references keep the elements' ids unique
+_last_fold = None  # (elements, basis, product, Mueller matrix or None); keeps the ids unique
 
 
 def _train_product(train, basis):
@@ -308,7 +308,7 @@ def _train_product(train, basis):
         if not any(map(is_not, last[0], elements)):
             return last[2]
     product = _fold(elements, basis)[:5]
-    _last_fold = elements, basis, product
+    _last_fold = elements, basis, product, None
     return product
 
 

@@ -11,8 +11,8 @@ with t = (s1, s2, s3) in the circular basis and t = circular_to_linear(s1,
 s2, s3) in the linear one; `_read_stokes` is its exact inverse.
 `coherency_from_stokes`, the Mueller probes and `kernels` all use it.
 `_mueller_rows` is the one Mueller kernel: `mueller_of_train` and the CLI read its rows.
-`apply_train_to_coherency` and `mueller_of_train` share filters._train_product, the one-train
-memo of the last train they folded; every per-beam check still runs on every call.  No call
+The train calls share filters._train_product, the memo of the last train they folded: its
+product and, once asked, its Mueller matrix.  Every per-beam check runs on every call.  No call
 here keeps element forms: a memo miss and `apply_filter_to_coherency` compute them afresh.
 """
 
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import filters
 from .errors import InvalidStokesError, NotPositiveSemidefiniteError, ZeroFluxError
 from .filters import _entries, _extinction, _train_product
 from .pauli import circular_to_linear, linear_to_circular
@@ -228,10 +229,16 @@ def _mueller_rows(scale, a, b, g, d, basis):
 
 
 def mueller_of_train(train, basis="circular"):
-    """4x4 real Stokes-space matrix of a train, a fresh array on each call.  Keeps the train
-    product (filters._train_product), since a sweep asks again for every beam.  Column-major:
-    see apply_mueller."""
-    return np.array(_mueller_rows(*_train_product(train, basis), basis), order="F")
+    """4x4 real Stokes-space matrix of a train, a fresh column-major array on each call (see
+    apply_mueller).  Kept read-only in the train memo entry of its product for a sweep's beams."""
+    product, entry = _train_product(train, basis), filters._last_fold
+    if entry[2] is product and entry[3] is not None:
+        return entry[3].copy(order="F")
+    mm = np.array(_mueller_rows(*product, basis), order="F")  # M00 extinction keeps nothing
+    mm.flags.writeable = False
+    if filters._last_fold is entry and entry[2] is product:  # still this train's: replace whole
+        filters._last_fold = (*entry[:3], mm)
+    return mm.copy(order="F")
 
 
 def apply_mueller(mm, s):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidStokesError,
     NonUnimodularError,
     NonUnitaryError,
     OrthogonalStatesError,
@@ -43,6 +44,7 @@ MAX_MAGNITUDE = math.sqrt(0.5 * sys.float_info.max)
 # train that drives a beam below it has extinguished it.
 FLUX_MIN = sys.float_info.min
 PHASE_TOL = 1e-12  # |<a|b>| below which the relative phase is undefined
+PURITY_FLOOR = 1e-9  # wave_from_stokes' default tol; beam_from_stokes checks at no less
 
 
 def _wrap_2pi(x):
@@ -245,10 +247,8 @@ def stokes_from_wave(w):
     return StokesVector(s0, s0 * r1, s0 * r2, s0 * r3)
 
 
-def wave_from_stokes(s, tol=1e-9):
+def wave_from_stokes(s, tol=PURITY_FLOOR):
     """WaveState for a pure Stokes vector (|s_vec| = s0); chi is set to 0."""
-    from .errors import InvalidStokesError
-
     norm = math.hypot(s.s1, s.s2, s.s3)
     if s.s0 <= 0.0:
         raise InvalidStokesError(f"s0 must be positive for a pure state: {s.s0}")

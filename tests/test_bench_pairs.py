@@ -96,3 +96,34 @@ def test_cold_pairs_time_each_command_in_each_tree(tmp_path):
         assert 0 <= layer["change_lower"] <= 2
     with pytest.raises(SystemExit, match="polspin convert failed"):
         bench_pairs.cold_pairs(trees, {"convert": ["convert", "--to", "bogus", "{}"]}, runs=1)
+
+
+class _Reached(Exception):
+    """Raised in place of the first git call: main got past its argument checks."""
+
+
+@pytest.mark.parametrize("claim", ["beam-sweep:mueler_ms", "beam_sweep:mueller_ms",
+                                   "beam-sweep", "mueller_ms", ":", "beam-sweep:mueller_ms:x",
+                                   "beam-sweep:import.calls"])
+def test_malformed_or_unknown_claim_rejected_before_any_run(claim, monkeypatch, capsys):
+    def reached(*args):
+        raise _Reached
+
+    for name in ("git", "export", "run_bench", "run_pairs"):
+        monkeypatch.setattr(bench_pairs, name, reached)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--pr", "0", "--first-seed", "1", "--claim", claim])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--claim {claim!r}: want WORKLOAD:METRIC" in err and "beam-sweep" in err
+
+
+@pytest.mark.parametrize("claim", ["beam-sweep:mueller_ms", "cli-requests:ops_per_s", None])
+def test_known_claim_passes_the_check(claim, monkeypatch):
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(bench_pairs, "git", reached)
+    argv = ["--pr", "0", "--first-seed", "1"] + (["--claim", claim] if claim else [])
+    with pytest.raises(_Reached):
+        bench_pairs.main(argv)

@@ -23,6 +23,7 @@ from polspin import (
     stokes_from_coherency,
     stokes_from_wave,
 )
+from polspin import cli
 from polspin.beamio import BeamFormatError, beam_from_stokes, parse_beam_json
 from polspin.cli import cmd_convert, cmd_mueller, cmd_trace, main
 from polspin.dsl import parse_train
@@ -710,6 +711,28 @@ class TestTolerance:
         code, out, err = run(capsys, *self.argv(command, tmp_path), UNPOLARIZED, "--tolerance", tol)
         assert (code, out) == (2, "")
         assert err == f"purity tolerance must be below 1: {float(tol)!r}\n"
+
+    @pytest.mark.parametrize("spelling", ["plain", "equals"])
+    @pytest.mark.parametrize("tol", ["1", "2", "nan"])
+    @pytest.mark.parametrize("beam", [NORTH_POLE, LINEAR_X, UNPOLARIZED],
+                             ids=["angles", "jones", "stokes"])
+    @pytest.mark.parametrize("command", ["convert", "trace", "decompose", "phase"])
+    def test_tolerance_checked_for_every_beam_form(self, capsys, tmp_path, command, beam, tol,
+                                                   spelling):
+        argv = self.argv(command, tmp_path) + [beam] * (2 if command == "phase" else 1)
+        argv += ["--tolerance", tol] if spelling == "plain" else [f"--tolerance={tol}"]
+        # a plain line is read from the command table, --tolerance=x by argparse
+        assert (cli._read_argv(argv) is None) == (spelling == "equals")
+        assert run(capsys, *argv) == (2, "", f"purity tolerance must be below 1: {float(tol)!r}\n")
+
+    @pytest.mark.parametrize("command", ["convert", "trace", "phase"])
+    def test_tolerance_below_1_runs_pure_beams_of_every_form(self, capsys, tmp_path, command):
+        beams = [NORTH_POLE, LINEAR_X] if command == "phase" else [NORTH_POLE]
+        argv = self.argv(command, tmp_path) + beams
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        for tol in ("0.5", "-1", "1e-300"):
+            assert run(capsys, *argv, "--tolerance", tol) == want
 
     def test_library_tolerance(self):
         near_pure = StokesVector(1.0, 0.9999999, 0.0, 0.0)

@@ -180,8 +180,9 @@ class TestKeptForms:
 CROSSED = "atten e1=0 e2=20\nrotate alpha=1.5707963267948966\natten e1=0 e2=20\n"
 
 
-@pytest.mark.xfail(strict=True, reason="crossed strong attenuators: the train product "
-                   "cancels to rounding noise, so M00 is twice the traced s0")
+@pytest.mark.xfail(strict=True, reason="crossed strong attenuators: mueller's M00 is right, "
+                   "but the mixed trace loses the minor eigenvalue (about 2e-18 beside a "
+                   "trace of 0.5) after the first attenuator, so its s0 ends at half of M00")
 def test_crossed_attenuators_mueller_matches_trace(capsys, tmp_path):
     path = tmp_path / "crossed.pol"
     path.write_text(CROSSED)

@@ -1,5 +1,6 @@
 """filters._train_product: the one-entry train-product memo of apply_train_to_coherency and
-mueller_of_train.  Every call must give exactly what a memo-free fold gives."""
+mueller_of_train, and the Mueller matrix that mueller_of_train keeps in its entry.  Every call
+must give exactly what a memo-free fold gives."""
 
 import copy
 import gc
@@ -24,10 +25,10 @@ from polspin import (
     mueller_of_train,
     stokes_from_coherency,
 )
-from polspin import filters
+from polspin import filters, partial
 from polspin.dsl import parse_train
 from polspin.filters import _fold, _train_product
-from polspin.partial import apply_mueller
+from polspin.partial import _mueller_rows, apply_mueller
 
 from .test_cli import long_train_text
 from .test_partial import README_TRAIN
@@ -50,6 +51,19 @@ def folds(monkeypatch):
         return _fold(train, *args)
 
     monkeypatch.setattr(filters, "_fold", counting)
+    return calls
+
+
+@pytest.fixture
+def mueller_rows(monkeypatch):
+    """The products _mueller_rows is called on."""
+    calls = []
+
+    def counting(*product):
+        calls.append(product)
+        return _mueller_rows(*product)
+
+    monkeypatch.setattr(partial, "_mueller_rows", counting)
     return calls
 
 
@@ -141,6 +155,127 @@ class TestHitsAndMisses:
             with pytest.raises(ExtinctionError):
                 apply_train_to_coherency(train, c)
         assert len(folds) == 1
+
+
+def memo_free_mueller(train, basis):
+    """mueller_of_train(train, basis) folded and built without the memo."""
+    return np.array(_mueller_rows(*_fold(train, basis)[:5], basis), order="F")
+
+
+def kept():
+    """The Mueller matrix in the memo entry, None if there is none."""
+    return filters._last_fold[3]
+
+
+@pytest.mark.parametrize("basis", BASES)
+class TestKeptMueller:
+    def test_rows_run_once_per_train(self, basis, folds, mueller_rows):
+        train = readme()
+        got = [mueller_of_train(train, basis) for _ in range(5)]
+        assert len(folds) == 1 and len(mueller_rows) == 1
+        want = memo_free_mueller(train, basis)
+        for mm in got:  # the miss and every hit: the digits of a memo-free build
+            assert repr(mm) == repr(want) and repr(mm.tolist()) == repr(want.tolist())
+            assert mm.tobytes(order="A") == want.tobytes(order="A")
+
+    def test_each_call_returns_a_new_writable_column_major_array(self, basis):
+        train = readme()
+        first = mueller_of_train(train, basis)
+        want = repr(first.tolist())
+        seen = [first]
+        for _ in range(3):
+            mm = mueller_of_train(train, basis)
+            assert mm.flags.f_contiguous and mm.flags.writeable and mm.flags.owndata
+            assert not any(np.shares_memory(mm, other) for other in seen + [kept()])
+            assert repr(mm.tolist()) == want
+            mm[:] = 7.0  # the caller's array: the next call is unchanged
+            seen.append(mm)
+        assert not kept().flags.writeable and kept().flags.f_contiguous
+        assert repr(kept().tolist()) == want
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t, b: (t.__setitem__(2, Rotator(0.7)), b),
+            lambda t, b: (t.append(QuarterWave(0.3)), b),
+            lambda t, b: (t.__setitem__(3, copy.deepcopy(t[3])), b),
+            lambda t, b: (None, "linear" if b == "circular" else "circular"),
+        ],
+        ids=["replaced", "appended", "value-equal-copy", "other-basis"],
+    )
+    def test_a_new_train_or_basis_recomputes(self, basis, mueller_rows, edit):
+        train = readme()
+        mueller_of_train(train, basis)
+        new_basis = edit(train, basis)[1]
+        got = mueller_of_train(train, new_basis)
+        assert repr(got.tolist()) == repr(memo_free_mueller(train, new_basis).tolist())
+        assert len(mueller_rows) == 2
+        mueller_of_train(train, new_basis)
+        assert len(mueller_rows) == 2  # the new entry keeps the new matrix
+
+    def test_apply_train_between_calls_keeps_the_matrix(self, basis, folds, mueller_rows):
+        train = readme()
+        mueller_of_train(train, basis)
+        entry = filters._last_fold
+        c = coherency_from_stokes(StokesVector(1.0, 0.3, -0.2, 0.4), basis)
+        before = apply_train_to_coherency(train, c)
+        assert filters._last_fold is entry
+        assert repr(mueller_of_train(train, basis).tolist()) == repr(entry[3].tolist())
+        assert repr(apply_train_to_coherency(train, c)) == repr(before)
+        assert len(folds) == 1 and len(mueller_rows) == 1
+
+    def test_matrix_kept_after_apply_train_folded_the_train(self, basis, folds, mueller_rows):
+        train = readme()
+        apply_train_to_coherency(train, coherency_from_stokes(StokesVector(1.0, 0, 0, 0), basis))
+        assert kept() is None
+        product = filters._last_fold[2]
+        mueller_of_train(train, basis)
+        assert filters._last_fold[:3] == (tuple(train), basis, product)
+        assert filters._last_fold[2] is product and kept() is not None
+        mueller_of_train(train, basis)
+        assert len(folds) == 1 and len(mueller_rows) == 1
+
+    def test_extinct_train_raises_on_every_call_and_keeps_nothing(self, basis, mueller_rows):
+        train = [Attenuator(400.0, 400.0)]  # M00 underflows
+        for i in range(3):
+            with pytest.raises(ExtinctionError):
+                mueller_of_train(train, basis)
+            assert filters._last_fold[0] == tuple(train) and kept() is None
+            assert len(mueller_rows) == i + 1
+
+    def test_entry_replaced_during_the_build_is_left_alone(self, basis, monkeypatch):
+        # another train folded while the matrix is built (a concurrent sweep): the matrix goes
+        # to the caller, and the other train's entry is not given it
+        train, other = readme(), [HalfWave(0.3), Rotator(0.2)]
+
+        def interleaved(*product):
+            _train_product(other, basis)
+            return _mueller_rows(*product)
+
+        monkeypatch.setattr(partial, "_mueller_rows", interleaved)
+        got = mueller_of_train(train, basis)
+        assert repr(got.tolist()) == repr(memo_free_mueller(train, basis).tolist())
+        assert filters._last_fold[0] == tuple(other) and kept() is None
+
+    @pytest.mark.parametrize("other_asked", [False, True], ids=["bare", "with-matrix"])
+    def test_entry_replaced_before_it_is_read_is_left_alone(self, basis, monkeypatch,
+                                                            other_asked):
+        # another train's entry stored between the fold and the read of the entry: it is
+        # neither read for its matrix nor given this train's
+        train, other = readme(), [HalfWave(0.3), Rotator(0.2)]
+        (mueller_of_train if other_asked else _train_product)(other, basis)
+        other_entry = filters._last_fold
+        assert (kept() is None) != other_asked
+
+        def interleaved(train, basis):
+            product = _train_product(train, basis)
+            filters._last_fold = other_entry
+            return product
+
+        monkeypatch.setattr(partial, "_train_product", interleaved)
+        got = mueller_of_train(train, basis)
+        assert repr(got.tolist()) == repr(memo_free_mueller(train, basis).tolist())
+        assert filters._last_fold is other_entry
 
 
 class TestTrainCalls:

@@ -204,7 +204,7 @@ def directions_from_spec():
     return {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, help="the record goes to BENCH_<pr>.json")
     parser.add_argument("--parent", default="HEAD~1", help="parent revision")
@@ -214,9 +214,14 @@ def main():
     parser.add_argument("--claim-target", default="", help="the claim, in words")
     parser.add_argument("--held-out", type=int, help="one more seed for the claim workload")
     parser.add_argument("--traced", choices=WORKLOADS, help="workload for traced pairs")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     directions = directions_from_spec()
+    if args.claim:  # checked before any run: a typo would otherwise end a long run with nothing
+        workload, _, metric = args.claim.partition(":")
+        if workload not in WORKLOADS or metric not in directions:
+            parser.error(f"--claim {args.claim!r}: want WORKLOAD:METRIC, WORKLOAD one of "
+                         f"{', '.join(WORKLOADS)} and METRIC one of {', '.join(directions)}")
     revs = {side: git("rev-parse", getattr(args, side)) for side in SIDES}
     result = {
         "description": f"perfbench/run.py --seconds {SECONDS:g}, calibrated end-to-end "
@@ -242,7 +247,7 @@ def main():
         result["src_sha256"] = {side: records[side][0]["env"]["src_sha256"] for side in SIDES}
 
         if args.claim:
-            workload, metric = args.claim.split(":")
+            workload, _, metric = args.claim.partition(":")
             held_out = None
             if args.held_out is not None:
                 records = run_pairs(trees, workload, [args.held_out], 0)
