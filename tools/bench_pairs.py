@@ -217,11 +217,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     directions = directions_from_spec()
-    if args.claim:  # checked before any run: a typo would otherwise end a long run with nothing
-        workload, _, metric = args.claim.partition(":")
-        if workload not in WORKLOADS or metric not in directions:
-            parser.error(f"--claim {args.claim!r}: want WORKLOAD:METRIC, WORKLOAD one of "
-                         f"{', '.join(WORKLOADS)} and METRIC one of {', '.join(directions)}")
+    # (workload, metric), checked before any run: a typo would otherwise end a long run with nothing
+    claim = args.claim and tuple(args.claim.partition(":")[::2])
+    if claim and (claim[0] not in WORKLOADS or claim[1] not in directions):
+        parser.error(f"--claim {args.claim!r}: want WORKLOAD:METRIC, WORKLOAD one of "
+                     f"{', '.join(WORKLOADS)} and METRIC one of {', '.join(directions)}")
     revs = {side: git("rev-parse", getattr(args, side)) for side in SIDES}
     result = {
         "description": f"perfbench/run.py --seconds {SECONDS:g}, calibrated end-to-end "
@@ -246,8 +246,8 @@ def main(argv=None):
         result["env"] = {k: env[k] for k in ("python", "numpy", "nproc", "affinity")}
         result["src_sha256"] = {side: records[side][0]["env"]["src_sha256"] for side in SIDES}
 
-        if args.claim:
-            workload, _, metric = args.claim.partition(":")
+        if claim:
+            workload, metric = claim
             held_out = None
             if args.held_out is not None:
                 records = run_pairs(trees, workload, [args.held_out], 0)
