@@ -20,7 +20,8 @@ import types
 from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
 from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
-from .filters import ELEMENTS, _fold, _step
+from .filters import ELEMENTS, _fold, _prefixes, _step
+from .pauli import linear_to_circular
 from .partial import (
     _coherency_entries,
     _mueller_rows,
@@ -116,9 +117,9 @@ def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
 TRACE_HEADER = "step,element,rx,ry,rz,mx,my,mz,s0,s1,s2,s3,phase"
 
 
-def _pure_row(step, name, c1, c2, r, s, phase):
+def _pure_row(step, name, r, m, s, phase):
     """One pure-beam row: sphere point r, Re M of the spinor, Stokes s, phase."""
-    m1, m2, m3 = _tangent(c1, c2)
+    m1, m2, m3 = m
     return (
         f"{step},{name},{r[0]!r},{r[1]!r},{r[2]!r},{m1.real!r},{m2.real!r},{m3.real!r},"
         f"{s[0]!r},{s[1]!r},{s[2]!r},{s[3]!r},{phase}"
@@ -132,41 +133,43 @@ def _mixed_row(step, name, s0, s1, s2, s3):
 
 
 def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
-    """Propagate on raw scalars, one step per element.  The beam was validated
-    when parsed; every step checks the extinction rule and the invariants
-    the WaveState and CoherencyMatrix constructors would."""
+    """Propagate on raw scalars in the linear basis, printing circular-basis rows.  The beam
+    was validated when parsed; every row checks the extinction rule and the invariants the
+    WaveState and CoherencyMatrix constructors would."""
     doc = _load_train(train_path)
     beam = parse_beam_json(beam_json, tol)
     s = beam.stokes.s0, beam.stokes.s1, beam.stokes.s2, beam.stokes.s3
     _require_flux(s[0])
     lines = [TRACE_HEADER]
-    if beam.pure:
+    if beam.pure:  # one step per element on U o, whose r and M permute as the Pauli set
         amp, c1, c2 = beam.wave.amplitude, beam.wave.spinor.c1, beam.wave.spinor.c2
+        lines.append(_pure_row(0, "input", _sphere_point(c1, c2), _tangent(c1, c2), s, "0.0"))
+        c1, c2 = jones_from_wave(beam.wave)[0].tolist()  # U o
         k1, k2 = c1.conjugate(), c2.conjugate()
-        lines.append(_pure_row(0, "input", c1, c2, _sphere_point(c1, c2), s, "0.0"))
         for step, element in enumerate(doc.elements, start=1):
             name, _, entries = ELEMENTS[type(element)]
             amp, c1, c2 = _step(entries(element), amp, c1, c2)
             _check_wave(amp, c1, c2)
-            inner = k1 * c1 + k2 * c2  # <input|o>, as pancharatnam_phase
+            inner = k1 * c1 + k2 * c2  # <input|o>, as pancharatnam_phase, in either basis
             phase = "" if abs(inner) < PHASE_TOL else repr(cmath.phase(inner))
-            r = r1, r2, r3 = _sphere_point(c1, c2)
+            r = r1, r2, r3 = linear_to_circular(*_sphere_point(c1, c2))
             s0 = amp**2
-            lines.append(_pure_row(step, name, c1, c2, r, (s0, s0 * r1, s0 * r2, s0 * r3), phase))
-    else:
-        p, q, r = _coherency_entries(*s, "circular")
+            m = linear_to_circular(*_tangent(c1, c2))
+            lines.append(_pure_row(step, name, r, m, (s0, s0 * r1, s0 * r2, s0 * r3), phase))
+    else:  # F of each prefix on the input C: its rounding is squared, not C's carried on
+        c = _coherency_entries(*s, "linear")
         lines.append(_mixed_row(0, "input", *s))
-        for step, element in enumerate(doc.elements, start=1):
-            name, _, entries = ELEMENTS[type(element)]
-            p, q, r = _step_coherency(entries(element), p, q, r)
+        for step, (element, f) in enumerate(zip(doc.elements, _prefixes(doc.elements)), 1):
+            p, q, r = _step_coherency(f, *c)
             _require_psd(p, q, r)
-            lines.append(_mixed_row(step, name, *_read_stokes(p, q, r, "circular")))
+            name = ELEMENTS[type(element)][0]
+            lines.append(_mixed_row(step, name, *_read_stokes(p, q, r, "linear")))
     return "\n".join(lines) + "\n"
 
 
 def cmd_mueller(train_path):
     """The Mueller rows of a fresh fold, as mueller_of_train's, with no ndarray and nothing kept."""
-    rows = _mueller_rows(*_fold(_load_train(train_path).elements)[:5], "circular")
+    rows = _mueller_rows(*_fold(_load_train(train_path).elements))
     return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 
 

@@ -2,22 +2,20 @@
 
 Each element factors into (scale, m) with m unimodular, so the Poincare
 rotation of the SU(2) part can always be read off m alone while phase and
-attenuation prefactors live in scale.  Circular-basis matrices:
+attenuation prefactors live in scale.  The closed forms are in the linear
+(Jones) basis, to which the paper's U takes the circular spinor:
 
-    phase shifter   scale e^{-i(d1+d2)/2},  m = exp(i (d/2) sigma1), d = d2-d1
-    rotator         m = exp(i alpha sigma3)
-    gyrotropic      scale e^{-i(d1+d2)/2},  m = exp(i (d/2) sigma3)
-    quarter-wave    m = (1/sqrt 2)[1 - i cos(2a) sigma1 - i sin(2a) sigma2]
-    half-wave       m = -i (cos(2a) sigma1 + sin(2a) sigma2), the quarter-wave squared
-    attenuator      scale e^{-(e1+e2)/2},   m = exp((e/2) sigma1),  e = e2-e1
+    phase shifter   scale e^{-i(d1+d2)/2},  m = diag(z, conj z), z = e^{i(d2-d1)/2}
+    rotator         m = [[cos alpha, sin alpha], [-sin alpha, cos alpha]]
+    gyrotropic      scale e^{-i(d1+d2)/2},  m = [[cos h, sin h], [-sin h, cos h]], h = (d2-d1)/2
+    quarter-wave    m = (1/sqrt 2)[[1 - i cos 2a, -i sin 2a], [-i sin 2a, 1 + i cos 2a]]
+    half-wave       m = -i [[cos 2a, sin 2a], [sin 2a, -cos 2a]], the quarter-wave squared
+    attenuator      scale e^{-(e1+e2)/2},   m = diag(e^{(e2-e1)/2}, e^{(e1-e2)/2})
 
-Linear-basis matrices are U m U^-1 with the same scale.  Composition is in
+The circular basis is an edge view, U^-1 m U with the same scale, for
+`element_matrix`, `compose` and `apply`: there an attenuator's m has cosh and
+sinh entries, which round alike past a spread of about 37.  Composition is in
 propagation order: the first element of a train is the rightmost factor.
-`_fold` folds each element's (scale, a, b, c, d) into a running product
-of Python complex scalars in either basis; `compose` wraps it in an ndarray.
-A product of strong attenuators has a scale past the float range on one side
-and an m past it on the other while F = scale m is fine, so `_fold` moves the
-binary exponent of m into scale where scale gets small, and carries it.
 One cache per level.  `apply`, which a sweep calls per element and beam, keeps the element's
 circular form after first use, outside its fields and pickled state.  The two train calls of
 `partial` fold through `_train_product`, which keeps the product of the last train they folded
@@ -29,22 +27,20 @@ sweeps) only miss, never mix entries.  The CLI included, all else computes close
 import cmath
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 from operator import is_not
-from typing import Union
 
 import numpy as np
 
 from .errors import EmptyTrainError, ExtinctionError, FloatRangeError
-from .pauli import circular_to_linear
+from .pauli import linear_to_circular
 from .spinor import FLUX_MIN, WaveState, _quaternion
 
-# Largest |e2 - e1| at which m's gain e^{|e2 - e1|/2} is finite (cosh alone: ~1420.95).
+# Largest |e2 - e1| at which the linear m's larger entry e^{|e2 - e1|/2} is finite.
 ETA_SPREAD_MAX = 2.0 * math.log(sys.float_info.max)
-# At an Attenuator, a scale below this takes m's binary exponent (_fold).  F
-# has no entry above 1, so max |m| <= 1 / |scale|: no product of two factors
-# within it underflows or overflows.
-_TINY = 2.0**-300
+# A step's gain ||F o||, 1 to within 2 ulps for a unitary F: within this it keeps amplitudes
+_UNIT_GAIN = 2.0**-50
 
 
 class _Element:
@@ -92,9 +88,6 @@ class Attenuator(_Element):
             raise ValueError(f"attenuation spread |e2 - e1| = {spread!r} > {ETA_SPREAD_MAX!r}")
 
 
-FilterElement = Union[PhaseShifter, Rotator, Gyrotropic, QuarterWave, HalfWave, Attenuator]
-
-
 @dataclass(frozen=True)
 class ElementMatrix:
     """Unimodular 2x2 matrix m with the overall coefficient factored into scale."""
@@ -120,42 +113,43 @@ class ConformalMap:
 
 
 def _shifter(e):
-    h = 0.5 * (e.delta2 - e.delta1)
-    c, s = math.cos(h), 1j * math.sin(h)
-    return cmath.exp(-0.5j * (e.delta1 + e.delta2)), c, s, s, c
-
-
-def _rotator(e):
-    z = cmath.exp(1j * e.alpha)
-    return 1.0 + 0.0j, z, 0.0, 0.0, z.conjugate()
-
-
-def _gyrotropic(e):
     z = cmath.exp(0.5j * (e.delta2 - e.delta1))
     return cmath.exp(-0.5j * (e.delta1 + e.delta2)), z, 0.0, 0.0, z.conjugate()
 
 
+def _rotator(e):
+    c, s = math.cos(e.alpha), math.sin(e.alpha)
+    return 1.0 + 0.0j, c, s, -s, c
+
+
+def _gyrotropic(e):
+    h = 0.5 * (e.delta2 - e.delta1)
+    c, s = math.cos(h), math.sin(h)
+    return cmath.exp(-0.5j * (e.delta1 + e.delta2)), c, s, -s, c
+
+
 def _quarter_wave(e):
-    # (1/sqrt 2)[1 + off], off = -i(cos2a sigma1 + sin2a sigma2)
+    # (1/sqrt 2)[1 + off], off = -i(cos2a sigma3 + sin2a sigma1)
     c, s = math.cos(2.0 * e.axis_angle), math.sin(2.0 * e.axis_angle)
     k = 1.0 / math.sqrt(2.0)
-    return 1.0 + 0.0j, k, k * complex(-s, -c), k * complex(s, -c), k
+    off = complex(0.0, -k * s)
+    return 1.0 + 0.0j, complex(k, -k * c), off, off, complex(k, k * c)
 
 
 def _half_wave(e):
-    # -i(cos2a sigma1 + sin2a sigma2), the exact square of the quarter-wave
+    # -i(cos2a sigma3 + sin2a sigma1), the exact square of the quarter-wave
     c, s = math.cos(2.0 * e.axis_angle), math.sin(2.0 * e.axis_angle)
-    return 1.0 + 0.0j, 0.0, complex(-s, -c), complex(s, -c), 0.0
+    off = complex(0.0, -s)
+    return 1.0 + 0.0j, complex(0.0, -c), off, off, complex(0.0, c)
 
 
 def _attenuator(e):
     h = 0.5 * (e.eta2 - e.eta1)
-    c, s = math.cosh(h), math.sinh(h)
-    return cmath.exp(-0.5 * (e.eta1 + e.eta2)), c, s, s, c
+    return cmath.exp(-0.5 * (e.eta1 + e.eta2)), math.exp(h), 0.0, 0.0, math.exp(-h)
 
 
 # The element registry: kind -> (.pol keyword, .pol keys in field order,
-# circular-basis (scale, a, b, c, d) of F = scale [[a, b], [c, d]]), the
+# linear-basis (scale, a, b, c, d) of F = scale [[a, b], [c, d]]), the
 # closed forms of the module docstring.  The DSL and the CLI read it.
 ELEMENTS = {
     PhaseShifter: ("shifter", ("d1", "d2"), _shifter),
@@ -167,26 +161,33 @@ ELEMENTS = {
 }
 
 
-def _entries(e, basis="circular"):
-    """(scale, a, b, c, d) of one element in either basis, from its closed form."""
+def _entries(e):
+    """Linear-basis (scale, a, b, c, d) of one element, from its closed form."""
     kind = ELEMENTS.get(type(e))
     if kind is None:
         raise TypeError(f"not a filter element: {e!r}")
-    entries = kind[2](e)
-    if basis == "circular":
-        return entries
-    scale, a, b, c, d = entries
+    return kind[2](e)
+
+
+def _in_basis(scale, a, b, c, d, basis):
+    """A linear-basis (scale, a, b, c, d) in the basis asked for: circular is U^-1 m U."""
     if basis == "linear":
-        # m = p + q . sigma; re-expand U m U^-1 in the standard Pauli set
-        p = 0.5 * (a + d)
-        q1, q2, q3 = circular_to_linear(0.5 * (b + c), 0.5j * (b - c), 0.5 * (a - d))
-        return scale, p + q3, q1 - 1j * q2, q1 + 1j * q2, p - q3
-    raise ValueError(f"unknown basis tag: {basis!r}")
+        return scale, a, b, c, d
+    if basis != "circular":
+        raise ValueError(f"unknown basis tag: {basis!r}")
+    # m = p + q . sigma; re-expand U^-1 m U in the standard Pauli set
+    p = 0.5 * a + 0.5 * d
+    q1, q2, q3 = linear_to_circular(0.5 * (b + c), 0.5j * (b - c), 0.5 * a - 0.5 * d)
+    return scale, p + q3, q1 - 1j * q2, q1 + 1j * q2, p - q3
+
+
+def _matrix(entries, basis):
+    scale, a, b, c, d = _in_basis(*entries, basis)
+    return ElementMatrix(np.array([[a, b], [c, d]], dtype=complex), scale, basis)
 
 
 def element_matrix(e, basis="circular"):
-    scale, a, b, c, d = _entries(e, basis)
-    return ElementMatrix(np.array([[a, b], [c, d]], dtype=complex), scale, basis)
+    return _matrix(_entries(e), basis)
 
 
 def matrix_circular(e):
@@ -216,7 +217,7 @@ def _step(entries, amp, c1, c2):
     v1 = scale * (a * c1 + b * c2)
     v2 = scale * (c * c1 + d * c2)
     n = math.sqrt(v1.real**2 + v2.real**2 + v1.imag**2 + v2.imag**2)
-    amp *= n
+    amp *= n if abs(n - 1.0) > _UNIT_GAIN else 1.0
     if not amp * amp >= FLUX_MIN:
         raise _extinction(amp * amp)
     return amp, v1 / n, v2 / n
@@ -230,7 +231,7 @@ def apply(e, w):
     """
     entries = getattr(e, "_circular", None)  # e's circular form, kept for the next beam
     if entries is None:  # first use; not a field, so == and hash are unchanged
-        object.__setattr__(e, "_circular", entries := _entries(e))
+        object.__setattr__(e, "_circular", entries := _in_basis(*_entries(e), "circular"))
     return WaveState._of(*_step(entries, w.amplitude, w.spinor.c1, w.spinor.c2))
 
 
@@ -242,90 +243,65 @@ def classify(e):
     """
     if isinstance(e, Attenuator):
         return ConformalMap(np.array([1.0, 0.0, 0.0]), e.eta2 - e.eta1)
-    c, *v = _quaternion(*_entries(e)[1:])
+    c, *v = _quaternion(*_entries(e)[1:])  # linear; its circular v is linear_to_circular(v)
     vn = math.hypot(*v)
     psi = 2.0 * math.atan2(vn, c)
     if vn < 1e-15:
         axis = np.array([1.0, 0.0, 0.0])  # identity (or -I); axis arbitrary
     else:
-        axis = np.array(v) / vn
+        axis = np.array(linear_to_circular(*v)) / vn
     return PoincareRotation(axis, -psi)
 
 
-def _ldexp(z, k):
-    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
-
-
-def _balance(j, scale, a, b, c, d):
-    """Move m's binary exponent k into scale, so that max |m| is in [1/2, 1).
-
-    Exact (powers of two), so F = scale m is unchanged; j + k is returned.
-    """
-    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
-    f = math.ldexp(1.0, -k)
-    return j + k, _ldexp(scale, k), a * f, b * f, c * f, d * f
-
-
-def _fold(train, basis="circular"):
-    """(scale, a, b, c, d, j) of a train's F, first element first.
-
-    F = scale [[a, b], [c, d]] exactly; the unimodular m of the train is
-    2^j [[a, b], [c, d]].  |scale| falls only at an Attenuator; there, the
-    element and the running product each have m's exponent moved into
-    scale (_balance) where their scale is below _TINY.  On trains where no
-    scale gets that small the product is the plain one, with j = 0.
-    """
-    circular = basis == "circular"  # circular forms skip _entries' per-element dispatch
-    scale, a, b, c, d, j = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, 0
+def _prefixes(train):
+    """(a, b, c, d) of F = [[a, b], [c, d]] of each prefix of a train in the linear basis, the
+    first element first: each element's scale is multiplied into its m, so that no factor has
+    an entry above 1 in modulus, however strong its attenuation; the product is the plain one."""
+    a, b, c, d = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
     e = None  # still None after the loop only if train was empty (None is no element)
-    try:
-        for e in train:
-            kind = type(e)
-            s, ea, eb, ec, ed = ELEMENTS[kind][2](e) if circular else _entries(e, basis)
-            if kind is Attenuator:
-                if abs(s) < _TINY:
-                    j, s, ea, eb, ec, ed = _balance(j, s, ea, eb, ec, ed)
-                if abs(scale) < _TINY:
-                    j, scale, a, b, c, d = _balance(j, scale, a, b, c, d)
-            a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
-            scale *= s
-    except KeyError:
-        raise TypeError(f"not a filter element: {e!r}") from None
+    for e in train:
+        s, ea, eb, ec, ed = _entries(e)
+        ea, eb, ec, ed = s * ea, s * eb, s * ec, s * ed
+        a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
+        yield a, b, c, d
     if e is None:
         raise EmptyTrainError("train has no elements")
-    return scale, a, b, c, d, j
 
 
-_last_fold = None  # (elements, basis, product, Mueller matrix or None); keeps the ids unique
+def _fold(train):
+    """(a, b, c, d) of a train's F, the last of its prefixes."""
+    return deque(_prefixes(train), maxlen=1)[0]
 
 
-def _train_product(train, basis):
-    """_fold(train, basis)[:5], reused while train holds the same element objects (`is`,
-    in order) in the same basis; a fold that returns replaces the one entry, whole."""
+_last_fold = None  # (elements, product, Mueller matrix or None); keeps the ids unique
+
+
+def _train_product(train):
+    """_fold(train), reused while train holds the same element objects (`is`, in order);
+    a fold that returns replaces the one entry, whole."""
     global _last_fold
     elements, last = tuple(train), _last_fold
-    if last and last[1] == basis and len(last[0]) == len(elements):
-        if not any(map(is_not, last[0], elements)):
-            return last[2]
-    product = _fold(elements, basis)[:5]
-    _last_fold = elements, basis, product, None
+    if last and len(last[0]) == len(elements) and not any(map(is_not, last[0], elements)):
+        return last[1]
+    product = _fold(elements)
+    _last_fold = elements, product, None
     return product
 
 
 def compose(train, basis="circular"):
-    """Matrix of a train, first element applied first (rightmost factor).
-
-    Raises FloatRangeError where m overflows or scale underflows to 0 as
-    factors of an F that does not (strong attenuators).
-    """
-    scale, *m, j = _fold(train, basis)
-    if j:  # give m its exponent back
-        try:
-            m = [_ldexp(z, j) for z in m]
-        except OverflowError:
-            raise FloatRangeError("the unimodular factor m of the train overflows a float") from None
-        s = _ldexp(scale, -j)
-        if scale and not s:
-            raise FloatRangeError("the scale of the train underflows a float")
-        scale = s
-    return ElementMatrix(np.array(m, dtype=complex).reshape(2, 2), scale, basis)
+    """Matrix of a train, first element applied first (rightmost factor): the products of
+    the elements' linear scales and m.  Raises FloatRangeError where m overflows or scale
+    underflows to 0 as factors of an F that does not (strong attenuators)."""
+    forms = [_entries(e) for e in train]
+    if not forms:
+        raise EmptyTrainError("train has no elements")
+    scale, a, b, c, d = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
+    for s, ea, eb, ec, ed in forms:
+        a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
+        scale *= s
+    em = _matrix((scale, a, b, c, d), basis)
+    if not np.isfinite(em.m).all():
+        raise FloatRangeError("the unimodular factor m of the train overflows a float")
+    if not scale:
+        raise FloatRangeError("the scale of the train underflows a float")
+    return em

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import filters
 from .errors import InvalidStokesError, NotPositiveSemidefiniteError, ZeroFluxError
-from .filters import _entries, _extinction, _train_product
+from .filters import _extinction, _fold, _train_product
 from .pauli import circular_to_linear, linear_to_circular
 from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector
 
@@ -173,17 +173,15 @@ def eig_decompose(c):
     return PolarizationDecomposition(point, -point, lam_plus, lam_minus, False)
 
 
-def _step_coherency(entries, p, q, r):
-    """One element F = scale [[a, b], [g, d]] on raw C = [[p, q], [conj q, r]]: F C F^dag.
+def _step_coherency(f, p, q, r):
+    """F = [[a, b], [g, d]] on raw C = [[p, q], [conj q, r]]: F C F^dag.
 
     p and r are floats, so C stays Hermitian by construction; a flux
     s0 = p + r below FLUX_MIN is extinction.  The caller checks that the
     result is PSD: CoherencyMatrix._of does, a raw loop calls _require_psd.
     """
-    scale, a, b, g, d = entries
+    a, b, g, d = f
     qc = q.conjugate()
-    # scale first: a strong attenuator's cosh^2 overflows, scale * cosh does not
-    a, b, g, d = scale * a, scale * b, scale * g, scale * d
     u0, u1 = a * p + b * qc, a * q + b * r  # rows of F C
     w0, w1 = g * p + d * qc, g * q + d * r
     p = (u0 * a.conjugate() + u1 * b.conjugate()).real
@@ -194,54 +192,65 @@ def _step_coherency(entries, p, q, r):
     return p, q, r
 
 
+def _via_linear(f, c):
+    """F C F^dag of a linear-basis F, where filters act, on c, in c's basis: a circular C
+    crosses to U C U^-1 and back by the Pauli cycle, a rounding or two each way."""
+    p, q, r = c.p, c.q, c.r
+    if c.basis == "circular":  # its Pauli coefficients (s1, s2, s3) become (s2, s3, s1)
+        h = 0.5 * (p + r)
+        p, q, r = h + q.real, complex(-q.imag, 0.5 * (r - p)), h - q.real
+    p, q, r = _step_coherency(f, p, q, r)
+    if c.basis == "circular":
+        h = 0.5 * (p + r)
+        p, q, r = h - q.imag, complex(0.5 * (p - r), -q.real), h + q.imag
+    return CoherencyMatrix._of(p, q, r, c.basis)
+
+
 def apply_filter_to_coherency(e, c):
-    """C -> F C F^dag with F = scale * m taken in the matrix basis of c."""
-    return CoherencyMatrix._of(*_step_coherency(_entries(e, c.basis), c.p, c.q, c.r), c.basis)
+    """C -> F C F^dag with F = scale * m of one element."""
+    return _via_linear(_fold((e,)), c)
 
 
 def apply_train_to_coherency(train, c):
-    """C -> F C F^dag with F the composed train, in the matrix basis of c."""
-    f = _train_product(train, c.basis)
-    return CoherencyMatrix._of(*_step_coherency(f, c.p, c.q, c.r), c.basis)
+    """C -> F C F^dag with F the composed train."""
+    return _via_linear(_train_product(train), c)
 
 
-# (p, q, r) of the probes C_j = (1/2) sigma_j, the unit Stokes vectors e_j, once per
-# basis: four calls per train slow a 6-element mueller_of_train by 10-20%
-_UNITS = (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
-_PROBES = {b: [_coherency_entries(*e, b) for e in _UNITS] for b in ("circular", "linear")}
+# linear (p, q, r) of the probes C_j = (1/2) sigma_j, the unit Stokes vectors e_j, made
+# once: four calls per train slow a 6-element mueller_of_train by 10-20%
+_PROBES = [_coherency_entries(*e, "linear") for e in np.eye(4).tolist()]
 
 
-def _mueller_rows(scale, a, b, g, d, basis):
-    """Mueller rows (float tuples) of F = scale [[a, b], [g, d]]: column j reads F C_j F^dag
-    by _step_coherency's operations, with F's scaled entries and their conjugates made once;
-    the probes are not positive, so they are conjugated as raw (p, q, r)."""
-    a, b, g, d = scale * a, scale * b, scale * g, scale * d
+def _mueller_rows(a, b, g, d):
+    """Mueller rows (float tuples) of a linear-basis F = [[a, b], [g, d]]: column j reads
+    F C_j F^dag by _step_coherency's operations, with F's conjugates made once; the probes
+    are not positive, so they are conjugated as raw (p, q, r)."""
     ac, bc, gc, dc = a.conjugate(), b.conjugate(), g.conjugate(), d.conjugate()
     columns = []
-    for p, q, r in _PROBES[basis]:
+    for p, q, r in _PROBES:
         qc = q.conjugate()
         u0, u1, w0, w1 = a * p + b * qc, a * q + b * r, g * p + d * qc, g * q + d * r
         top, bottom = (u0 * ac + u1 * bc).real, (w0 * gc + w1 * dc).real
-        columns.append(_read_stokes(top, u0 * gc + u1 * dc, bottom, basis))
+        columns.append(_read_stokes(top, u0 * gc + u1 * dc, bottom, "linear"))
     if not columns[0][0] >= FLUX_MIN:  # M00, the flux of unpolarized light
         raise _extinction(columns[0][0])
     return list(zip(*columns))
 
 
 def mueller_of_train(train, basis="circular"):
-    """4x4 real Stokes-space matrix of a train, a fresh column-major array on each call (see
-    apply_mueller).  Kept read-only in the train memo entry of its product for a sweep's beams."""
-    product, entry = _train_product(train, basis), filters._last_fold
-    if entry[2] is product and entry[3] is not None:
-        return entry[3].copy(order="F")
-    mm = np.array(_mueller_rows(*product, basis), order="F")  # M00 extinction keeps nothing
+    """4x4 real Stokes-space matrix of a train, the same for either basis tag and a fresh array
+    on each call.  Kept read-only in the train memo entry of its product for a sweep's beams."""
+    product, entry = _train_product(train), filters._last_fold
+    if entry[1] is product and entry[2] is not None:
+        return entry[2].copy()
+    mm = np.array(_mueller_rows(*product))  # M00 extinction keeps nothing
     mm.flags.writeable = False
-    if filters._last_fold is entry and entry[2] is product:  # still this train's: replace whole
-        filters._last_fold = (*entry[:3], mm)
-    return mm.copy(order="F")
+    if filters._last_fold is entry and entry[1] is product:  # still this train's: replace whole
+        filters._last_fold = (*entry[:2], mm)
+    return mm.copy()
 
 
 def apply_mueller(mm, s):
-    """mm @ s.  Its last digits follow mm's memory layout, since `mm @ s` sums in a
-    layout-dependent order: pass mueller_of_train's column-major array unchanged."""
-    return StokesVector(*(mm @ s.as_array()).tolist())
+    """mm s, each row summed in a fixed order: m_i0 s0 + m_i1 s1 + m_i2 s2 + m_i3 s3."""
+    s0, s1, s2, s3 = s.s0, s.s1, s.s2, s.s3
+    return StokesVector(*(m0 * s0 + m1 * s1 + m2 * s2 + m3 * s3 for m0, m1, m2, m3 in mm.tolist()))

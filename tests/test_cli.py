@@ -13,11 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polspin import (
+    ExtinctionError,
     OrthogonalStatesError,
+    Spinor2,
     StokesVector,
+    WaveState,
     apply,
     apply_filter_to_coherency,
+    apply_train_to_coherency,
     coherency_from_stokes,
+    jones_from_wave,
+    matrix_linear,
     pancharatnam_phase,
     poincare_frame,
     stokes_from_coherency,
@@ -26,8 +32,11 @@ from polspin import (
 from polspin import cli
 from polspin.beamio import BeamFormatError, beam_from_stokes, parse_beam_json
 from polspin.cli import cmd_convert, cmd_mueller, cmd_trace, main
-from polspin.dsl import parse_train
-from polspin.filters import ELEMENTS
+from polspin.dsl import TrainDocument, parse_train, serialize_train
+from polspin.filters import ELEMENTS, _step
+from polspin.pauli import linear_to_circular
+
+from .test_filters import STRONG_TRAIN
 
 
 def run(capsys, *argv):
@@ -516,14 +525,87 @@ class TestStrongAttenuators:
         final = np.array([float(v) for v in rows[-1][8:12]])
         np.testing.assert_allclose(mm @ s_in, final, rtol=0, atol=1e-13 * s_in[0])
 
-    def test_crossed_attenuators_mixed_trace_exit_2(self, capsys, tmp_path):
-        # the third step's entries cancel to rounding noise that is not PSD
+    def test_crossed_attenuators_mixed_trace_exit_0(self, capsys, tmp_path):
+        # the circular-basis steps cancelled the third step's entries to rounding noise
+        # that was not PSD (exit 2); the linear-basis steps keep the crossed pass e^-20
         path = tmp_path / "crossed.pol"
         path.write_text("atten e1=0 e2=20\nrotate alpha=1.5707963267948966\natten e1=0 e2=20\n")
         argv = ("trace", str(path), '{"stokes":[1,0,0.5,0]}')
-        assert run(capsys, *argv) == (2, "", "coherency matrix is not positive semidefinite\n")
-        code, out, err = run_fresh(*argv)
-        assert (code, out) == (2, "") and "Traceback" not in err
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert float(out.split()[-1].split(",")[8]) > 0.0
+        assert run_fresh(*argv) == (code, out, err)
+
+
+# 60-digit references (mpmath) for crossed polarizers, `atten e1=0 e2=E`, `rotate
+# alpha=1.5707963267948966`, `atten e1=0 e2=E`, by E: M00; the last row of the mixed
+# trace of [1, 0, 0, 0] (direction, Stokes); the last row of the pure trace of
+# [1, 0, 1, 0] (r, Re M, Stokes), its phase and |<input|output>| of the unit spinors.
+# cos(alpha) = 6.1e-17, so each passes cos^2 / 2 = 1.87e-33 plus what leaks by e^-E.
+CROSSED = {
+    20: (4.248354255291591e-18,
+         (4.4127669579161536e-16, -2.9707800180814975e-08, 0.0,
+          4.248354255291591e-18, 1.874699728327322e-33, -1.262092593135176e-25, 0.0),
+         (2.9707799517493696e-08, -0.9999999999999996, 2.2204459832857464e-16,
+          6.59645653372272e-24, -2.2204459832857455e-16, -1.0,
+          4.24835438150085e-18, 1.2620926024489318e-25, -4.248354381500848e-18,
+          9.433241421977964e-34),
+         1.494857266937089e-08, 1.4853899869769154e-08),
+    30: (8.756512637396248e-27,
+         (2.1409204850811068e-07, -0.0006543577044288627, 0.0,
+          8.756512637396248e-27, 1.874699728327322e-33, -5.7298915082089364e-30, 0.0),
+         (0.0006541437524729142, -0.9999997860479527, 2.2189935583394922e-16,
+          1.452015841842264e-19, -2.218993083270514e-16, -1.0,
+          8.762242528904458e-27, 5.731766207935319e-30, -8.76224065420473e-27,
+          1.9443359728247334e-42),
+         6.786641492388391e-13, 0.0003270718937309939),
+    40: (1.892748242205776e-33,
+         (0.9904643874573511, -0.13743860182703713, 0.0,
+          1.892748242205776e-33, 1.874699728327322e-33, -2.6013667201934407e-34, 0.0),
+         (0.9916165914122027, -0.1292150751113997, 1.861490647802568e-18,
+          2.6830019655666423e-17, 1.9149160397375972e-16, -1.0,
+          2.1528849142251208e-33, 2.1348364003466665e-33, -2.781851858977983e-34,
+          4.007575133625297e-51),
+         3.081130470775983e-17, 0.6598427558474066),
+    60: (1.874699728327322e-33,
+         (1.0, -2.860093463288564e-10, 0.0,
+          1.874699728327322e-33, 1.874699728327322e-33, -5.361816438617821e-43, 0.0),
+         (1.0, -2.8600934628795574e-10, 9.081773795667633e-36,
+          6.350683229229383e-26, 2.2204460486152446e-16, -1.0,
+          1.874699728863504e-33, 1.874699728863504e-33, -5.361816439384587e-43,
+          1.7025598872337788e-68),
+         6.350683231045736e-26, 0.707106781085428),
+    300: (1.874699728327322e-33,
+          (1.0, -1.6815298014076848e-114, 0.0,
+           1.874699728327322e-33, 1.874699728327322e-33, -3.152363461873282e-147, 0.0),
+          (1.0, -1.6815298014076848e-114, -4.709450917125723e-176,
+           3.7337462042323565e-130, 2.2204460492503128e-16, -1.0,
+           1.8746997283273224e-33, 1.8746997283273224e-33, -3.152363461873283e-147,
+           -8.828806354906452e-209),
+          -3.1211444883602188e-62, 0.7071067811865476),
+}
+
+
+@pytest.mark.parametrize("e2", list(CROSSED))
+def test_crossed_polarizers_every_route_exits_0_at_the_reference(capsys, tmp_path, e2):
+    """`mueller` and the mixed and pure `trace` of crossed polarizers: exit 0, and M00 and
+    the last rows within 1e-12 of the flux (of 1 for unit vectors) of the references."""
+    m00, mixed, pure, phase, overlap = CROSSED[e2]
+    path = tmp_path / "crossed.pol"
+    path.write_text(f"atten e1=0 e2={e2}\nrotate alpha=1.5707963267948966\natten e1=0 e2={e2}\n")
+    code, out, err = run(capsys, "mueller", str(path))
+    assert (code, err) == (0, "")
+    assert abs(float(out.split(",")[0]) - m00) <= 1e-12 * m00
+    for beam, want in (('{"stokes": [1, 0, 0, 0]}', mixed), ('{"stokes": [1, 0, 1, 0]}', pure)):
+        code, out, err = run(capsys, "trace", str(path), beam)
+        assert (code, err) == (0, "")
+        last = out.split()[-1].split(",")
+        got = [float(v) for v in last[2:12] if v]  # a mixed row has no M
+        unit = len(want) - 4  # the direction or r and Re M, then s0..s3
+        np.testing.assert_allclose(got[:unit], want[:unit], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[unit:], want[unit:], rtol=0, atol=1e-12 * want[unit])
+    # the phase of <input|output> is good to about 2 eps / |<input|output>|
+    assert abs(float(last[12]) - phase) <= 1e-15 / overlap
 
 
 class TestTrainFile:
@@ -867,10 +949,16 @@ class TestExtinction:
             assert float(rows[-1][8]) < 1e-250
 
 
-def oracle_trace(train_text, beam_json):
-    """`trace` stdout rebuilt step by step from the public objects: apply,
-    poincare_frame, stokes_from_wave and pancharatnam_phase for a pure beam;
-    apply_filter_to_coherency and stokes_from_coherency for a mixed one."""
+def oracle_trace(train_text, beam_json, basis="linear"):
+    """`trace` stdout rebuilt step by step from the public objects.
+
+    In the linear basis, which `trace` works in, this is its output byte for byte:
+    for a pure beam, the Jones-basis spinor U o stepped with each element's
+    matrix_linear, read by poincare_frame, stokes_from_wave and pancharatnam_phase
+    and permuted to the circular basis; for a mixed one, apply_train_to_coherency
+    of each prefix of the train on a linear C, and stokes_from_coherency.  In the
+    circular basis: apply, and apply_filter_to_coherency on a circular C, one
+    element at a time, which agree with it to rounding."""
     doc = parse_train(train_text).document
     beam = parse_beam_json(beam_json)
 
@@ -888,20 +976,36 @@ def oracle_trace(train_text, beam_json):
         w, ref = beam.wave, beam.wave.spinor
         frame = poincare_frame(ref)
         lines.append(row(0, "input", frame.r, frame.m_re, beam.stokes, 0.0))
+        if basis == "linear":
+            ref = Spinor2(*jones_from_wave(w)[0].tolist())  # U o
+            w = WaveState(w.amplitude, ref)
         for step, (name, e) in enumerate(zip(names, doc.elements), start=1):
-            w = apply(e, w)
+            if basis == "linear":
+                em = matrix_linear(e)
+                f = (em.scale, *em.m.ravel().tolist())
+                amp, c1, c2 = _step(f, w.amplitude, w.spinor.c1, w.spinor.c2)
+                w = WaveState(amp, Spinor2(c1, c2))
+            else:
+                w = apply(e, w)
             frame = poincare_frame(w.spinor)
             try:
                 phase = pancharatnam_phase(ref, w.spinor)
             except OrthogonalStatesError:
                 phase = None
-            lines.append(row(step, name, frame.r, frame.m_re, stokes_from_wave(w), phase))
+            s, r, m_re = stokes_from_wave(w), frame.r, frame.m_re
+            if basis == "linear":
+                r, m_re = linear_to_circular(*r), linear_to_circular(*m_re)
+                s = StokesVector(s.s0, *linear_to_circular(s.s1, s.s2, s.s3))
+            lines.append(row(step, name, r, m_re, s, phase))
     else:
         s = beam.stokes
-        c = coherency_from_stokes(s)
+        c_in = c = coherency_from_stokes(s, basis)
         lines.append(row(0, "input", direction(s), [None] * 3, s, None))
         for step, (name, e) in enumerate(zip(names, doc.elements), start=1):
-            c = apply_filter_to_coherency(e, c)
+            if basis == "linear":
+                c = apply_train_to_coherency(doc.elements[:step], c_in)
+            else:
+                c = apply_filter_to_coherency(e, c)
             s = stokes_from_coherency(c)
             lines.append(row(step, name, direction(s), [None] * 3, s, None))
     return "\n".join(lines) + "\n"
@@ -935,6 +1039,11 @@ def test_trace_stdout_equals_public_api_oracle(capsys, tmp_path, beam, train):
     want = oracle_trace(text, beam)
     first = next((i for i, (a, b) in enumerate(zip(out.split("\n"), want.split("\n"))) if a != b), None)
     assert (first, len(out)) == (None, len(want))
+    # the circular-basis public path, apply or a circular C, ends each step at the same beam
+    got, circular = ([[float(v) for v in line.split(",")[8:12]] for line in csv.split()[1:]]
+                     for csv in (out, oracle_trace(text, beam, "circular")))
+    for row, other in zip(got, circular):
+        np.testing.assert_allclose(row, other, rtol=0, atol=1e-12 * row[0])
     if train == "antipode" and beam == LINEAR_X:
         assert out.splitlines()[3].endswith(",")  # step 2: an empty phase
 
@@ -982,6 +1091,54 @@ def test_trace_final_row_equals_mueller_times_input(tmp_path_factory, case):
     final = np.array([float(v) for v in rows[-1][8:12]])
     expected = mm @ s_in
     assert np.max(np.abs(final - expected)) <= 1e-9 * expected[0]
+
+
+def outcome(call):
+    """A route's output Stokes vector as a list, or ExtinctionError where it raised that."""
+    try:
+        return call()
+    except ExtinctionError:
+        return ExtinctionError
+
+
+@settings(max_examples=150, deadline=None)
+@given(STRONG_TRAIN, st.floats(0.0, math.pi), ANGLE, st.floats(0.0, 0.9))
+def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, train, theta,
+                                                              phi, dop):
+    """Trains of all kinds with attenuator spreads up to ETA_SPREAD_MAX, on a pure and a mixed
+    beam along one direction.  The trace, apply_train_to_coherency in either basis and
+    Mueller x s_in agree within n 1e-12 of the output flux, give or take (n eps)^2 of
+    the input flux: each route's spinor or F holds rounding noise of about n eps, which
+    a later attenuator can leave standing where the true output is smaller still.  The
+    Mueller product rounds at n eps of M00 s0, the flux of unpolarized light.  No route
+    raises where another returns, but `mueller`, which checks M00, may return where this
+    beam is extinguished."""
+    path = tmp_path_factory.mktemp("strong") / "t.pol"
+    path.write_text(serialize_train(TrainDocument(elements=train)))
+    n = len(train)
+    mueller = outcome(lambda: [[float(v) for v in line.split(",")]
+                               for line in cmd_mueller(str(path)).split()])
+    u = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    pure = {"angles": {"theta": theta, "phi": phi, "chi": 0.0, "amp": 1.0}}
+    for beam in (pure, {"stokes": [1.0, *(dop * x for x in u)]}):
+        s = parse_beam_json(json.dumps(beam)).stokes  # the state the trace starts from
+        s_in = [s.s0, s.s1, s.s2, s.s3]
+        c_in = {basis: coherency_from_stokes(s, basis) for basis in ("circular", "linear")}
+        routes = {
+            "trace": outcome(lambda: [float(v) for v in cmd_trace(
+                str(path), json.dumps(beam)).split()[-1].split(",")[8:12]]),
+            **{basis: outcome(lambda: stokes_from_coherency(
+                apply_train_to_coherency(train, c)).as_array().tolist())
+               for basis, c in c_in.items()},
+        }
+        if ExtinctionError in routes.values() or mueller is ExtinctionError:
+            assert all(got is ExtinctionError for got in routes.values())
+            continue
+        routes["mueller"] = [sum(m * s for m, s in zip(row, s_in)) for row in mueller]
+        want, m00 = routes["linear"], mueller[0][0]
+        for name, got in routes.items():
+            tol = n * 1e-12 * (m00 * s.s0 if name == "mueller" else want[0]) + n * n * 1e-30 * s.s0
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol, err_msg=name)
 
 
 def run_fresh(*argv, python=()):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polspin import (
@@ -40,11 +40,12 @@ from polspin import (
 )
 from polspin.cli import cmd_mueller, cmd_trace
 from polspin.dsl import TrainDocument, parse_train, serialize_train
-from polspin.filters import ELEMENTS, ETA_SPREAD_MAX, _entries, _fold, _step, element_matrix
+from polspin.filters import ELEMENTS, ETA_SPREAD_MAX, _fold, _in_basis, _step, element_matrix
 from polspin.partial import (
-    CoherencyMatrix,
+    _coherency_entries,
     _read_stokes,
     _step_coherency,
+    _via_linear,
     apply_filter_to_coherency,
     apply_train_to_coherency,
     apply_mueller,
@@ -342,16 +343,15 @@ class TestAttenuatorBound:
             apply(e, linear_y_wave())
 
     def test_past_the_bound_the_gain_overflows_before_cosh(self):
-        # cosh(spread/2) stays finite up to a spread of 2 ln(2 float max), but
-        # the x wave's step overflows sooner, into a NaN flux: a false extinction
-        assert math.isfinite(math.cosh(0.5 * 1420.95))
-        spread = 1420.5
+        # the bound is where the linear form's gain e^{spread/2} overflows, a little before
+        # cosh(spread/2) would: one step past it, on input the constructor rejects, the
+        # closed form raises, while at the bound every entry is finite
+        at_bound = ELEMENTS[Attenuator][2](SimpleNamespace(eta1=0.0, eta2=ETA_SPREAD_MAX))
+        assert all(map(cmath.isfinite, at_bound))
+        past = math.nextafter(ETA_SPREAD_MAX, math.inf)
+        assert math.isfinite(math.cosh(0.5 * past))
         with pytest.raises(OverflowError):
-            math.exp(0.5 * spread)
-        entries = ELEMENTS[Attenuator][2](SimpleNamespace(eta1=0.0, eta2=spread))
-        s = linear_x_wave().spinor
-        with pytest.raises(ExtinctionError, match=r"^flux nan "):
-            _step(entries, 1.0, s.c1, s.c2)
+            ELEMENTS[Attenuator][2](SimpleNamespace(eta1=0.0, eta2=past))
 
 
 def _kind(index, x, y):
@@ -369,8 +369,9 @@ WAVE = st.builds(
 
 
 def fresh_step(e, w):
-    """apply's result from the element's closed form, computed anew."""
-    return _step(ELEMENTS[type(e)][2](e), w.amplitude, w.spinor.c1, w.spinor.c2)
+    """apply's result from the circular view of the element's closed form, computed anew."""
+    entries = _in_basis(*ELEMENTS[type(e)][2](e), "circular")
+    return _step(entries, w.amplitude, w.spinor.c1, w.spinor.c2)
 
 
 def as_fields(e):
@@ -386,9 +387,9 @@ COHERENCY = st.builds(
 )
 
 
-def fresh_coherency(entries, c):
-    """F C F^dag from a closed form computed anew, as a coherency call builds it."""
-    return CoherencyMatrix._of(*_step_coherency(entries, c.p, c.q, c.r), c.basis)
+def fresh_coherency(f, c):
+    """F C F^dag from a linear F computed anew, as a coherency call builds it."""
+    return _via_linear(f, c)
 
 
 def coherency_outcome(call):
@@ -471,7 +472,7 @@ class TestKeptClosedForm:
         for _ in range(2):  # a second use computes the same
             c = c0
             for e, f in zip(train, copies):
-                want = coherency_outcome(lambda: fresh_coherency(_entries(f, c.basis), c))
+                want = coherency_outcome(lambda: fresh_coherency(_fold([f]), c))
                 assert coherency_outcome(lambda: apply_filter_to_coherency(e, c)) == want
                 if not isinstance(want, str):  # extinct or not PSD: the beam stops here
                     break
@@ -481,7 +482,7 @@ class TestKeptClosedForm:
     @given(st.lists(ELEMENT, min_size=1, max_size=8), COHERENCY)
     def test_coherency_train_equals_the_fresh_closed_form_on_every_use(self, train, c):
         copies = [type(e)(*as_fields(e)) for e in train]
-        want = coherency_outcome(lambda: fresh_coherency(_fold(copies, c.basis)[:5], c))
+        want = coherency_outcome(lambda: fresh_coherency(_fold(copies), c))
         for _ in range(2):  # first use, then the memo's product
             assert coherency_outcome(lambda: apply_train_to_coherency(train, c)) == want
 
@@ -496,7 +497,9 @@ class TestKeptClosedForm:
 
 
 # Exact reprs of the pure-beam library path on the README train (the
-# beam-sweep trace_pure op), recorded before apply kept closed forms:
+# beam-sweep trace_pure op), recorded before apply kept closed forms; the
+# amplitudes and Stokes vectors of the last two beams moved when a unitary
+# step stopped scaling the amplitude by its rounded gain (filters._UNIT_GAIN):
 # (amp, theta, phi, chi) -> final amplitude, final spinor, poincare_frame
 # (r, m_re, m_im), stokes_from_wave and pancharatnam_phase against the input.
 README_PURE_OUTPUTS = {
@@ -508,17 +511,17 @@ README_PURE_OUTPUTS = {
         '-2.386126766506172',
     ),
     (2.5, 2.0, 5.5, 3.0): (
-        '1.5351866490031874',
+        '1.535186649003188',
         'Spinor2(c1=(0.15626539087437014+0.17951778810604688j), c2=(-0.3106554775261906+0.9202432643879376j))',
         '([0.23331067143903272, 0.3991407151952338, -0.886708982736786], [0.7425330760729743, 0.5156523868228029, 0.4274894699306099], [0.6278620561319779, -0.7581486037957099, -0.17606797844111582])',
-        'StokesVector(s0=2.3567980472776355, s1=0.5498661348565463, s2=0.940694058161126, s3=-2.089793999017596)',
+        'StokesVector(s0=2.3567980472776378, s1=0.5498661348565469, s2=0.9406940581611268, s3=-2.0897939990175978)',
         '0.4891142529466494',
     ),
     (0.7, 0.0, 0.0, 0.0): (
-        '0.4564167471016967',
+        '0.45641674710169683',
         'Spinor2(c1=(-0.6091176537946114-0.7322479280915261j), c2=(0.03969403365338267-0.3020149654135362j))',
         '([0.393942992056206, 0.42605704208767725, 0.8144226887171694], [-0.07552528900401713, -0.8680738955082511, 0.4906563386505771], [0.9160266643120515, -0.2548001350561443, -0.3097935464865381])',
-        'StokesVector(s0=0.20831624703489418, s1=0.08206472565084597, s2=0.08875460403049289, s3=0.16965747801362857)',
+        'StokesVector(s0=0.2083162470348943, s1=0.08206472565084601, s2=0.08875460403049293, s3=0.16965747801362868)',
         '-2.26465630625789',
     ),
 }
@@ -553,21 +556,32 @@ STRONG = st.builds(
 STRONG_TRAIN = st.lists(st.one_of(ELEMENT, STRONG), min_size=1, max_size=30)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ELEMENT, STRONG))
+@example(Attenuator(0.0, ETA_SPREAD_MAX))
+@example(Attenuator(ETA_SPREAD_MAX, 0.0))
+@example(Attenuator(0.0, 40.0))  # the circular form's det m - 1 is -1.0 here
+def test_linear_det_m_is_one_at_every_spread(e):
+    (a, b), (c, d) = element_matrix(e, "linear").m.tolist()
+    assert abs(a * d - b * c - 1.0) <= 1e-15
+
+
 def coherency_steps(train, c):
-    """Stokes of F C F^dag taken one element at a time: no train product, no
-    fold.  Raw steps: after crossed strong attenuators a step's rounding can
-    leave a negative eigenvalue that the PSD check of each result rejects."""
-    p, q, r = c.p, c.q, c.r
+    """Stokes of F C F^dag taken one element at a time, no train product and no fold, in
+    the linear basis: there each element's F = element_matrix(e, "linear").full() holds an
+    attenuator's e^-eta however strong.  Raw steps, with no PSD check on the way."""
+    s = stokes_from_coherency(c)
+    p, q, r = _coherency_entries(s.s0, s.s1, s.s2, s.s3, "linear")
     for e in train:
-        p, q, r = _step_coherency(_entries(e, c.basis), p, q, r)
-    return StokesVector(*_read_stokes(p, q, r, c.basis))
+        p, q, r = _step_coherency(element_matrix(e, "linear").full().ravel().tolist(), p, q, r)
+    return StokesVector(*_read_stokes(p, q, r, "linear"))
 
 
 class TestStrongAttenuatorTrains:
     """A product of strong attenuators: scale underflows and m overflows while
-    F = scale m is fine, so the fold carries m's binary exponent."""
+    F = scale m is fine, so the fold multiplies each element's scale into its m."""
 
-    DOUBLE = [Attenuator(0.0, 1000.0)] * 2  # F = [[1, 1], [1, 1]] (1 + e^-2000) / 2
+    DOUBLE = [Attenuator(0.0, 1000.0)] * 2  # F = diag(1, e^-2000) in the linear basis
     # each passes the e1 = 0 wave whole, so M00 = 1/2 and s0 = 3/4 for (1, 1/2, 0, 0)
     TRAINS = {
         "double": DOUBLE,
@@ -592,8 +606,15 @@ class TestStrongAttenuatorTrains:
             compose(self.DOUBLE)
 
     @pytest.mark.parametrize("basis", ["circular", "linear"])
+    def test_compose_raises_where_the_scale_underflows(self, basis):
+        # m = I, but the scale e^-800 of this extinguishing train is 0 in floats
+        with pytest.raises(FloatRangeError, match="scale of the train underflows"):
+            compose([Attenuator(400.0, 400.0)] * 2, basis)
+        assert compose([Attenuator(350.0, 350.0)] * 2, basis).scale != 0.0
+
+    @pytest.mark.parametrize("basis", ["circular", "linear"])
     def test_compose_of_one_element_gives_its_matrix(self, basis):
-        # the fold balances the element and gives m its exponent back exactly
+        # compose multiplies scales and m apart, so m keeps e^-447.5 where F's e^-900 is 0
         for e in (Attenuator(0.0, ETA_SPREAD_MAX), Attenuator(710.0, 710.0), Attenuator(5.0, 900.0)):
             got, want = compose([e], basis), element_matrix(e, basis)
             assert got.scale == want.scale and (got.m == want.m).all()
@@ -609,6 +630,13 @@ class TestStrongAttenuatorTrains:
 
     @settings(max_examples=200, deadline=None)
     @given(STRONG_TRAIN, COHERENCY)
+    # two draws on which the circular-basis core gave a false extinction
+    @example([PhaseShifter(1.0, 0.0), QuarterWave(0.0), Attenuator(0.0, 160.0),
+              PhaseShifter(1.0, 2.0), Attenuator(38.0, 0.0)],
+             coherency_from_stokes(StokesVector(1.0, 0.0, 0.0, 0.0), "circular"))
+    @example([Attenuator(40.0, 1.0), PhaseShifter(0.0, 2.25), PhaseShifter(1.0, 3.0),
+              Attenuator(0.0, 39.0)],
+             coherency_from_stokes(StokesVector(1.5, 0.0, 0.0, 0.0), "circular"))
     def test_mueller_and_train_equal_the_steps(self, train, c):
         try:
             want = coherency_steps(train, c)

@@ -560,8 +560,8 @@ class TestMueller:
 
 
 # Exact reprs on the README train (the beam-sweep library path), so that a
-# change in the last digit shows; recorded before CoherencyMatrix held raw
-# (p, q, r) and unchanged by it.
+# change in the last digit shows; recorded again when the train routes moved
+# to the linear basis, where the fold and the Mueller probes now run.
 README_TRAIN = """\
 shifter d1=0.1 d2=1.2
 rotate alpha=deg(45)
@@ -570,58 +570,51 @@ qwp axis=0.785
 hwp axis=0.4
 atten e1=0.1 e2=0.8
 """
-README_MUELLER = {
-    "circular": [
-        [0.5103136355363186, -0.2945820012032449, -0.032972666617202856, -0.08517843750592227],
-        [0.3084171175416632, -0.48742175270892524, -0.0545572875749309, -0.14093808560116117],
-        [2.7755575615628914e-17, -0.011653443393873149, -0.36380536035079275, 0.18113184496018955],
-        [0.0, -0.1198402098534554, 0.17622499004945877, 0.3462397510482216],
-    ],
-    "linear": [
-        [0.5103136355363187, -0.29458200120324496, -0.03297266661720291, -0.0851784375059223],
-        [0.3084171175416633, -0.4874217527089254, -0.05455728757493103, -0.14093808560116122],
-        [-3.469446951953614e-18, -0.011653443393873034, -0.3638053603507929, 0.18113184496018958],
-        [-0.0, -0.11984020985345548, 0.1762249900494588, 0.3462397510482217],
-    ],
-}
+# the one matrix of either basis tag: the linear-basis fold, read in circular Stokes
+README_MUELLER = [
+    [0.5103136355363186, -0.29458200120324496, -0.03297266661720294, -0.08517843750592242],
+    [0.30841711754166323, -0.4874217527089252, -0.05455728757493106, -0.1409380856011613],
+    [-2.0816681711721685e-17, -0.011653443393873038, -0.36380536035079275, 0.18113184496018955],
+    [-6.938893903907228e-17, -0.11984020985345549, 0.1762249900494587, 0.3462397510482215],
+]
 # (basis, beam): stokes_from_coherency, eig_decompose points and
 # eigenvalues of the propagated beam, and apply_mueller
 README_OUTPUTS = {
     ('circular', (1.0, 0.0, 0.0, 0.5)): (
-        'StokesVector(s0=0.4677244167833574, s1=0.2379480747410826, s2=0.09056592248009479, s3=0.17311987552411076)',
-        '([0.7728521772151502, 0.2941569098485126, 0.5622910496906173], [-0.7728521772151502, -0.2941569098485126, -0.5622910496906173])',
-        '[0.3878037264181211, 0.0799206903652363]',
-        'StokesVector(s0=0.46772441678335747, s1=0.2379480747410826, s2=0.0905659224800948, s3=0.1731198755241108)',
+        'StokesVector(s0=0.4677244167833573, s1=0.23794807474108254, s2=0.09056592248009473, s3=0.17311987552411065)',
+        '([0.7728521772151502, 0.2941569098485125, 0.5622910496906172], [-0.7728521772151502, -0.2941569098485125, -0.5622910496906172])',
+        '[0.387803726418121, 0.0799206903652363]',
+        'StokesVector(s0=0.46772441678335736, s1=0.2379480747410826, s2=0.09056592248009476, s3=0.17311987552411068)',
     ),
     ('circular', (2.0, 0.3, -0.4, 1.1)): (
-        'StokesVector(s0=0.8517454561020303, s1=0.33739873013934385, s2=0.3412711405783637, s3=0.27442166717722355)',
-        '([0.6103217526765159, 0.6173265695744615, 0.49640232141610013], [-0.6103217526765159, -0.6173265695744615, -0.49640232141610013])',
-        '[0.7022832677865805, 0.14946218831544994]',
-        'StokesVector(s0=0.8517454561020303, s1=0.33739873013934385, s2=0.3412711405783637, s3=0.27442166717722366)',
+        'StokesVector(s0=0.8517454561020301, s1=0.3373987301393439, s2=0.34127114057836366, s3=0.27442166717722344)',
+        '([0.6103217526765161, 0.6173265695744615, 0.4964023214161001], [-0.6103217526765161, -0.6173265695744615, -0.4964023214161001])',
+        '[0.7022832677865802, 0.14946218831544988]',
+        'StokesVector(s0=0.8517454561020302, s1=0.33739873013934385, s2=0.3412711405783637, s3=0.27442166717722344)',
     ),
     ('circular', (1.0, 0.0, 0.0, 0.0)): (
-        'StokesVector(s0=0.5103136355363186, s1=0.3084171175416632, s2=2.7755575615628914e-17, s3=0.0)',
-        '([1.0, 8.99936288778767e-17, 0.0], [-1.0, -8.99936288778767e-17, -0.0])',
-        '[0.40936537653899085, 0.1009482589973277]',
-        'StokesVector(s0=0.5103136355363186, s1=0.3084171175416632, s2=2.7755575615628914e-17, s3=0.0)',
+        'StokesVector(s0=0.5103136355363186, s1=0.30841711754166323, s2=-2.0816681711721685e-17, s3=-1.1102230246251565e-16)',
+        '([1.0, -6.749522165840751e-17, -3.5997451551150676e-16], [-1.0, 6.749522165840751e-17, 3.5997451551150676e-16])',
+        '[0.4093653765389909, 0.10094825899732768]',
+        'StokesVector(s0=0.5103136355363186, s1=0.30841711754166323, s2=-2.0816681711721685e-17, s3=-6.938893903907228e-17)',
     ),
     ('linear', (1.0, 0.0, 0.0, 0.5)): (
-        'StokesVector(s0=0.4677244167833576, s1=0.23794807474108265, s2=0.09056592248009479, s3=0.17311987552411084)',
-        '([0.7728521772151501, 0.2941569098485125, 0.5622910496906174], [-0.7728521772151501, -0.2941569098485125, -0.5622910496906174])',
-        '[0.3878037264181212, 0.07992069036523633]',
-        'StokesVector(s0=0.4677244167833575, s1=0.23794807474108268, s2=0.09056592248009479, s3=0.17311987552411084)',
+        'StokesVector(s0=0.46772441678335736, s1=0.23794807474108254, s2=0.09056592248009473, s3=0.17311987552411068)',
+        '([0.7728521772151502, 0.2941569098485125, 0.5622910496906172], [-0.7728521772151502, -0.2941569098485125, -0.5622910496906172])',
+        '[0.387803726418121, 0.07992069036523633]',
+        'StokesVector(s0=0.46772441678335736, s1=0.2379480747410826, s2=0.09056592248009476, s3=0.17311987552411068)',
     ),
     ('linear', (2.0, 0.3, -0.4, 1.1)): (
-        'StokesVector(s0=0.8517454561020307, s1=0.33739873013934407, s2=0.34127114057836383, s3=0.2744216671772237)',
-        '([0.6103217526765161, 0.6173265695744614, 0.49640232141610025], [-0.6103217526765161, -0.6173265695744614, -0.49640232141610025])',
-        '[0.7022832677865807, 0.14946218831545]',
-        'StokesVector(s0=0.8517454561020306, s1=0.337398730139344, s2=0.34127114057836383, s3=0.2744216671772237)',
+        'StokesVector(s0=0.8517454561020301, s1=0.3373987301393439, s2=0.34127114057836366, s3=0.2744216671772234)',
+        '([0.6103217526765161, 0.6173265695744615, 0.49640232141609997], [-0.6103217526765161, -0.6173265695744615, -0.49640232141609997])',
+        '[0.7022832677865802, 0.14946218831544988]',
+        'StokesVector(s0=0.8517454561020302, s1=0.33739873013934385, s2=0.3412711405783637, s3=0.27442166717722344)',
     ),
     ('linear', (1.0, 0.0, 0.0, 0.0)): (
-        'StokesVector(s0=0.5103136355363187, s1=0.3084171175416633, s2=-3.469446951953614e-18, s3=-0.0)',
-        '([1.0, -1.1249203609734585e-17, -0.0], [-1.0, 1.1249203609734585e-17, 0.0])',
-        '[0.40936537653899097, 0.1009482589973277]',
-        'StokesVector(s0=0.5103136355363187, s1=0.3084171175416633, s2=-3.469446951953614e-18, s3=0.0)',
+        'StokesVector(s0=0.5103136355363186, s1=0.30841711754166323, s2=-2.0816681711721685e-17, s3=-6.938893903907228e-17)',
+        '([1.0, -6.749522165840751e-17, -2.249840721946917e-16], [-1.0, 6.749522165840751e-17, 2.249840721946917e-16])',
+        '[0.4093653765389909, 0.10094825899732768]',
+        'StokesVector(s0=0.5103136355363186, s1=0.30841711754166323, s2=-2.0816681711721685e-17, s3=-6.938893903907228e-17)',
     ),
 }
 
@@ -633,7 +626,7 @@ class TestReadmeTrainExactOutputs:
 
     @pytest.mark.parametrize("basis", ["circular", "linear"])
     def test_mueller_of_train(self, train, basis):
-        assert repr(mueller_of_train(train, basis).tolist()) == repr(README_MUELLER[basis])
+        assert repr(mueller_of_train(train, basis).tolist()) == repr(README_MUELLER)
 
     @pytest.mark.parametrize("key", list(README_OUTPUTS), ids=str)
     def test_coherency_and_mueller_routes(self, train, key):
