@@ -9,11 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polspin import (
+    Attenuator,
     ExtinctionError,
+    HalfWave,
     OrthogonalStatesError,
     Spinor2,
     StokesVector,
@@ -1103,6 +1105,12 @@ def outcome(call):
 
 @settings(max_examples=150, deadline=None)
 @given(STRONG_TRAIN, st.floats(0.0, math.pi), ANGLE, st.floats(0.0, 0.9))
+# a mixed trace that carried its coherency matrix from step to step went non-PSD on the
+# first draw and to a negative flux on the second
+@example([Attenuator(0.0, 21.0), HalfWave(3.0), HalfWave(3.0), Attenuator(9.0, 0.0)],
+         0.0, 0.0, 0.0)
+@example([Attenuator(0.0, 291.0), HalfWave(3.0), HalfWave(3.0), Attenuator(20.0, 0.0)],
+         0.0, 0.0, 0.0)
 def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, train, theta,
                                                               phi, dop):
     """Trains of all kinds with attenuator spreads up to ETA_SPREAD_MAX, on a pure and a mixed
