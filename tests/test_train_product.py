@@ -29,12 +29,13 @@ from polspin import (
 from polspin import filters, partial
 from polspin.dsl import parse_train
 from polspin.filters import _fold, _train_product
-from polspin.partial import _mueller_rows, apply_mueller
+from polspin.partial import _mueller_rows, _via_linear, apply_mueller
 
 from .test_cli import long_train_text
 from .test_partial import README_TRAIN
 
 BASES = ["circular", "linear"]
+OTHER = {"circular": "linear", "linear": "circular"}
 
 
 @pytest.fixture(autouse=True)
@@ -129,6 +130,22 @@ class TestHitsAndMisses:
         assert repr(mueller_of_train(train, other).tolist()) == repr(mm.tolist())
         assert len(folds) == 1 and len(mueller_rows) == 1
 
+    def test_switch_of_basis_misses(self, basis, folds):
+        # a switch of basis tag misses only the edge view: each call crosses its beam to and
+        # from its own basis, on the one product both tags share
+        train = readme()
+        other = "linear" if basis == "circular" else "circular"
+        s = StokesVector(1.0, 0.2, 0.0, 0.1)
+        first = apply_train_to_coherency(train, coherency_from_stokes(s, basis))
+        out = apply_train_to_coherency(train, coherency_from_stokes(s, other))
+        assert first.basis == basis and out.basis == other
+        assert repr(out) == repr(_via_linear(_fold(train), coherency_from_stokes(s, other)))
+        assert not np.array_equal(out.matrix, first.matrix)
+        both = [stokes_from_coherency(c).as_array() for c in (out, first)]
+        assert np.allclose(*both, rtol=0, atol=1e-15)
+        assert repr(apply_train_to_coherency(train, coherency_from_stokes(s, basis))) == repr(first)
+        assert len(folds) == 1
+
     def test_generator_train(self, basis, folds):
         train = readme()
         assert repr(product((e for e in train), basis)) == memo_free(train)
@@ -206,22 +223,25 @@ class TestKeptMueller:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda t: t.__setitem__(2, Rotator(0.7)),
-            lambda t: t.append(QuarterWave(0.3)),
-            lambda t: t.__setitem__(3, copy.deepcopy(t[3])),
+            lambda t, b: (t.__setitem__(2, Rotator(0.7)), b),
+            lambda t, b: (t.append(QuarterWave(0.3)), b),
+            lambda t, b: (t.__setitem__(3, copy.deepcopy(t[3])), b),
+            lambda t, b: (t.__setitem__(2, Rotator(0.7)), OTHER[b]),
         ],
-        ids=["replaced", "appended", "value-equal-copy"],
+        ids=["replaced", "appended", "value-equal-copy", "other-basis"],
     )
     def test_a_new_train_or_basis_recomputes(self, basis, mueller_rows, edit):
-        # a new train recomputes; a new basis tag alone does not (test_switch_of_basis_hits)
+        # a new train recomputes under either tag; a new basis tag alone does not
+        # (test_switch_of_basis_hits), so other-basis edits the train as well
         train = readme()
         mueller_of_train(train, basis)
-        edit(train)
-        got = mueller_of_train(train, basis)
+        new_basis = edit(train, basis)[1]
+        got = mueller_of_train(train, new_basis)
         assert repr(got.tolist()) == repr(memo_free_mueller(train).tolist())
         assert len(mueller_rows) == 2
-        mueller_of_train(train, basis)
-        assert len(mueller_rows) == 2  # the new entry keeps the new matrix
+        for tag in BASES:
+            assert repr(mueller_of_train(train, tag).tolist()) == repr(got.tolist())
+        assert len(mueller_rows) == 2  # the new entry keeps the new matrix for both tags
 
     def test_apply_train_between_calls_keeps_the_matrix(self, basis, folds, mueller_rows):
         train = readme()
