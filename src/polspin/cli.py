@@ -21,25 +21,26 @@ from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
 from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
 from .filters import ELEMENTS, _fold, _prefixes, _step
-from .pauli import linear_to_circular
+from .pauli import U_ROWS, linear_to_circular
 from .partial import (
     _coherency_entries,
+    _decomposition,
     _mueller_rows,
     _read_stokes,
     _require_psd,
     _step_coherency,
     coherency_from_stokes,
     degree_of_polarization,
-    eig_decompose,
 )
 from .spinor import (
     FLUX_MIN,
+    JONES_PREFACTOR_UNIT,
     PHASE_TOL,
     _check_wave,
     _sphere_point,
     _tangent,
+    _times,
     angles_from_spinor,
-    jones_from_wave,
     pancharatnam_phase,
 )
 
@@ -107,8 +108,8 @@ def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
     if target == "spinor":
         return json.dumps({"spinor": [_complex_pair(w.spinor.c1), _complex_pair(w.spinor.c2)]})
     if target == "jones":
-        o_tilde, prefactor = jones_from_wave(w)
-        z1, z2 = prefactor * o_tilde
+        prefactor = JONES_PREFACTOR_UNIT * w.amplitude  # plain products: no FMA on any host
+        z1, z2 = (prefactor * o for o in _times(U_ROWS, w.spinor.c1, w.spinor.c2))
         phi1, phi2 = (cmath.phase(z) if abs(z) > 0 else 0.0 for z in (z1, z2))
         return json.dumps({"jones": {"a1": abs(z1), "a2": abs(z2), "phi1": phi1, "phi2": phi2}})
     raise CliError(f"unknown conversion target {target!r}")
@@ -144,7 +145,7 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
     if beam.pure:  # one step per element on U o, whose r and M permute as the Pauli set
         amp, c1, c2 = beam.wave.amplitude, beam.wave.spinor.c1, beam.wave.spinor.c2
         lines.append(_pure_row(0, "input", _sphere_point(c1, c2), _tangent(c1, c2), s, "0.0"))
-        c1, c2 = jones_from_wave(beam.wave)[0].tolist()  # U o
+        c1, c2 = _times(U_ROWS, c1, c2)
         k1, k2 = c1.conjugate(), c2.conjugate()
         for step, element in enumerate(doc.elements, start=1):
             name, _, entries = ELEMENTS[type(element)]
@@ -179,13 +180,13 @@ def cmd_decompose(beam_json, tol=PURITY_TOL):
         raise CliError("decompose requires the Stokes beam form")
     s = _beam_from_json(obj, tol).stokes
     _require_flux(s.s0)
-    dec = eig_decompose(coherency_from_stokes(s))
+    plus, minus, lam_plus, lam_minus, degenerate = _decomposition(coherency_from_stokes(s))
     return json.dumps(
         {
-            "points": [list(dec.point_plus), list(dec.point_minus)],
-            "eigenvalues": [dec.lambda_plus, dec.lambda_minus],
+            "points": [plus, minus],
+            "eigenvalues": [lam_plus, lam_minus],
             "dop": degree_of_polarization(s),
-            "degenerate": dec.degenerate,
+            "degenerate": degenerate,
         }
     )
 

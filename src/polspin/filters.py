@@ -31,8 +31,6 @@ from collections import deque
 from dataclasses import dataclass
 from operator import is_not
 
-import numpy as np
-
 from .errors import EmptyTrainError, ExtinctionError, FloatRangeError
 from .pauli import linear_to_circular
 from .spinor import FLUX_MIN, WaveState, _quaternion
@@ -92,7 +90,7 @@ class Attenuator(_Element):
 class ElementMatrix:
     """Unimodular 2x2 matrix m with the overall coefficient factored into scale."""
 
-    m: np.ndarray
+    m: "numpy.ndarray"
     scale: complex
     basis: str
 
@@ -102,13 +100,13 @@ class ElementMatrix:
 
 @dataclass(frozen=True)
 class PoincareRotation:
-    axis: np.ndarray
+    axis: "numpy.ndarray"
     angle: float
 
 
 @dataclass(frozen=True)
 class ConformalMap:
-    boost_axis: np.ndarray
+    boost_axis: "numpy.ndarray"
     rapidity: float
 
 
@@ -182,6 +180,7 @@ def _in_basis(scale, a, b, c, d, basis):
 
 
 def _matrix(entries, basis):
+    import numpy as np
     scale, a, b, c, d = _in_basis(*entries, basis)
     return ElementMatrix(np.array([[a, b], [c, d]], dtype=complex), scale, basis)
 
@@ -241,6 +240,7 @@ def classify(e):
     An SU(2) matrix exp(i (psi/2) n.sigma) rotates the Poincare sphere by
     -psi about n; the angle is reported with psi in [0, 2pi].
     """
+    import numpy as np
     if isinstance(e, Attenuator):
         return ConformalMap(np.array([1.0, 0.0, 0.0]), e.eta2 - e.eta1)
     c, *v = _quaternion(*_entries(e)[1:])  # linear; its circular v is linear_to_circular(v)
@@ -300,7 +300,7 @@ def compose(train, basis="circular"):
         a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
         scale *= s
     em = _matrix((scale, a, b, c, d), basis)
-    if not np.isfinite(em.m).all():
+    if not all(map(cmath.isfinite, em.m.flat)):
         raise FloatRangeError("the unimodular factor m of the train overflows a float")
     if not scale:
         raise FloatRangeError("the scale of the train underflows a float")

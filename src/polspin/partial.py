@@ -11,6 +11,9 @@ with t = (s1, s2, s3) in the circular basis and t = circular_to_linear(s1,
 s2, s3) in the linear one; `_read_stokes` is its exact inverse.
 `coherency_from_stokes`, the Mueller probes and `kernels` all use it.
 `_mueller_rows` is the one Mueller kernel: `mueller_of_train` and the CLI read its rows.
+NumPy is imported only by the calls that take or return an ndarray, when called:
+`CoherencyMatrix(matrix)`, `.matrix`, `eig_decompose` (the CLI reads `_decomposition`)
+and `mueller_of_train`.
 The train calls share filters._train_product, the memo of the last train they folded: its
 product and, once asked, its Mueller matrix.  Every per-beam check runs on every call.  No call
 here keeps element forms: a memo miss and `apply_filter_to_coherency` compute them afresh.
@@ -18,8 +21,6 @@ here keeps element forms: a memo miss and `apply_filter_to_coherency` compute th
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import filters
 from .errors import InvalidStokesError, NotPositiveSemidefiniteError, ZeroFluxError
@@ -42,6 +43,7 @@ class CoherencyMatrix:
     basis: str
 
     def __init__(self, matrix, basis="circular"):
+        import numpy as np
         (p, q), (q2, r) = np.asarray(matrix, dtype=complex).tolist()
         # largest |C - C^dag| entry; |p - conj p| = 2 |Im p|
         skew = max(2.0 * abs(p.imag), abs(q - q2.conjugate()), 2.0 * abs(r.imag))
@@ -66,6 +68,7 @@ class CoherencyMatrix:
 
     @property
     def matrix(self):
+        import numpy as np
         q = self.q
         # conj q, but a zero imaginary part stays +0.0 (`convert` prints the sign)
         return np.array([[self.p, q], [complex(q.real, 0.0 - q.imag), self.r]])
@@ -75,8 +78,8 @@ class CoherencyMatrix:
 class PolarizationDecomposition:
     """Antipodal sphere points with their flux weights, larger first."""
 
-    point_plus: np.ndarray
-    point_minus: np.ndarray
+    point_plus: "numpy.ndarray"
+    point_minus: "numpy.ndarray"
     lambda_plus: float
     lambda_minus: float
     degenerate: bool
@@ -154,6 +157,17 @@ def degree_of_polarization(s):
     return math.hypot(s.s1, s.s2, s.s3) / s.s0
 
 
+def _decomposition(c):
+    """eig_decompose's fields, its points as float tuples: the CLI's `decompose` reads them."""
+    s0, s1, s2, s3 = _read_stokes(c.p, c.q, c.r, c.basis)
+    norm = math.hypot(s1, s2, s3)  # no squares: exact under 2^k scaling
+    lam_plus, lam_minus = 0.5 * (s0 + norm), 0.5 * (s0 - norm)
+    if 1e12 * norm <= s0:
+        return (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), lam_plus, lam_minus, True
+    p1, p2, p3 = s1 / norm, s2 / norm, s3 / norm
+    return (p1, p2, p3), (-p1, -p2, -p3), lam_plus, lam_minus, False
+
+
 def eig_decompose(c):
     """Closed-form eigen-decomposition into two antipodal sphere points.
 
@@ -161,16 +175,10 @@ def eig_decompose(c):
     eigenvectors are not unique; the points are fixed at +-(0, 0, 1) and
     the result is flagged degenerate.
     """
-    s0, s1, s2, s3 = _read_stokes(c.p, c.q, c.r, c.basis)
-    norm = math.hypot(s1, s2, s3)  # no squares: exact under 2^k scaling
-    lam_plus = 0.5 * (s0 + norm)
-    lam_minus = 0.5 * (s0 - norm)
-    if 1e12 * norm <= s0:
-        return PolarizationDecomposition(
-            np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), lam_plus, lam_minus, True
-        )
-    point = np.array([s1, s2, s3]) / norm
-    return PolarizationDecomposition(point, -point, lam_plus, lam_minus, False)
+    import numpy as np
+    plus, minus, lam_plus, lam_minus, degenerate = _decomposition(c)
+    return PolarizationDecomposition(
+        np.array(plus), np.array(minus), lam_plus, lam_minus, degenerate)
 
 
 def _step_coherency(f, p, q, r):
@@ -218,7 +226,7 @@ def apply_train_to_coherency(train, c):
 
 # linear (p, q, r) of the probes C_j = (1/2) sigma_j, the unit Stokes vectors e_j, made
 # once: four calls per train slow a 6-element mueller_of_train by 10-20%
-_PROBES = [_coherency_entries(*e, "linear") for e in np.eye(4).tolist()]
+_PROBES = [_coherency_entries(*(float(i == j) for j in range(4)), "linear") for i in range(4)]
 
 
 def _mueller_rows(a, b, g, d):
@@ -243,6 +251,7 @@ def mueller_of_train(train, basis="circular"):
     product, entry = _train_product(train), filters._last_fold
     if entry[1] is product and entry[2] is not None:
         return entry[2].copy()
+    import numpy as np
     mm = np.array(_mueller_rows(*product))  # M00 extinction keeps nothing
     mm.flags.writeable = False
     if filters._last_fold is entry and entry[1] is product:  # still this train's: replace whole

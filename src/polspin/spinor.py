@@ -9,7 +9,9 @@ where (theta, phi) are spherical coordinates of the polarization point on
 the Poincare sphere and chi/2 is the wave's phase.  The spinor determines
 the sphere point r together with a tangent vector m_re encoding chi, the
 Stokes parameters, the Jones components (after the basis change U), and
-the sampled electric field.
+the sampled electric field.  All of it is scalar Python: NumPy is imported
+only by the calls that return ndarrays (`as_array`, `poincare_frame`,
+`jones_from_wave`, `su2_to_so3`, `basis_permutation_check`), when called.
 
 Conventions fixed here:
   * chi is canonicalized to [0, 2pi); the spinor is recovered from angles
@@ -23,8 +25,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     InvalidStokesError,
     NonUnimodularError,
@@ -32,7 +32,7 @@ from .errors import (
     OrthogonalStatesError,
     ZeroFieldError,
 )
-from .pauli import SIGMA, U_BASIS, U_BASIS_INV
+from .pauli import U_INV_ROWS, U_ROWS
 
 TWO_PI = 2.0 * math.pi
 # Bound on amplitudes and Stokes parameters: the square of a value up to it,
@@ -65,6 +65,7 @@ class Spinor2:
     c2: complex
 
     def as_array(self):
+        import numpy as np
         return np.array([self.c1, self.c2], dtype=complex)
 
     def norm(self):
@@ -151,6 +152,7 @@ class StokesVector:
     s3: float
 
     def as_array(self):
+        import numpy as np
         return np.array([self.s0, self.s1, self.s2, self.s3])
 
 
@@ -174,9 +176,9 @@ class JonesAmpPhase:
 class PoincareFrame:
     """Sphere point r with tangent pair (m_re, m_im); right-handed orthonormal."""
 
-    r: np.ndarray
-    m_re: np.ndarray
-    m_im: np.ndarray
+    r: "numpy.ndarray"
+    m_re: "numpy.ndarray"
+    m_im: "numpy.ndarray"
 
 
 def spinor_from_angles(angles):
@@ -234,6 +236,7 @@ def _tangent(c1, c2):
 
 def poincare_frame(s):
     """Vectors r_i = o^dag sigma_i o and M_i = o^t eps sigma_i o, M split re/im."""
+    import numpy as np
     s.require_unit()
     r = np.array(_sphere_point(s.c1, s.c2))
     m = np.array(_tangent(s.c1, s.c2))
@@ -259,11 +262,15 @@ def wave_from_stokes(s, tol=PURITY_FLOOR):
     sxy = math.hypot(s.s1, s.s2)
     if sxy <= 1e-12 * norm:
         ang = AngleSet(0.0 if s.s3 > 0.0 else math.pi, 0.0, 0.0)
-    else:
-        theta = math.acos(max(-1.0, min(1.0, s.s3 / norm)))
-        phi = _wrap_2pi(math.atan2(s.s2, s.s1))
-        ang = AngleSet(theta, phi, 0.0)
+    else:  # atan2 keeps a tilt that acos(s3 / norm) rounds to 0 near a pole
+        ang = AngleSet(math.atan2(sxy, s.s3), _wrap_2pi(math.atan2(s.s2, s.s1)), 0.0)
     return WaveState(math.sqrt(s.s0), spinor_from_angles(ang))
+
+
+def _times(rows, c1, c2):
+    """U_ROWS or U_INV_ROWS times (c1, c2) on Python complex numbers, in the ndarray's digits."""
+    (a, b), (c, d) = rows
+    return a * c1 + b * c2, c * c1 + d * c2
 
 
 def jones_from_wave(w):
@@ -272,7 +279,8 @@ def jones_from_wave(w):
     The physical Jones components are prefactor * e^{i(kz - wt)} * o_tilde;
     their real parts at t = z = 0 are the sampled field there.
     """
-    o_tilde = U_BASIS @ w.spinor.as_array()
+    import numpy as np
+    o_tilde = np.array(_times(U_ROWS, w.spinor.c1, w.spinor.c2))
     return o_tilde, JONES_PREFACTOR_UNIT * w.amplitude
 
 
@@ -288,19 +296,23 @@ def wave_from_jones(j):
         what = "has zero flux" if flux == 0.0 else f"flux underflows (below {FLUX_MIN:.4g})"
         raise ZeroFieldError(f"Jones field {what}: a1={j.a1}, a2={j.a2}")
     amp = math.sqrt(flux)
-    jones = np.array(
-        [j.a1 * cmath.exp(1j * j.phi1), j.a2 * cmath.exp(1j * j.phi2)]
-    )
-    o = U_BASIS_INV @ (jones / (JONES_PREFACTOR_UNIT * amp))
-    return WaveState(amp, Spinor2(complex(o[0]), complex(o[1])).normalized())
+    # z / k in NumPy's order (Smith's method), whose digits CPython's `/` does not keep; as
+    # JONES_PREFACTOR_UNIT is 1.0000000000000002 - 1j, Re k >= |Im k| for every amp > 0
+    k = JONES_PREFACTOR_UNIT * amp
+    rat = k.imag / k.real
+    scl = 1.0 / (k.real + k.imag * rat)
+    z1, z2 = j.a1 * cmath.exp(1j * j.phi1), j.a2 * cmath.exp(1j * j.phi2)
+    v = (complex((z.real + z.imag * rat) * scl, (z.imag - z.real * rat) * scl) for z in (z1, z2))
+    return WaveState(amp, Spinor2(*_times(U_INV_ROWS, *v)).normalized())
 
 
 def basis_permutation_check(tol=1e-15):
     """Library self-test: conjugation by U permutes sigma1->sigma3->sigma2->sigma1."""
+    from .pauli import SIGMA, U_BASIS, U_BASIS_INV
     results = []
     for i, j in ((1, 3), (2, 1), (3, 2)):
         lhs = U_BASIS @ SIGMA[i] @ U_BASIS_INV
-        results.append(bool(np.max(np.abs(lhs - SIGMA[j])) <= tol))
+        results.append(bool(abs(lhs - SIGMA[j]).max() <= tol))
     return tuple(results)
 
 
@@ -327,6 +339,7 @@ def su2_to_so3(q, tol=1e-10):
     + 2 a eps_ijk v_k.  For o' = Q o the frame vectors transform as r' = a r
     and M' = a M.
     """
+    import numpy as np
     (m11, m12), (m21, m22) = np.asarray(q, dtype=complex).tolist()
     # largest |Q^dag Q - 1| entry; the two off-diagonal entries are conjugates
     off = m11.conjugate() * m12 + m21.conjugate() * m22

@@ -356,6 +356,20 @@ class TestTrace:
         s0s = {row[8] for row in rows}
         assert len(s0s) == 1
 
+    def test_pure_stokes_beam_keeps_its_tilt_near_a_pole(self, capsys, tmp_path):
+        # theta = atan2(|s_xy|, s3) = 1e-9, which acos(s3 / |s|) rounded to 0: the input row
+        # read r = (0, 0, 1) and the row after the identity element s1 = 0.0
+        train = self.make_train(tmp_path, "shifter d1=0 d2=0\n")
+        code, out, _ = run(capsys, "trace", train, '{"stokes": [1, 1e-9, 0, 1]}')
+        assert code == 0
+        _, (first, second) = self.parse_csv(out)
+        assert float(first[2]) == pytest.approx(1e-9, rel=1e-15)  # rx, from the spinor
+        assert float(first[9]) == pytest.approx(1e-9, rel=1e-15)
+        # in the linear basis the tilt is a difference of two components of modulus 1/sqrt 2,
+        # so the propagated s1 keeps it to a rounding of s0 = 1, not of s1
+        assert float(second[9]) == pytest.approx(1e-9, rel=0, abs=1e-15)
+        assert float(second[2]) == pytest.approx(1e-9, rel=0, abs=1e-15)
+
     def test_mixed_beam_empty_tangent_and_phase(self, capsys, tmp_path):
         train = self.make_train(tmp_path, "qwp axis=0.3\n")
         code, out, _ = run(capsys, "trace", train, UNPOLARIZED)

@@ -12,9 +12,8 @@ it is odd, so the host's slow drift hits both sides alike.  Each workload
 gets PAIRS consecutive seeds, starting at --first-seed; every run lasts
 SECONDS, the run length BENCHMARK.json fixes.  The traced workload gets
 TRACED_PAIRS more pairs with the per-layer tracer on.  Last, COLD_RUNS
-alternating pairs of cold `python -m polspin` processes time `convert`,
-`trace` and `mueller` on the README train and pure beam; their medians are
-layers, not bounds.  The summary gives, per end-to-end metric, the medians and quartiles
+alternating pairs of cold `python -m polspin` processes time every command
+(`cold_argvs`); their medians are layers, not bounds.  The summary gives, per end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
 change was better (the direction comes from BENCHMARK.json) and the
 relative change of the medians.  Standard library only.
@@ -40,6 +39,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = SPEC["run_seconds"]
 TRACED_PAIRS = 5
 COLD_RUNS = 10  # alternating pairs of cold processes per command
+JONES_BEAM = {"jones": {"a1": 1.0, "a2": 0.5, "phi1": 0.0, "phi2": 0.7}}  # cold convert_jones
 COMMAND = f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {SECONDS:g} --trace "
 
 
@@ -111,16 +111,20 @@ def cold_pairs(trees, argvs, runs=COLD_RUNS):
 
 def cold_argvs(workdir):
     """The cold commands' argvs: the README pure beam converted, and traced through the
-    README train (written to workdir), and that train's Mueller matrix."""
+    README train (written to workdir), and that train's Mueller matrix; the README mixed
+    beam decomposed; a Jones beam converted to Jones."""
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import README_PURE_BEAM, README_TRAIN
+    from workloads import README_MIXED_BEAM, README_PURE_BEAM, README_TRAIN
 
     train, beam = Path(workdir) / "readme.pol", json.dumps(README_PURE_BEAM)
     train.write_text(README_TRAIN, encoding="utf-8")
+    jones = json.dumps(JONES_BEAM)
     return {"convert": ["convert", "--to", "stokes", beam],
             "trace": ["trace", str(train), beam],
-            "mueller": ["mueller", str(train)]}
+            "mueller": ["mueller", str(train)],
+            "decompose": ["decompose", json.dumps(README_MIXED_BEAM)],
+            "convert_jones": ["convert", "--to", "jones", jones]}
 
 
 def spread(values):
@@ -267,7 +271,9 @@ def main(argv=None):
         result["cold_process"] = {
             "command": "python -m polspin convert --to stokes <README pure beam>; "
                        "python -m polspin trace <README train> <README pure beam>; "
-                       "python -m polspin mueller <README train>",
+                       "python -m polspin mueller <README train>; "
+                       "python -m polspin decompose <README mixed beam>; "
+                       f"python -m polspin convert --to jones '{json.dumps(JONES_BEAM)}'",
             "runs": COLD_RUNS, "metrics": summarize_traced(cold_pairs(trees, argvs))}
 
     out = ROOT / f"BENCH_{args.pr}.json"
