@@ -6,8 +6,9 @@ A beam JSON object takes exactly one of three forms:
     {"stokes": [s0, s1, s2, s3]}
     {"jones": {"a1": r, "a2": r, "phi1": r, "phi2": r}}
 
-Angles are radians and every number must be finite.  A Stokes beam may be
-mixed (s0^2 > |s_vec|^2); the other two forms always describe a pure wave.
+Angles are radians, every number must be finite, and an object holds no
+other key.  A Stokes beam may be mixed (s0^2 > |s_vec|^2); the other two
+forms always describe a pure wave.
 The same three forms, with the same keys, are the `.pol` beam statements.
 """
 
@@ -71,11 +72,11 @@ class BeamFormatError(PolspinError):
     """Beam JSON does not match any accepted form."""
 
 
-def _require_number(v, where):
+def _require_number(v, form, key):
     # integers arrive as floats (parse_int=float); NaN, Infinity and
     # out-of-range literals such as 1e400 are rejected here
     if not isinstance(v, float) or not math.isfinite(v):
-        raise BeamFormatError(f"{where} must be a finite number")
+        raise BeamFormatError(f"{form}.{key} must be a finite number")
     return v
 
 
@@ -125,7 +126,10 @@ def _beam_from_json(obj, tol=PURITY_TOL):
         body = dict(zip(keys, body))
     elif not isinstance(body, dict):
         raise BeamFormatError(f"{form!r} must map to an object")
-    values = [_require_number(body.get(k), f"{form}.{k}") for k in keys]
+    values = [_require_number(body.get(k), form, k) for k in keys]
+    if len(body) != len(keys):  # every key of the form is there, so one is not of it
+        extra = next(k for k in body if k not in keys)
+        raise BeamFormatError(f"unknown key {extra!r} for {form!r}")
     try:
         return beam_from_decl(cls(*values), tol)
     except ValueError as exc:

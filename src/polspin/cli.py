@@ -63,12 +63,14 @@ def _complex_pair(z):
 
 def _load_train(path):
     try:
-        with open(path, encoding="utf-8") as fh:  # universal newlines
+        with open(path, "rb", buffering=0) as fh:  # one read, no text layer
             source = fh.read()
-    except UnicodeDecodeError as exc:  # parse_train diagnoses the undecodable bytes
-        source = exc.object
     except OSError as exc:
         raise CliError(f"cannot read train file: {exc}")
+    try:  # universal newlines, as text mode reads them
+        source = source.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError:  # parse_train diagnoses the undecodable bytes
+        pass
     result = parse_train(source)
     if not result.ok:
         lines = [
@@ -225,6 +227,15 @@ COMMANDS = {
 }
 
 
+# command -> (its namespace before the command line is read, dests of its required options)
+_DEFAULTS = {
+    name: ({"command": name, **dict.fromkeys(positionals),
+            **{o["dest"]: o.get("default") for o in options.values()}},
+           [o["dest"] for o in options.values() if o.get("required")])
+    for name, (_, positionals, options) in COMMANDS.items()
+}
+
+
 @functools.cache  # built on the first call that needs it, then reused
 def _build_parser():
     import argparse  # only help, usage and error text pay for it
@@ -252,8 +263,8 @@ def _read_argv(argv):
     if not argv or argv[0] not in COMMANDS:
         return None
     _, positionals, options = COMMANDS[argv[0]]
-    args = {"command": argv[0], **dict.fromkeys(positionals)}
-    args.update((o["dest"], o.get("default")) for o in options.values())
+    defaults, required = _DEFAULTS[argv[0]]
+    args = dict(defaults)
     given, words = [], iter(argv[1:])
     for word in words:
         if word[:1] != "-":
@@ -269,9 +280,7 @@ def _read_argv(argv):
         if value not in option.get("choices", (value,)):
             return None
         args[option["dest"]] = value
-    if len(given) != len(positionals) or any(
-        o.get("required") and args[o["dest"]] is None for o in options.values()
-    ):
+    if len(given) != len(positionals) or any(args[dest] is None for dest in required):
         return None
     args.update(zip(positionals, given))
     return types.SimpleNamespace(**args)

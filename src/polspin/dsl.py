@@ -79,10 +79,13 @@ _HEADS = {c: (h, tuple(zip(k, [f.name for f in fields(c)]))) for c, (h, k) in _H
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _parse_deg(text):
-    """deg(<float>) in radians; None unless text has that form (finite or not)."""
-    if not (text.startswith("deg(") and text.endswith(")")):
-        return None
+def _number(text):
+    """float(text), else deg(<float>) in radians; None for any other text (finite or not)."""
+    try:
+        return float(text)
+    except ValueError:
+        if not (text.startswith("deg(") and text.endswith(")")):
+            return None
     try:
         return math.radians(float(text[4:-1]))
     except ValueError:
@@ -113,9 +116,14 @@ def _canonical_element(line):
         # a group per key, one or two; faster than map() over groups()
         first = float(match[1])
         values = (first,) if match.lastindex == 1 else (first, float(match[2]))
+    except ValueError:  # deg(...) or malformed; numbers keep the inline float()
+        values = tuple(map(_number, match.groups()))
+        if None in values:
+            return None
+    try:
         # a sum of finite values may overflow: that line takes the general loop
         return cls(*values) if math.isfinite(sum(values)) else None
-    except ValueError:  # deg(...), malformed, or refused by the constructor
+    except ValueError:  # refused by the constructor
         return None
 
 
@@ -177,10 +185,7 @@ def parse_train(source):
             elif key in values:
                 message = f"duplicate key {key!r}"
             else:
-                try:
-                    value = float(raw)
-                except ValueError:  # deg(...) or malformed
-                    value = _parse_deg(raw)
+                value = _number(raw)
                 if value is not None and math.isfinite(value):
                     values[key] = value
                     continue

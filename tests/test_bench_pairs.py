@@ -86,13 +86,13 @@ def test_cold_pairs_time_each_command_in_each_tree(tmp_path):
         tree.mkdir()
         (tree / "src").symlink_to(bench_pairs.ROOT / "src", target_is_directory=True)
     argvs = bench_pairs.cold_argvs(tmp_path)
-    # the three commands of aim 1, and the two requests that built ndarrays
-    assert list(argvs) == ["convert", "trace", "mueller", "decompose", "convert_jones"]
+    # the three commands of aim 1, the two requests that built ndarrays, and phase
+    assert list(argvs) == ["convert", "trace", "mueller", "decompose", "convert_jones", "phase"]
     records = bench_pairs.cold_pairs(trees, argvs, runs=2)
     assert [len(records[side]) for side in bench_pairs.SIDES] == [2, 2]
     layers = bench_pairs.summarize_traced(records)
     assert sorted(layers) == ["cold.convert_jones_ms", "cold.convert_ms", "cold.decompose_ms",
-                              "cold.mueller_ms", "cold.trace_ms"]
+                              "cold.mueller_ms", "cold.phase_ms", "cold.trace_ms"]
     for layer in layers.values():
         assert layer["parent_median"] > 0 and layer["change_median"] > 0
         assert 0 <= layer["change_lower"] <= 2

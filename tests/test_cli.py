@@ -228,6 +228,27 @@ class TestConvert:
                 code, out, err = run(capsys, *argv)
                 assert (code, out, err) == (2, "", message + "\n")
 
+    @pytest.mark.parametrize(
+        "beam, key",
+        [
+            ('{"angles": {"theta": 1, "phi": 0, "chi": 0, "amp": 1, "Chi": 5}}', "Chi"),
+            ('{"angles": {"theta": 1, "phi": 0, "chi": 0, "amp": 1, "note": "x"}}', "note"),
+            ('{"jones": {"a1": 1, "a2": 0, "phi1": 0, "a3": 0, "phi2": 0}}', "a3"),
+        ],
+        ids=["angles-number", "angles-text", "jones"],
+    )
+    def test_key_outside_the_form_exit_2(self, capsys, tmp_path, beam, key):
+        ((form, body),) = json.loads(beam).items()
+        message = f"unknown key {key!r} for {form!r}"
+        # the message of the .pol beam statement with that key
+        statement = f"beam {form} " + " ".join(f"{k}={v}" for k, v in body.items())
+        assert [d.message for d in parse_train(statement).diagnostics] == [message]
+        train = tmp_path / "t.pol"
+        train.write_text("qwp axis=0.3\n")
+        for argv in (("convert", "--to", "stokes", beam), ("trace", str(train), beam),
+                     ("phase", NORTH_POLE, beam)):
+            assert run(capsys, *argv) == (2, "", message + "\n")
+
     def test_malformed_json(self, capsys):
         code, _, err = run(capsys, "convert", "--to", "stokes", "{nope")
         assert code == 2 and "JSON" in err
@@ -640,16 +661,25 @@ class TestTrainFile:
         assert "position 29: invalid start byte" in err  # a byte offset into the file
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
-    def test_any_newline_reads_as_lf(self, capsys, tmp_path, newline):
+    @pytest.mark.parametrize("newlines", [["\r\n"] * 3, ["\r"] * 3, ["\r", "\r\n", "\r"]],
+                             ids=["crlf", "cr", "mixed"])
+    def test_any_newline_reads_as_lf(self, capsys, tmp_path, newlines):
+        lines = ["beam stokes s0=1 s1=0 s2=0 s3=0", "qwp axis=0.3", "atten e1=0 e2=0.4"]
         lf = tmp_path / "lf.pol"
-        lf.write_bytes(b"beam stokes s0=1 s1=0 s2=0 s3=0\nqwp axis=0.3\natten e1=0 e2=0.4\n")
+        lf.write_bytes("".join(line + "\n" for line in lines).encode())
         other = tmp_path / "other.pol"
-        other.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
+        other.write_bytes("".join(map(str.__add__, lines, newlines)).encode())
         for argv in (("mueller",), ("trace", LINEAR_X), ("trace", UNPOLARIZED)):
             want = run(capsys, argv[0], str(lf), *argv[1:])
             assert want[0] == 0
             assert run(capsys, argv[0], str(other), *argv[1:]) == want
+
+    def test_utf8_bom_starts_the_first_statement(self, capsys, tmp_path):
+        path = tmp_path / "bom.pol"
+        path.write_bytes(b"\xef\xbb\xbfqwp axis=0.3\n")
+        for argv in (("mueller",), ("trace", LINEAR_X)):
+            err = f"{path}:1:1: error: unknown statement '\\ufeffqwp'\n"
+            assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
 
 
 class TestDecompose:

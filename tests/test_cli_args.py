@@ -207,6 +207,14 @@ def test_plain_lines_are_read_as_argparse_reads_them(argv):
     assert repr(vars(got)) == repr(vars(cli._build_parser().parse_args(argv)))
 
 
+def test_read_argv_keeps_no_state_between_calls():
+    plain = ["convert", "--to", "stokes", LINEAR_X]
+    want = repr(vars(cli._build_parser().parse_args(plain)))
+    first = cli._read_argv(plain + ["--basis", "linear", "--output", "o"])
+    first.tolerance, first.beam = 0.5, None
+    assert repr(vars(cli._read_argv(plain))) == want
+
+
 def test_main_takes_any_iterable(capsys):
     argv = ["convert", "--to", "stokes", LINEAR_X]
     outputs = []

@@ -323,6 +323,11 @@ class TestCanonicalFastPath:
             spans = parse_train(serialize_train(doc)).document.element_spans
             assert spans == [(i, 1, 1 + len(line)) for i, line in enumerate(lines, start=1)]
 
+    def test_deg_values_take_the_fast_path(self):
+        assert _canonical_element("rotate alpha=deg(45)") == Rotator(math.radians(45.0))
+        # out of range: the general loop writes its diagnostic
+        assert _canonical_element("rotate alpha=deg(1e400)") is None
+
 
 class TestSerialize:
     def test_empty_document(self):

@@ -39,7 +39,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = SPEC["run_seconds"]
 TRACED_PAIRS = 5
 COLD_RUNS = 10  # alternating pairs of cold processes per command
-JONES_BEAM = {"jones": {"a1": 1.0, "a2": 0.5, "phi1": 0.0, "phi2": 0.7}}  # cold convert_jones
+JONES_BEAM = {"jones": {"a1": 1.0, "a2": 0.5, "phi1": 0.0, "phi2": 0.7}}  # cold convert_jones and phase
 COMMAND = f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {SECONDS:g} --trace "
 
 
@@ -112,7 +112,8 @@ def cold_pairs(trees, argvs, runs=COLD_RUNS):
 def cold_argvs(workdir):
     """The cold commands' argvs: the README pure beam converted, and traced through the
     README train (written to workdir), and that train's Mueller matrix; the README mixed
-    beam decomposed; a Jones beam converted to Jones."""
+    beam decomposed; a Jones beam converted to Jones; the phase of the README pure beam
+    against that Jones beam."""
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import README_MIXED_BEAM, README_PURE_BEAM, README_TRAIN
@@ -124,7 +125,8 @@ def cold_argvs(workdir):
             "trace": ["trace", str(train), beam],
             "mueller": ["mueller", str(train)],
             "decompose": ["decompose", json.dumps(README_MIXED_BEAM)],
-            "convert_jones": ["convert", "--to", "jones", jones]}
+            "convert_jones": ["convert", "--to", "jones", jones],
+            "phase": ["phase", beam, jones]}
 
 
 def spread(values):
@@ -273,7 +275,8 @@ def main(argv=None):
                        "python -m polspin trace <README train> <README pure beam>; "
                        "python -m polspin mueller <README train>; "
                        "python -m polspin decompose <README mixed beam>; "
-                       f"python -m polspin convert --to jones '{json.dumps(JONES_BEAM)}'",
+                       f"python -m polspin convert --to jones '{json.dumps(JONES_BEAM)}'; "
+                       "python -m polspin phase <README pure beam> <that Jones beam>",
             "runs": COLD_RUNS, "metrics": summarize_traced(cold_pairs(trees, argvs))}
 
     out = ROOT / f"BENCH_{args.pr}.json"
