@@ -127,7 +127,7 @@ def _beam_from_json(obj, tol=PURITY_TOL):
     elif not isinstance(body, dict):
         raise BeamFormatError(f"{form!r} must map to an object")
     values = [_require_number(body.get(k), form, k) for k in keys]
-    if len(body) != len(keys):  # every key of the form is there, so one is not of it
+    if len(body) != len(keys):  # all the form's keys were read: the body has another
         extra = next(k for k in body if k not in keys)
         raise BeamFormatError(f"unknown key {extra!r} for {form!r}")
     try:
