@@ -72,14 +72,6 @@ class BeamFormatError(PolspinError):
     """Beam JSON does not match any accepted form."""
 
 
-def _require_number(v, form, key):
-    # integers arrive as floats (parse_int=float); NaN, Infinity and
-    # out-of-range literals such as 1e400 are rejected here
-    if not isinstance(v, float) or not math.isfinite(v):
-        raise BeamFormatError(f"{form}.{key} must be a finite number")
-    return v
-
-
 def beam_from_wave(wave):
     return Beam(stokes_from_wave(wave), wave)
 
@@ -126,10 +118,15 @@ def _beam_from_json(obj, tol=PURITY_TOL):
         body = dict(zip(keys, body))
     elif not isinstance(body, dict):
         raise BeamFormatError(f"{form!r} must map to an object")
-    values = [_require_number(body.get(k), form, k) for k in keys]
-    if len(body) != len(keys):  # all the form's keys were read: the body has another
-        extra = next(k for k in body if k not in keys)
-        raise BeamFormatError(f"unknown key {extra!r} for {form!r}")
+    values = [body.get(k) for k in keys]
+    # integers arrive as floats (parse_int=float); NaN, Infinity and
+    # out-of-range literals such as 1e400 are rejected here
+    numbers = [isinstance(v, float) and math.isfinite(v) for v in values]
+    if len(body) != len(keys) or not all(numbers):  # only a failing beam looks for other keys
+        extra = next((k for k in body if k not in keys), None)  # a misspelled key reads as missing
+        if extra is not None:
+            raise BeamFormatError(f"unknown key {extra!r} for {form!r}")
+        raise BeamFormatError(f"{form}.{keys[numbers.index(False)]} must be a finite number")
     try:
         return beam_from_decl(cls(*values), tol)
     except ValueError as exc:

@@ -23,12 +23,9 @@ from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
 from .filters import ELEMENTS, _fold, _prefixes, _step
 from .pauli import U_ROWS, linear_to_circular
 from .partial import (
-    _coherency_entries,
     _decomposition,
     _mueller_rows,
-    _read_stokes,
-    _require_psd,
-    _step_coherency,
+    _propagate,
     coherency_from_stokes,
     degree_of_polarization,
 )
@@ -93,9 +90,9 @@ def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
     if target == "stokes":
         return json.dumps({"stokes": [s.s0, s.s1, s.s2, s.s3]})
     if target == "coherency":
-        c = coherency_from_stokes(s, basis)
-        q = c.q  # .matrix's entries as pairs: Im conj q is +0.0 where Im q is 0
-        matrix = [[[c.p, 0.0], [q.real, q.imag]], [[q.real, 0.0 - q.imag], [c.r, 0.0]]]
+        p, q, r = coherency_from_stokes(s, basis)._entries
+        # .matrix's entries as pairs: Im conj q is +0.0 where Im q is 0
+        matrix = [[[p, 0.0], [q.real, q.imag]], [[q.real, 0.0 - q.imag], [r, 0.0]]]
         return json.dumps({"coherency": {"basis": basis, "matrix": matrix}})
     if not beam.pure:
         raise CliError(
@@ -160,13 +157,10 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
             m = linear_to_circular(*_tangent(c1, c2))
             lines.append(_pure_row(step, name, r, m, (s0, s0 * r1, s0 * r2, s0 * r3), phase))
     else:  # F of each prefix on the input C: its rounding is squared, not C's carried on
-        c = _coherency_entries(*s, "linear")
         lines.append(_mixed_row(0, "input", *s))
         for step, (element, f) in enumerate(zip(doc.elements, _prefixes(doc.elements)), 1):
-            p, q, r = _step_coherency(f, *c)
-            _require_psd(p, q, r)
             name = ELEMENTS[type(element)][0]
-            lines.append(_mixed_row(step, name, *_read_stokes(p, q, r, "linear")))
+            lines.append(_mixed_row(step, name, *_propagate(f, beam.stokes)))
     return "\n".join(lines) + "\n"
 
 
@@ -182,7 +176,7 @@ def cmd_decompose(beam_json, tol=PURITY_TOL):
         raise CliError("decompose requires the Stokes beam form")
     s = _beam_from_json(obj, tol).stokes
     _require_flux(s.s0)
-    plus, minus, lam_plus, lam_minus, degenerate = _decomposition(coherency_from_stokes(s))
+    plus, minus, lam_plus, lam_minus, degenerate = _decomposition(s)
     return json.dumps(
         {
             "points": [plus, minus],

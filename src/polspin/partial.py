@@ -5,12 +5,12 @@ tr C = s0, det C = S/4 and tr C^2 = s0^2 - S/2, where S = s0^2 - |s_vec|^2
 vanishes exactly for pure states.  Its eigenspinors mark two antipodal
 points of the Poincare sphere; a filter acts by C -> (scale m) C (scale m)^dag.
 
-One closed form, `_coherency_entries`, writes the entries
-C = [[p, q], [conj q, r]] = (1/2)[[s0 + t3, t1 - i t2], [t1 + i t2, s0 - t3]]
-with t = (s1, s2, s3) in the circular basis and t = circular_to_linear(s1,
-s2, s3) in the linear one; `_read_stokes` is its exact inverse.
-`coherency_from_stokes`, the Mueller probes and `kernels` all use it.
-`_mueller_rows` is the one Mueller kernel: `mueller_of_train` and the CLI read its rows.
+A CoherencyMatrix holds its Stokes vector, the same in either basis, and a basis tag; its
+entries C = [[p, q], [conj q, r]] = (1/2)[[s0 + t3, t1 - i t2], [t1 + i t2, s0 - t3]], with
+t = (s1, s2, s3) in the circular basis and circular_to_linear(s1, s2, s3) in the linear one,
+are a view by one closed form, `_coherency_entries`, of which `_read_stokes` is the inverse.
+`_conjugate` is the one F C F^dag kernel (linear F): `_mueller_rows` runs it on four probes,
+`_propagate` adds the extinction and PSD checks for the train calls and the CLI's mixed `trace`.
 NumPy is imported only by the calls that take or return an ndarray, when called:
 `CoherencyMatrix(matrix)`, `.matrix`, `eig_decompose` (the CLI reads `_decomposition`)
 and `mueller_of_train`.
@@ -33,13 +33,11 @@ PSD_TOL = 1e-9
 
 @dataclass(frozen=True, init=False)
 class CoherencyMatrix:
-    """2x2 Hermitian PSD matrix [[p, q], [conj q, r]] in flux-density units,
-    held as its entries p, r (float), q (complex) and its basis tag; `.matrix`
-    is a fresh ndarray on each access, so no caller can change the entries."""
+    """2x2 Hermitian PSD matrix [[p, q], [conj q, r]] in flux-density units, held as its
+    Stokes vector and its basis tag; the entries p, r (float), q (complex) and `.matrix`
+    (a fresh ndarray) are views in the Pauli set of the tag, made on each access."""
 
-    p: float
-    q: complex
-    r: float
+    stokes: StokesVector
     basis: str
 
     def __init__(self, matrix, basis="circular"):
@@ -47,31 +45,38 @@ class CoherencyMatrix:
         (p, q), (q2, r) = np.asarray(matrix, dtype=complex).tolist()
         # largest |C - C^dag| entry; |p - conj p| = 2 |Im p|
         skew = max(2.0 * abs(p.imag), abs(q - q2.conjugate()), 2.0 * abs(r.imag))
-        self._set(p.real, q, r.real, basis, skew)
+        s = _read_stokes(p, q, r, basis)
+        # both matrix tests are relative to the trace and free of squares, so 2^k
+        # scaling keeps the verdict
+        if not 1e12 * skew <= abs(s[0]):
+            raise ValueError("coherency matrix is not Hermitian")
+        _require_psd(*s)
+        self.__dict__.update(vars(self._of(StokesVector(*s), basis)))
 
     @classmethod
-    def _of(cls, p, q, r, basis):
-        """From raw entries (p, r float), Hermitian by construction."""
-        return object.__new__(cls)._set(p, q, r, basis, 0.0)
-
-    def _set(self, p, q, r, basis, skew):
-        # every CoherencyMatrix is checked here, its basis tag included; both
-        # matrix tests are relative to the trace and free of squares, so 2^k
-        # scaling keeps the verdict
+    def _of(cls, s, basis):
+        """From a StokesVector s that is already checked; every CoherencyMatrix is made here."""
         if basis not in ("circular", "linear"):
             raise ValueError(f"unknown basis tag: {basis!r}")
-        if not 1e12 * skew <= abs(p + r):
-            raise ValueError("coherency matrix is not Hermitian")
-        _require_psd(p, q, r)
-        self.__dict__.update(p=p, q=q, r=r, basis=basis)  # frozen: past __setattr__
-        return self
+        c = object.__new__(cls)
+        c.__dict__.update(stokes=s, basis=basis)  # frozen: past __setattr__
+        return c
+
+    @property
+    def _entries(self):
+        s = self.stokes
+        return _coherency_entries(s.s0, s.s1, s.s2, s.s3, self.basis)
+
+    p = property(lambda self: self._entries[0])
+    q = property(lambda self: self._entries[1])
+    r = property(lambda self: self._entries[2])
 
     @property
     def matrix(self):
         import numpy as np
-        q = self.q
+        p, q, r = self._entries
         # conj q, but a zero imaginary part stays +0.0 (`convert` prints the sign)
-        return np.array([[self.p, q], [complex(q.real, 0.0 - q.imag), self.r]])
+        return np.array([[p, q], [complex(q.real, 0.0 - q.imag), r]])
 
 
 @dataclass(frozen=True)
@@ -85,10 +90,9 @@ class PolarizationDecomposition:
     degenerate: bool
 
 
-def _require_psd(p, q, r):
-    # the lower eigenvalue (tr - hypot(p - r, 2|q|)) / 2 of [[p, q], [conj q, r]]
-    # may dip to -PSD_TOL tr; rearranged so that no product can underflow
-    if not math.hypot(p - r, 2.0 * q.real, 2.0 * q.imag) <= (1.0 + 2.0 * PSD_TOL) * (p + r):
+def _require_psd(s0, s1, s2, s3):
+    # C's lower eigenvalue (s0 - |s_vec|) / 2 may dip to -PSD_TOL s0; no square can underflow
+    if not math.hypot(s1, s2, s3) <= (1.0 + 2.0 * PSD_TOL) * s0:
         raise NotPositiveSemidefiniteError("coherency matrix is not positive semidefinite")
 
 
@@ -122,9 +126,9 @@ def _coherency_entries(s0, s1, s2, s3, basis):
 
 
 def coherency_from_stokes(s, basis="circular"):
-    """C = (1/2) sum s_a sigma_a, using the Pauli set of the requested basis."""
+    """C = (1/2) sum s_a sigma_a, its entries in the Pauli set of the requested basis."""
     _check_stokes(s)
-    return CoherencyMatrix._of(*_coherency_entries(s.s0, s.s1, s.s2, s.s3, basis), basis)
+    return CoherencyMatrix._of(s, basis)
 
 
 def _read_stokes(p, q, r, basis):
@@ -138,7 +142,7 @@ def _read_stokes(p, q, r, basis):
 
 def stokes_from_coherency(c):
     """s_a = tr(C sigma_a); exact inverse of coherency_from_stokes."""
-    return StokesVector(*_read_stokes(c.p, c.q, c.r, c.basis))
+    return c.stokes
 
 
 def purity_invariant(s):
@@ -157,9 +161,9 @@ def degree_of_polarization(s):
     return math.hypot(s.s1, s.s2, s.s3) / s.s0
 
 
-def _decomposition(c):
-    """eig_decompose's fields, its points as float tuples: the CLI's `decompose` reads them."""
-    s0, s1, s2, s3 = _read_stokes(c.p, c.q, c.r, c.basis)
+def _decomposition(s):
+    """eig_decompose's fields for Stokes vector s, points as float tuples; the CLI reads them."""
+    s0, s1, s2, s3 = s.s0, s.s1, s.s2, s.s3
     norm = math.hypot(s1, s2, s3)  # no squares: exact under 2^k scaling
     lam_plus, lam_minus = 0.5 * (s0 + norm), 0.5 * (s0 - norm)
     if 1e12 * norm <= s0:
@@ -176,52 +180,47 @@ def eig_decompose(c):
     the result is flagged degenerate.
     """
     import numpy as np
-    plus, minus, lam_plus, lam_minus, degenerate = _decomposition(c)
+    plus, minus, lam_plus, lam_minus, degenerate = _decomposition(c.stokes)
     return PolarizationDecomposition(
         np.array(plus), np.array(minus), lam_plus, lam_minus, degenerate)
 
 
-def _step_coherency(f, p, q, r):
-    """F = [[a, b], [g, d]] on raw C = [[p, q], [conj q, r]]: F C F^dag.
-
-    p and r are floats, so C stays Hermitian by construction; a flux
-    s0 = p + r below FLUX_MIN is extinction.  The caller checks that the
-    result is PSD: CoherencyMatrix._of does, a raw loop calls _require_psd.
-    """
+def _conjugate(f, p, q, r):
+    """s_a of F C F^dag, F = (a, b, g, d) = [[a, b], [g, d]] and C = [[p, q], [conj q, r]] both
+    in the linear basis.  p and r are floats, so F C F^dag is Hermitian by construction.
+    No checks: the Mueller probes are not positive."""
     a, b, g, d = f
     qc = q.conjugate()
     u0, u1 = a * p + b * qc, a * q + b * r  # rows of F C
     w0, w1 = g * p + d * qc, g * q + d * r
     p = (u0 * a.conjugate() + u1 * b.conjugate()).real
-    q = u0 * g.conjugate() + u1 * d.conjugate()
     r = (w0 * g.conjugate() + w1 * d.conjugate()).real
-    if not p + r >= FLUX_MIN:
-        raise _extinction(p + r)
-    return p, q, r
+    return _read_stokes(p, u0 * g.conjugate() + u1 * d.conjugate(), r, "linear")
 
 
-def _via_linear(f, c):
-    """F C F^dag of a linear-basis F, where filters act, on c, in c's basis: a circular C
-    crosses to U C U^-1 and back by the Pauli cycle, a rounding or two each way."""
-    p, q, r = c.p, c.q, c.r
-    if c.basis == "circular":  # its Pauli coefficients (s1, s2, s3) become (s2, s3, s1)
-        h = 0.5 * (p + r)
-        p, q, r = h + q.real, complex(-q.imag, 0.5 * (r - p)), h - q.real
-    p, q, r = _step_coherency(f, p, q, r)
-    if c.basis == "circular":
-        h = 0.5 * (p + r)
-        p, q, r = h - q.imag, complex(0.5 * (p - r), -q.real), h + q.imag
-    return CoherencyMatrix._of(p, q, r, c.basis)
+def _propagate(f, s):
+    """s_a of F C F^dag for the C of StokesVector s and a linear-basis F; a flux below
+    FLUX_MIN is extinction, and the result must be PSD."""
+    out = _conjugate(f, *_coherency_entries(s.s0, s.s1, s.s2, s.s3, "linear"))
+    if not out[0] >= FLUX_MIN:
+        raise _extinction(out[0])
+    _require_psd(*out)
+    return out
+
+
+def _apply(f, c):
+    """F C F^dag of a linear-basis F, in c's basis."""
+    return CoherencyMatrix._of(StokesVector(*_propagate(f, c.stokes)), c.basis)
 
 
 def apply_filter_to_coherency(e, c):
     """C -> F C F^dag with F = scale * m of one element."""
-    return _via_linear(_fold((e,)), c)
+    return _apply(_fold((e,)), c)
 
 
 def apply_train_to_coherency(train, c):
     """C -> F C F^dag with F the composed train."""
-    return _via_linear(_train_product(train), c)
+    return _apply(_train_product(train), c)
 
 
 # linear (p, q, r) of the probes C_j = (1/2) sigma_j, the unit Stokes vectors e_j, made
@@ -229,17 +228,10 @@ def apply_train_to_coherency(train, c):
 _PROBES = [_coherency_entries(*(float(i == j) for j in range(4)), "linear") for i in range(4)]
 
 
-def _mueller_rows(a, b, g, d):
-    """Mueller rows (float tuples) of a linear-basis F = [[a, b], [g, d]]: column j reads
-    F C_j F^dag by _step_coherency's operations, with F's conjugates made once; the probes
-    are not positive, so they are conjugated as raw (p, q, r)."""
-    ac, bc, gc, dc = a.conjugate(), b.conjugate(), g.conjugate(), d.conjugate()
-    columns = []
-    for p, q, r in _PROBES:
-        qc = q.conjugate()
-        u0, u1, w0, w1 = a * p + b * qc, a * q + b * r, g * p + d * qc, g * q + d * r
-        top, bottom = (u0 * ac + u1 * bc).real, (w0 * gc + w1 * dc).real
-        columns.append(_read_stokes(top, u0 * gc + u1 * dc, bottom, "linear"))
+def _mueller_rows(*f):
+    """Mueller rows (float tuples) of a linear-basis F = (a, b, g, d): column j is the
+    Stokes vector of F C_j F^dag."""
+    columns = [_conjugate(f, *probe) for probe in _PROBES]
     if not columns[0][0] >= FLUX_MIN:  # M00, the flux of unpolarized light
         raise _extinction(columns[0][0])
     return list(zip(*columns))

@@ -1,6 +1,7 @@
 """The summary arithmetic of tools/bench_pairs.py on synthetic perfbench records."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,41 @@ def test_cold_pairs_time_each_command_in_each_tree(tmp_path):
         assert 0 <= layer["change_lower"] <= 2
     with pytest.raises(SystemExit, match="polspin convert failed"):
         bench_pairs.cold_pairs(trees, {"convert": ["convert", "--to", "bogus", "{}"]}, runs=1)
+
+
+def test_src_lines_counts_python_lines_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("z = 3")  # no final newline: still a line
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not code\n")
+    (tmp_path / "c.py").write_text("outside src\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+
+
+def test_main_records_src_lines_of_each_tree(tmp_path, monkeypatch):
+    sources = {"rev-parent": "a = 1\nb = 2\nc = 3\n", "rev-change": "a = 1\n"}
+
+    def export(rev, dest):
+        (dest / "src").mkdir(parents=True)
+        (dest / "src" / "m.py").write_text(sources[rev])
+
+    def run_pairs(trees, workload, seeds, trace):
+        records = pairs()
+        for r in records["parent"] + records["change"]:
+            r["env"] = dict.fromkeys(("python", "numpy", "nproc", "affinity", "src_sha256"), "x")
+        return records
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: f"rev-{args[1]}")
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_pairs", run_pairs)
+    monkeypatch.setattr(bench_pairs, "cold_argvs", lambda workdir: {})
+    monkeypatch.setattr(bench_pairs, "cold_pairs", lambda trees, argvs: pairs())
+    monkeypatch.setattr(bench_pairs, "directions_from_spec", lambda: DIRECTIONS)
+    bench_pairs.main(["--pr", "t", "--parent", "parent", "--change", "change",
+                      "--first-seed", "1"])
+    result = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert result["src_lines"] == {"parent": 3, "change": 1}
 
 
 class _Reached(Exception):

@@ -234,8 +234,10 @@ class TestConvert:
             ('{"angles": {"theta": 1, "phi": 0, "chi": 0, "amp": 1, "Chi": 5}}', "Chi"),
             ('{"angles": {"theta": 1, "phi": 0, "chi": 0, "amp": 1, "note": "x"}}', "note"),
             ('{"jones": {"a1": 1, "a2": 0, "phi1": 0, "a3": 0, "phi2": 0}}', "a3"),
+            # misspelled: the form's own key is missing, yet the unknown one is named
+            ('{"angles": {"theta": 1, "phi": 0, "chi": 0, "Amp": 1}}', "Amp"),
         ],
-        ids=["angles-number", "angles-text", "jones"],
+        ids=["angles-number", "angles-text", "jones", "angles-misspelled"],
     )
     def test_key_outside_the_form_exit_2(self, capsys, tmp_path, beam, key):
         ((form, body),) = json.loads(beam).items()
@@ -749,6 +751,22 @@ class TestDecompose:
         code, out, _ = run(capsys, "convert", "--to", "angles", beam)
         assert code == 0 and json.loads(out)["angles"]["amp"] == 1e-150
 
+    def test_reads_the_beams_own_floats(self, capsys):
+        # points s_vec / |s_vec| and eigenvalues (s0 +- |s_vec|) / 2 of the beam's own floats,
+        # no rounding between them; a zero component keeps its sign
+        rng = np.random.default_rng(2020)
+        beams = [[1.0, 0.0, 0.0, 0.5], [1.0, -0.0, 0.0, -0.5]]
+        low, high = [0.01, -0.57, -0.57, -0.57], [100.0, 0.57, 0.57, 0.57]  # |s_vec| < s0
+        for s0, *u in rng.uniform(low, high, (300, 4)).tolist():
+            beams.append([s0, *(s0 * x for x in u)])
+        for s0, s1, s2, s3 in beams:
+            norm = math.hypot(s1, s2, s3)
+            point = [s1 / norm, s2 / norm, s3 / norm]
+            code, out, _ = run(capsys, "decompose", json.dumps({"stokes": [s0, s1, s2, s3]}))
+            obj = json.loads(out)
+            assert code == 0 and repr(obj["points"]) == repr([point, [-x for x in point]])
+            assert repr(obj["eigenvalues"]) == repr([0.5 * (s0 + norm), 0.5 * (s0 - norm)])
+
 
 class TestFluxFloor:
     @pytest.mark.parametrize("s0", ["0", "1e-310"])
@@ -1164,7 +1182,8 @@ def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, t
     a later attenuator can leave standing where the true output is smaller still.  The
     Mueller product rounds at n eps of M00 s0, the flux of unpolarized light.  No route
     raises where another returns, but `mueller`, which checks M00, may return where this
-    beam is extinguished."""
+    beam is extinguished.  On the mixed beam the trace and both tags run one kernel on one
+    Stokes vector, so their final Stokes vectors are the same floats."""
     path = tmp_path_factory.mktemp("strong") / "t.pol"
     path.write_text(serialize_train(TrainDocument(elements=train)))
     n = len(train)
@@ -1186,6 +1205,8 @@ def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, t
         if ExtinctionError in routes.values() or mueller is ExtinctionError:
             assert all(got is ExtinctionError for got in routes.values())
             continue
+        if beam is not pure:
+            assert repr(routes["trace"]) == repr(routes["circular"]) == repr(routes["linear"])
         routes["mueller"] = [sum(m * s for m, s in zip(row, s_in)) for row in mueller]
         want, m00 = routes["linear"], mueller[0][0]
         for name, got in routes.items():

@@ -43,8 +43,8 @@ from polspin.cli import cmd_mueller, cmd_trace
 from polspin.dsl import TrainDocument, parse_train, serialize_train
 from polspin.filters import ELEMENTS, ETA_SPREAD_MAX, _fold, _in_basis, _step, element_matrix
 from polspin.partial import (
+    _apply,
     _read_stokes,
-    _via_linear,
     apply_filter_to_coherency,
     apply_train_to_coherency,
     apply_mueller,
@@ -388,7 +388,7 @@ COHERENCY = st.builds(
 
 def fresh_coherency(f, c):
     """F C F^dag from a linear F computed anew, as a coherency call builds it."""
-    return _via_linear(f, c)
+    return _apply(f, c)
 
 
 def coherency_outcome(call):

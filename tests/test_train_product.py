@@ -29,7 +29,7 @@ from polspin import (
 from polspin import filters, partial
 from polspin.dsl import parse_train
 from polspin.filters import _fold, _train_product
-from polspin.partial import _mueller_rows, _via_linear, apply_mueller
+from polspin.partial import _apply, _mueller_rows, apply_mueller
 
 from .test_cli import long_train_text
 from .test_partial import README_TRAIN
@@ -131,18 +131,17 @@ class TestHitsAndMisses:
         assert len(folds) == 1 and len(mueller_rows) == 1
 
     def test_switch_of_basis_misses(self, basis, folds):
-        # a switch of basis tag misses only the edge view: each call crosses its beam to and
-        # from its own basis, on the one product both tags share
+        # a switch of basis tag changes only the view: both calls hold the one Stokes vector
+        # of the one product both tags share
         train = readme()
         other = "linear" if basis == "circular" else "circular"
         s = StokesVector(1.0, 0.2, 0.0, 0.1)
         first = apply_train_to_coherency(train, coherency_from_stokes(s, basis))
         out = apply_train_to_coherency(train, coherency_from_stokes(s, other))
         assert first.basis == basis and out.basis == other
-        assert repr(out) == repr(_via_linear(_fold(train), coherency_from_stokes(s, other)))
+        assert repr(out) == repr(_apply(_fold(train), coherency_from_stokes(s, other)))
         assert not np.array_equal(out.matrix, first.matrix)
-        both = [stokes_from_coherency(c).as_array() for c in (out, first)]
-        assert np.allclose(*both, rtol=0, atol=1e-15)
+        assert repr(stokes_from_coherency(out)) == repr(stokes_from_coherency(first))
         assert repr(apply_train_to_coherency(train, coherency_from_stokes(s, basis))) == repr(first)
         assert len(folds) == 1
 

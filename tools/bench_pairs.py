@@ -13,7 +13,9 @@ gets PAIRS consecutive seeds, starting at --first-seed; every run lasts
 SECONDS, the run length BENCHMARK.json fixes.  The traced workload gets
 TRACED_PAIRS more pairs with the per-layer tracer on.  Last, COLD_RUNS
 alternating pairs of cold `python -m polspin` processes time every command
-(`cold_argvs`); their medians are layers, not bounds.  The summary gives, per end-to-end metric, the medians and quartiles
+(`cold_argvs`); their medians are layers, not bounds.  `src_lines` records the line count
+of each tree's `src/`, the trend of the line count over changes.  The summary gives, per
+end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
 change was better (the direction comes from BENCHMARK.json) and the
 relative change of the medians.  Standard library only.
@@ -58,6 +60,11 @@ def export(rev, dest):
             tar.extractall(dest, filter="data")
         else:  # pragma: no cover - Python before 3.11.4
             tar.extractall(dest)
+
+
+def src_lines(tree):
+    """Lines of the Python files under tree/src, a final line without a newline included."""
+    return sum(len(path.read_bytes().splitlines()) for path in (tree / "src").rglob("*.py"))
 
 
 def run_bench(tree, workload, seed, trace):
@@ -235,12 +242,13 @@ def main(argv=None):
         "runs the parent first when i is even); medians and quartiles "
         "(statistics.quantiles, exclusive) over the runs",
         "command": COMMAND + "0",
-        "git_sha": revs, "src_sha256": {}, "env": {}, "workloads": {},
+        "git_sha": revs, "src_sha256": {}, "src_lines": {}, "env": {}, "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
         trees = {side: Path(workdir) / side for side in SIDES}
         for side in SIDES:
             export(revs[side], trees[side])
+            result["src_lines"][side] = src_lines(trees[side])
 
         seed = args.first_seed
         for workload in WORKLOADS:
