@@ -14,7 +14,7 @@ SECONDS, the run length BENCHMARK.json fixes.  The traced workload gets
 TRACED_PAIRS more pairs with the per-layer tracer on.  Last, COLD_RUNS
 alternating pairs of cold `python -m polspin` processes time every command
 (`cold_argvs`); their medians are layers, not bounds.  `src_lines` records the line count
-of each tree's `src/`, the trend of the line count over changes.  The summary gives, per
+of each tree's `src/`, a record and not a gate.  The summary gives, per
 end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
 change was better (the direction comes from BENCHMARK.json) and the
