@@ -47,14 +47,6 @@ class AnglesBeam:
 
 BeamDecl = Union[AnglesBeam, StokesVector, JonesAmpPhase]
 
-# Beam form -> (declaration class, keys in field order); the Stokes form is
-# a JSON list in this order.
-BEAM_FORMS = {
-    "angles": (AnglesBeam, ("theta", "phi", "chi", "amp")),
-    "stokes": (StokesVector, ("s0", "s1", "s2", "s3")),
-    "jones": (JonesAmpPhase, ("a1", "a2", "phi1", "phi2")),
-}
-
 
 @dataclass
 class Beam:
@@ -88,6 +80,16 @@ def beam_from_stokes(s, tol=PURITY_TOL):
     return Beam(s, None)
 
 
+# Beam form -> (declaration class, keys in field order, (decl, tol) -> Beam); Stokes is a JSON list
+BEAM_FORMS = {
+    "angles": (AnglesBeam, ("theta", "phi", "chi", "amp"), lambda d, tol: beam_from_wave(
+        WaveState(d.amp, spinor_from_angles(AngleSet(d.theta, d.phi, d.chi))))),
+    "stokes": (StokesVector, ("s0", "s1", "s2", "s3"), beam_from_stokes),
+    "jones": (JonesAmpPhase, ("a1", "a2", "phi1", "phi2"),
+              lambda d, tol: beam_from_wave(wave_from_jones(d))),
+}
+
+
 def _decode_json(text):
     """json.loads(text, parse_int=float), on the shared decoder for str without a BOM."""
     try:
@@ -111,7 +113,7 @@ def _beam_from_json(obj, tol=PURITY_TOL):
     (form, body), = obj.items()
     if form not in BEAM_FORMS:
         raise BeamFormatError(f"unknown beam form {form!r}")
-    cls, keys = BEAM_FORMS[form]
+    cls, keys, build = BEAM_FORMS[form]
     if form == "stokes":
         if not isinstance(body, list) or len(body) != len(keys):
             raise BeamFormatError("'stokes' must be a list of four numbers")
@@ -128,18 +130,14 @@ def _beam_from_json(obj, tol=PURITY_TOL):
             raise BeamFormatError(f"unknown key {extra!r} for {form!r}")
         raise BeamFormatError(f"{form}.{keys[numbers.index(False)]} must be a finite number")
     try:
-        return beam_from_decl(cls(*values), tol)
+        return build(cls(*values), tol)
     except ValueError as exc:
         raise BeamFormatError(str(exc)) from exc
 
 
 def beam_from_decl(decl, tol=PURITY_TOL):
     """Beam from a beam declaration (parsed from JSON or a `.pol` statement)."""
-    if isinstance(decl, AnglesBeam):
-        ang = AngleSet(decl.theta, decl.phi, decl.chi)
-        return beam_from_wave(WaveState(decl.amp, spinor_from_angles(ang)))
-    if isinstance(decl, StokesVector):
-        return beam_from_stokes(decl, tol)
-    if isinstance(decl, JonesAmpPhase):
-        return beam_from_wave(wave_from_jones(decl))
+    for cls, _, build in BEAM_FORMS.values():
+        if isinstance(decl, cls):
+            return build(decl, tol)
     raise TypeError(f"not a beam declaration: {decl!r}")

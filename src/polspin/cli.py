@@ -9,6 +9,8 @@ identical double.
 COMMANDS gives every command's arguments.  A plain command line is read
 straight from it; argparse is imported, and its parser built from it, only
 for help, usage and errors, so their text is argparse's own.
+`trace` and `mueller` keep one train file in memory: the bytes last read and their parse.  A
+call reads the file and parses it only if its bytes differ; a different train replaces both.
 """
 
 import cmath
@@ -25,7 +27,7 @@ from .pauli import U_ROWS, linear_to_circular
 from .partial import (
     _decomposition,
     _mueller_rows,
-    _propagate,
+    _propagator,
     coherency_from_stokes,
     degree_of_polarization,
 )
@@ -54,28 +56,29 @@ class CliError(Exception):
         self.code = code
 
 
-def _complex_pair(z):
-    return [z.real, z.imag]
+_last_train = None  # (bytes, ParseResult) of the last train file read, until another is read
 
 
 def _load_train(path):
+    """The document of a train file; its bytes are parsed unless they are the last read's."""
+    global _last_train
     try:
         with open(path, "rb", buffering=0) as fh:  # one read, no text layer
-            source = fh.read()
+            raw = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read train file: {exc}")
-    try:  # universal newlines, as text mode reads them
-        source = source.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    except UnicodeDecodeError:  # parse_train diagnoses the undecodable bytes
-        pass
-    result = parse_train(source)
-    if not result.ok:
-        lines = [
-            f"{path}:{d.line}:{d.column}: {d.severity}: {d.message}"
-            for d in result.diagnostics
-        ]
-        raise CliError("\n".join(lines))
-    return result.document
+    last = _last_train  # read once: a concurrent call on another file only misses
+    if last is None or last[0] != raw:
+        last = _last_train = None  # the old parse is freed before the new one is made
+        try:  # universal newlines, as text mode reads them
+            source = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError:  # parse_train diagnoses the undecodable bytes
+            source = raw
+        last = _last_train = raw, parse_train(source)
+    if not last[1].ok:  # formatted on every call, with this call's path
+        raise CliError("\n".join(f"{path}:{d.line}:{d.column}: {d.severity}: {d.message}"
+                                 for d in last[1].diagnostics))
+    return last[1].document
 
 
 def _require_flux(s0):
@@ -105,7 +108,7 @@ def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
         body = {"theta": ang.theta, "phi": ang.phi, "chi": ang.chi, "amp": w.amplitude}
         return json.dumps({"angles": body})
     if target == "spinor":
-        return json.dumps({"spinor": [_complex_pair(w.spinor.c1), _complex_pair(w.spinor.c2)]})
+        return json.dumps({"spinor": [[c.real, c.imag] for c in (w.spinor.c1, w.spinor.c2)]})
     if target == "jones":
         prefactor = JONES_PREFACTOR_UNIT * w.amplitude  # plain products: no FMA on any host
         z1, z2 = (prefactor * o for o in _times(U_ROWS, w.spinor.c1, w.spinor.c2))
@@ -158,14 +161,15 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
             lines.append(_pure_row(step, name, r, m, (s0, s0 * r1, s0 * r2, s0 * r3), phase))
     else:  # F of each prefix on the input C: its rounding is squared, not C's carried on
         lines.append(_mixed_row(0, "input", *s))
+        propagate = _propagator(beam.stokes)
         for step, (element, f) in enumerate(zip(doc.elements, _prefixes(doc.elements)), 1):
-            name = ELEMENTS[type(element)][0]
-            lines.append(_mixed_row(step, name, *_propagate(f, beam.stokes)))
+            lines.append(_mixed_row(step, ELEMENTS[type(element)][0], *propagate(f)))
     return "\n".join(lines) + "\n"
 
 
 def cmd_mueller(train_path):
-    """The Mueller rows of a fresh fold, as mueller_of_train's, with no ndarray and nothing kept."""
+    """The Mueller rows of a fresh fold, as mueller_of_train's, with no ndarray; the parse is
+    _load_train's, reused while the file's bytes are those last read."""
     rows = _mueller_rows(*_fold(_load_train(train_path).elements))
     return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 

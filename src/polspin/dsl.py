@@ -72,7 +72,7 @@ _ELEMENT_STATEMENTS = {name: (cls, keys) for cls, (name, keys, _) in ELEMENTS.it
 # class -> (statement head, (key, field name) pairs in field order), for
 # serialization; fields() is read once per class here, not per statement
 _HEADS = {cls: (name, keys) for name, (cls, keys) in _ELEMENT_STATEMENTS.items()}
-_HEADS.update({cls: (f"beam {form}", keys) for form, (cls, keys) in BEAM_FORMS.items()})
+_HEADS.update({cls: (f"beam {form}", keys) for form, (cls, keys, _) in BEAM_FORMS.items()})
 _HEADS = {c: (h, tuple(zip(k, [f.name for f in fields(c)]))) for c, (h, k) in _HEADS.items()}
 
 # only for diagnostic columns; splits where str.split() and str.strip() do
@@ -164,7 +164,7 @@ def parse_train(source):
             if kind not in BEAM_FORMS:
                 error(1, f"unknown beam form {kind!r}", kind)
                 continue
-            cls, keys = BEAM_FORMS[kind]
+            cls, keys, _ = BEAM_FORMS[kind]
             first = 2
         else:
             kind = head

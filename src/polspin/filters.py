@@ -16,12 +16,14 @@ The circular basis is an edge view, U^-1 m U with the same scale, for
 `element_matrix`, `compose` and `apply`: there an attenuator's m has cosh and
 sinh entries, which round alike past a spread of about 37.  Composition is in
 propagation order: the first element of a train is the rightmost factor.
-One cache per level.  `apply`, which a sweep calls per element and beam, keeps the element's
-circular form after first use, outside its fields and pickled state.  The two train calls of
-`partial` fold through `_train_product`, which keeps the product of the last train they folded
-and, once `mueller_of_train` asks, its Mueller matrix, keyed by its element objects: it keeps
-them alive until a different train is folded, and calls alternating between trains (concurrent
-sweeps) only miss, never mix entries.  The CLI included, all else computes closed forms afresh.
+One cache per level: element, train and the CLI's train file.  `apply`, which a sweep calls per
+element and beam, keeps the element's circular form after first use, outside its fields and
+pickled state.  The two train calls of `partial` fold through `_train_product`, which keeps the
+product of the last train they folded and, once `mueller_of_train` asks, its Mueller matrix,
+keyed by its element objects: it keeps them alive until a different train is folded, and calls
+alternating between trains (concurrent sweeps) only miss, never mix entries.  The CLI keeps the
+bytes of the last train file it read and their parse, keyed by those bytes, until it reads a
+different train; all else, the CLI's fold included, computes closed forms afresh.
 """
 
 import cmath
@@ -200,9 +202,8 @@ def matrix_linear(e):
 
 
 def _extinction(flux):
-    return ExtinctionError(
-        f"flux {flux!r} underflows below the smallest normal float ({FLUX_MIN:.4g})"
-    )
+    return ExtinctionError(f"flux {flux!r} underflows below the smallest normal float "
+                           f"({FLUX_MIN:.4g})")
 
 
 def _step(entries, amp, c1, c2):

@@ -19,6 +19,7 @@ product and, once asked, its Mueller matrix.  Every per-beam check runs on every
 here keeps element forms: a memo miss and `apply_filter_to_coherency` compute them afresh.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,10 +101,8 @@ def _check_stokes(s):
     """Reject s unless it is finite, s0 >= 0 and |s_vec| <= s0 (to PSD_TOL / 2)."""
     m = MAX_MAGNITUDE
     if not (abs(s.s0) <= m and abs(s.s1) <= m and abs(s.s2) <= m and abs(s.s3) <= m):
-        raise InvalidStokesError(
-            f"Stokes parameters must be finite and at most {MAX_MAGNITUDE:.4g} "
-            f"in magnitude: {s}"
-        )
+        raise InvalidStokesError(f"Stokes parameters must be finite and at most "
+                                 f"{MAX_MAGNITUDE:.4g} in magnitude: {s}")
     if s.s0 < 0.0:
         raise InvalidStokesError(f"s0 must be nonnegative: {s.s0}")
     norm = math.hypot(s.s1, s.s2, s.s3)  # no squares: the verdict is scale-free
@@ -198,19 +197,26 @@ def _conjugate(f, p, q, r):
     return _read_stokes(p, u0 * g.conjugate() + u1 * d.conjugate(), r, "linear")
 
 
-def _propagate(f, s):
-    """s_a of F C F^dag for the C of StokesVector s and a linear-basis F; a flux below
-    FLUX_MIN is extinction, and the result must be PSD."""
-    out = _conjugate(f, *_coherency_entries(s.s0, s.s1, s.s2, s.s3, "linear"))
+def _propagate(p, q, r, f):
+    """s_a of F C F^dag for C = [[p, q], [conj q, r]] and F, both in the linear basis; a flux
+    below FLUX_MIN is extinction, and the result must be PSD."""
+    out = _conjugate(f, p, q, r)
     if not out[0] >= FLUX_MIN:
         raise _extinction(out[0])
     _require_psd(*out)
     return out
 
 
+def _propagator(s):
+    """F -> _propagate(p, q, r, F), the (p, q, r) of StokesVector s made once: the mixed trace's."""
+    return functools.partial(_propagate, *_coherency_entries(s.s0, s.s1, s.s2, s.s3, "linear"))
+
+
 def _apply(f, c):
     """F C F^dag of a linear-basis F, in c's basis."""
-    return CoherencyMatrix._of(StokesVector(*_propagate(f, c.stokes)), c.basis)
+    s = c.stokes
+    out = _propagate(*_coherency_entries(s.s0, s.s1, s.s2, s.s3, "linear"), f)
+    return CoherencyMatrix._of(StokesVector(*out), c.basis)
 
 
 def apply_filter_to_coherency(e, c):

@@ -201,16 +201,11 @@ def angles_from_spinor(s):
     theta = 2.0 * math.atan2(a2, a1)
     pole_tol = 1e-15
     if a2 <= pole_tol:
-        theta = 0.0
-        return AngleSet(theta, 0.0, _wrap_2pi(-2.0 * cmath.phase(s.c1)))
+        return AngleSet(0.0, 0.0, _wrap_2pi(-2.0 * cmath.phase(s.c1)))
     if a1 <= pole_tol:
-        theta = math.pi
-        return AngleSet(theta, 0.0, _wrap_2pi(-2.0 * cmath.phase(s.c2)))
-    g1 = cmath.phase(s.c1)  # -chi/2 - phi/2  (mod 2pi)
-    g2 = cmath.phase(s.c2)  # -chi/2 + phi/2  (mod 2pi)
-    phi = _wrap_2pi(g2 - g1)
-    chi = _wrap_2pi(-(g1 + g2))
-    return AngleSet(theta, phi, chi)
+        return AngleSet(math.pi, 0.0, _wrap_2pi(-2.0 * cmath.phase(s.c2)))
+    g1, g2 = cmath.phase(s.c1), cmath.phase(s.c2)  # -chi/2 - phi/2, -chi/2 + phi/2 (mod 2pi)
+    return AngleSet(theta, _wrap_2pi(g2 - g1), _wrap_2pi(-(g1 + g2)))
 
 
 def ellipse_from_wave(w):
@@ -256,9 +251,7 @@ def wave_from_stokes(s, tol=PURITY_FLOOR):
     if s.s0 <= 0.0:
         raise InvalidStokesError(f"s0 must be positive for a pure state: {s.s0}")
     if abs(norm - s.s0) > tol * s.s0:
-        raise InvalidStokesError(
-            f"Stokes vector is not pure: |s_vec| = {norm}, s0 = {s.s0}"
-        )
+        raise InvalidStokesError(f"Stokes vector is not pure: |s_vec| = {norm}, s0 = {s.s0}")
     sxy = math.hypot(s.s1, s.s2)
     if sxy <= 1e-12 * norm:
         ang = AngleSet(0.0 if s.s3 > 0.0 else math.pi, 0.0, 0.0)
@@ -359,9 +352,7 @@ def pancharatnam_phase(s1, s2, tol=PHASE_TOL):
     """arg(s1^dag s2) in (-pi, pi]; zero means the waves are in phase."""
     inner = s1.c1.conjugate() * s2.c1 + s1.c2.conjugate() * s2.c2
     if abs(inner) < tol:
-        raise OrthogonalStatesError(
-            "states are orthogonal; relative phase undefined"
-        )
+        raise OrthogonalStatesError("states are orthogonal; relative phase undefined")
     return cmath.phase(inner)
 
 

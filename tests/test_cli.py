@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -1273,3 +1274,104 @@ def test_repeated_main_calls_match_fresh_processes(capsys, tmp_path, monkeypatch
     assert results[5][1] != results[6][1]
     for argv, result in zip(calls, results):
         assert result == run_fresh(*argv), argv
+
+
+# mueller, a pure trace and a mixed trace of one train file
+TRAIN_COMMANDS = [("mueller",), ("trace", README_BEAM), ("trace", '{"stokes": [1.3, 0.2, 0.5, 0.1]}')]
+
+
+class TestTrainMemo:
+    """`trace` and `mueller` parse a train file again only when its bytes change."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The sources cli hands to parse_train, the memo emptied first."""
+        sources = []
+
+        def counting(source):
+            sources.append(source)
+            return parse_train(source)
+
+        monkeypatch.setattr(cli, "_last_train", None)
+        monkeypatch.setattr("polspin.cli.parse_train", counting)
+        return sources
+
+    def test_unchanged_file_parses_once(self, capsys, tmp_path, parses):
+        path = tmp_path / "t.pol"
+        path.write_text(README_ELEMENTS)
+        first = [run(capsys, argv[0], str(path), *argv[1:]) for argv in TRAIN_COMMANDS]
+        again = [run(capsys, argv[0], str(path), *argv[1:]) for argv in TRAIN_COMMANDS]
+        assert len(parses) == 1 and first == again
+        assert all(code == 0 for code, _, _ in first)
+
+    def test_same_length_edit_in_place_is_read(self, capsys, tmp_path, parses):
+        path = tmp_path / "t.pol"
+        path.write_text(README_ELEMENTS)
+        old = [run(capsys, argv[0], str(path), *argv[1:]) for argv in TRAIN_COMMANDS]
+        stat = path.stat()
+        edited = README_ELEMENTS.replace("axis=0.785", "axis=0.786")
+        assert len(edited) == len(README_ELEMENTS)
+        path.write_text(edited)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size, same mtime
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        for argv, before in zip(TRAIN_COMMANDS, old):
+            got = run(capsys, argv[0], str(path), *argv[1:])
+            assert got == run_fresh(argv[0], str(path), *argv[1:]) and got != before
+        assert len(parses) == 2
+
+    def test_bad_file_names_each_calls_path(self, capsys, tmp_path, parses):
+        raw = b"qwp axis=0.3\nrotate beta=1\n"
+        paths = [tmp_path / "a.pol", tmp_path / "b.pol"]
+        for path in paths:
+            path.write_bytes(raw)
+        for path in paths * 2:
+            for argv in TRAIN_COMMANDS:
+                err = f"{path}:2:8: error: unknown key 'beta' for 'rotate'\n"
+                assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
+        assert len(parses) == 1  # the same bytes: the diagnostics are formatted per call
+
+    def test_alternating_files_keep_their_outputs(self, capsys, tmp_path, parses, monkeypatch):
+        lines = ["beam stokes s0=1 s1=0 s2=0 s3=0", "qwp axis=0.3", "atten e1=0 e2=0.4"]
+        files = {
+            "lf": "".join(line + "\n" for line in lines).encode(),
+            "crlf": "".join(line + "\r\n" for line in lines).encode(),
+            "readme": README_ELEMENTS.encode(),
+            "undecodable": b"rotate alpha=0.1\r\nqwp axis=0." + b"\xff3\n",
+        }
+        for name, raw in files.items():
+            (tmp_path / f"{name}.pol").write_bytes(raw)
+        order = ["lf", "crlf", "lf", "undecodable", "crlf", "readme", "crlf", "undecodable",
+                 "undecodable", "readme", "lf"]
+        calls = [(argv[0], str(tmp_path / f"{name}.pol"), *argv[1:])
+                 for name in order for argv in TRAIN_COMMANDS]
+        got = [run(capsys, *argv) for argv in calls]
+        want = []
+        for argv in calls:  # each with the memo emptied: a parse of its own file
+            monkeypatch.setattr(cli, "_last_train", None)
+            want.append(run(capsys, *argv))
+        assert got == want
+        assert [code for code, _, _ in got[:3]] == [0, 0, 0] and got[:3] == got[3:6]
+        assert got[9][0] == 2 and "not valid UTF-8" in got[9][2]
+        # one parse per change of file in the sequence, then one per call
+        assert len(parses) == sum(a != b for a, b in zip([None] + order, order)) + len(calls)
+
+    def test_a_miss_frees_the_old_entry_before_parsing(self, capsys, tmp_path, parses,
+                                                       monkeypatch):
+        a, b = tmp_path / "a.pol", tmp_path / "b.pol"
+        a.write_text(README_ELEMENTS)
+        b.write_text("qwp axis=0.35\natten e1=0.1 e2=0.8\n")
+        assert run(capsys, "mueller", str(a))[0] == 0
+        raw, result = cli._last_train
+        assert raw == a.read_bytes()
+        old = weakref.ref(result.document)
+        del result
+        seen = []
+
+        def inspecting(source):
+            seen.append((cli._last_train, old()))
+            return parse_train(source)
+
+        monkeypatch.setattr("polspin.cli.parse_train", inspecting)
+        assert run(capsys, "mueller", str(b))[0] == 0
+        assert seen == [(None, None)]
+        assert cli._last_train[0] == b.read_bytes()
