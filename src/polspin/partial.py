@@ -101,7 +101,7 @@ def _check_stokes(s):
     """Reject s unless it is finite, s0 >= 0 and |s_vec| <= s0 (to PSD_TOL / 2)."""
     m = MAX_MAGNITUDE
     if not (abs(s.s0) <= m and abs(s.s1) <= m and abs(s.s2) <= m and abs(s.s3) <= m):
-        raise InvalidStokesError(f"Stokes parameters must be finite and at most "
+        raise InvalidStokesError("Stokes parameters must be finite and at most "
                                  f"{MAX_MAGNITUDE:.4g} in magnitude: {s}")
     if s.s0 < 0.0:
         raise InvalidStokesError(f"s0 must be nonnegative: {s.s0}")

@@ -1277,7 +1277,8 @@ def test_repeated_main_calls_match_fresh_processes(capsys, tmp_path, monkeypatch
 
 
 # mueller, a pure trace and a mixed trace of one train file
-TRAIN_COMMANDS = [("mueller",), ("trace", README_BEAM), ("trace", '{"stokes": [1.3, 0.2, 0.5, 0.1]}')]
+TRAIN_COMMANDS = [
+    ("mueller",), ("trace", README_BEAM), ("trace", '{"stokes": [1.3, 0.2, 0.5, 0.1]}')]
 
 
 class TestTrainMemo:

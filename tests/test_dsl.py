@@ -262,6 +262,21 @@ class TestParse:
         assert doc.beam_spans == [(2, 2, 33)]
 
 
+@pytest.mark.parametrize("decl", [AnglesBeam(0.7, 0.4, 0.2, 1.5), StokesBeam(1.3, 0.2, 0.5, 0.1),
+                                  StokesBeam(2.0, 0.0, 1.2, 1.6), JonesBeam(1.2, 0.5, 0.2, 1.0)],
+                         ids=["angles", "mixed", "pure", "jones"])
+def test_beam_from_decl_builds_each_form_as_its_json(decl):
+    form, (_, keys, _) = next((f, v) for f, v in BEAM_FORMS.items() if type(decl) is v[0])
+    values = list(vars(decl).values())  # the fields, in key order
+    body = values if form == "stokes" else dict(zip(keys, values))
+    assert beam_from_decl(decl) == parse_beam_json(json.dumps({form: body}))
+
+
+def test_beam_from_decl_rejects_a_non_declaration():
+    with pytest.raises(TypeError, match=r"^not a beam declaration: Rotator\(alpha=0\.1\)$"):
+        beam_from_decl(Rotator(0.1))
+
+
 # .pol lines for the canonical-form fast path of parse_train: statement
 # head -> keys in grammar order, for elements and beams
 KEYS_OF = {name: keys for name, keys, _ in ELEMENTS.values()}
@@ -277,21 +292,6 @@ NUMBER = st.one_of(
 # characters str.split() treats as whitespace, "" and runs of spaces
 BLANK = st.sampled_from(["", " ", "  ", "\t", "\r", "\x85", "\u2000"])
 
-
-
-@pytest.mark.parametrize("decl", [AnglesBeam(0.7, 0.4, 0.2, 1.5), StokesBeam(1.3, 0.2, 0.5, 0.1),
-                                  StokesBeam(2.0, 0.0, 1.2, 1.6), JonesBeam(1.2, 0.5, 0.2, 1.0)],
-                         ids=["angles", "mixed", "pure", "jones"])
-def test_beam_from_decl_builds_each_form_as_its_json(decl):
-    form, (_, keys, _) = next((f, v) for f, v in BEAM_FORMS.items() if type(decl) is v[0])
-    values = list(vars(decl).values())  # the fields, in key order
-    body = values if form == "stokes" else dict(zip(keys, values))
-    assert beam_from_decl(decl) == parse_beam_json(json.dumps({form: body}))
-
-
-def test_beam_from_decl_rejects_a_non_declaration():
-    with pytest.raises(TypeError, match=r"^not a beam declaration: Rotator\(alpha=0\.1\)$"):
-        beam_from_decl(Rotator(0.1))
 
 @st.composite
 def canonical_line(draw):
