@@ -9,8 +9,8 @@ identical double.
 COMMANDS gives every command's arguments.  A plain command line is read
 straight from it; argparse is imported, and its parser built from it, only
 for help, usage and errors, so their text is argparse's own.
-`trace` and `mueller` keep one train file in memory: the bytes last read and their parse.  A
-call reads the file and parses it only if its bytes differ; a different train replaces both.
+`trace` and `mueller` keep one train file: the bytes last read, their parse and, once `mueller`
+or a mixed `trace` asks, the train's prefix products; bytes that differ replace all three.
 """
 
 import cmath
@@ -22,7 +22,7 @@ import types
 from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
 from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
-from .filters import ELEMENTS, _fold, _prefixes, _step
+from .filters import ELEMENTS, _entries, _prefixes, _step
 from .pauli import U_ROWS, linear_to_circular
 from .partial import (
     _decomposition,
@@ -56,11 +56,12 @@ class CliError(Exception):
         self.code = code
 
 
-_last_train = None  # (bytes, ParseResult) of the last train file read, until another is read
+_last_train = None  # (bytes, ParseResult, prefixes call) of the last train file read
 
 
 def _load_train(path):
-    """The document of a train file; its bytes are parsed unless they are the last read's."""
+    """The memo entry of a train file: its bytes, their parse and a call that returns its prefix
+    products, one list built whole at the first call and only read; parsed unless last read."""
     global _last_train
     try:
         with open(path, "rb", buffering=0) as fh:  # one read, no text layer
@@ -74,11 +75,13 @@ def _load_train(path):
             source = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         except UnicodeDecodeError:  # parse_train diagnoses the undecodable bytes
             source = raw
-        last = _last_train = raw, parse_train(source)
+        result = parse_train(source)
+        prefixes = functools.cache(lambda: list(_prefixes(result.document.elements)))
+        last = _last_train = raw, result, prefixes
     if not last[1].ok:  # formatted on every call, with this call's path
         raise CliError("\n".join(f"{path}:{d.line}:{d.column}: {d.severity}: {d.message}"
                                  for d in last[1].diagnostics))
-    return last[1].document
+    return last
 
 
 def _require_flux(s0):
@@ -139,7 +142,8 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
     """Propagate on raw scalars in the linear basis, printing circular-basis rows.  The beam
     was validated when parsed; every row checks the extinction rule and the invariants the
     WaveState and CoherencyMatrix constructors would."""
-    doc = _load_train(train_path)
+    _, result, prefixes = _load_train(train_path)
+    elements = result.document.elements
     beam = parse_beam_json(beam_json, tol)
     s = beam.stokes.s0, beam.stokes.s1, beam.stokes.s2, beam.stokes.s3
     _require_flux(s[0])
@@ -149,9 +153,9 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
         lines.append(_pure_row(0, "input", _sphere_point(c1, c2), _tangent(c1, c2), s, "0.0"))
         c1, c2 = _times(U_ROWS, c1, c2)
         k1, k2 = c1.conjugate(), c2.conjugate()
-        for step, element in enumerate(doc.elements, start=1):
-            name, _, entries = ELEMENTS[type(element)]
-            amp, c1, c2 = _step(entries(element), amp, c1, c2)
+        for step, element in enumerate(elements, start=1):
+            name = ELEMENTS[type(element)][0]
+            amp, c1, c2 = _step(_entries(element, scaled=True), amp, c1, c2)
             _check_wave(amp, c1, c2)
             inner = k1 * c1 + k2 * c2  # <input|o>, as pancharatnam_phase, in either basis
             phase = "" if abs(inner) < PHASE_TOL else repr(cmath.phase(inner))
@@ -159,18 +163,20 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
             s0 = amp**2
             m = linear_to_circular(*_tangent(c1, c2))
             lines.append(_pure_row(step, name, r, m, (s0, s0 * r1, s0 * r2, s0 * r3), phase))
-    else:  # F of each prefix on the input C: its rounding is squared, not C's carried on
+    else:  # F of each kept prefix on the input C: its rounding is squared, not C's carried on
         lines.append(_mixed_row(0, "input", *s))
         propagate = _propagator(beam.stokes)
-        for step, (element, f) in enumerate(zip(doc.elements, _prefixes(doc.elements)), 1):
+        # prefixes() raises EmptyTrainError on an empty train, which gives the input row alone
+        for step, (element, f) in enumerate(zip(elements, elements and prefixes()), 1):
             lines.append(_mixed_row(step, ELEMENTS[type(element)][0], *propagate(f)))
     return "\n".join(lines) + "\n"
 
 
 def cmd_mueller(train_path):
-    """The Mueller rows of a fresh fold, as mueller_of_train's, with no ndarray; the parse is
-    _load_train's, reused while the file's bytes are those last read."""
-    rows = _mueller_rows(*_fold(_load_train(train_path).elements))
+    """The Mueller rows of the train's F, as mueller_of_train's, with no ndarray; F is the last
+    of the prefixes kept with _load_train's parse, reused while the file's bytes are unchanged."""
+    prefixes = _load_train(train_path)[2]
+    rows = _mueller_rows(*prefixes()[-1])  # F, the last prefix
     return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 
 

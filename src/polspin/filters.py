@@ -22,8 +22,7 @@ pickled state.  The two train calls of `partial` fold through `_train_product`, 
 product of the last train they folded and, once `mueller_of_train` asks, its Mueller matrix,
 keyed by its element objects: it keeps them alive until a different train is folded, and calls
 alternating between trains (concurrent sweeps) only miss, never mix entries.  The CLI keeps the
-bytes of the last train file it read and their parse, keyed by those bytes, until it reads a
-different train; all else, the CLI's fold included, computes closed forms afresh.
+last train file's bytes, parse and prefix products (`cli`); all else computes closed forms afresh.
 """
 
 import cmath
@@ -161,12 +160,17 @@ ELEMENTS = {
 }
 
 
-def _entries(e):
-    """Linear-basis (scale, a, b, c, d) of one element, from its closed form."""
+def _entries(e, scaled=False):
+    """Linear-basis (scale, a, b, c, d) of one element, from its closed form.  scaled is for the
+    routes that multiply scale into m: an attenuator's scale, the one not of modulus 1, may fall
+    below the smallest normal float, where scale m rounds F to 0; there it gives scale 1, m = F."""
     kind = ELEMENTS.get(type(e))
     if kind is None:
         raise TypeError(f"not a filter element: {e!r}")
-    return kind[2](e)
+    form = kind[2](e)
+    if scaled and type(e) is Attenuator and form[0].real < sys.float_info.min:
+        return 1.0 + 0.0j, math.exp(-e.eta1), 0.0, 0.0, math.exp(-e.eta2)
+    return form
 
 
 def _in_basis(scale, a, b, c, d, basis):
@@ -261,7 +265,7 @@ def _prefixes(train):
     a, b, c, d = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
     e = None  # still None after the loop only if train was empty (None is no element)
     for e in train:
-        s, ea, eb, ec, ed = _entries(e)
+        s, ea, eb, ec, ed = _entries(e, scaled=True)
         ea, eb, ec, ed = s * ea, s * eb, s * ec, s * ed
         a, b, c, d = ea * a + eb * c, ea * b + eb * d, ec * a + ed * c, ec * b + ed * d
         yield a, b, c, d

@@ -101,6 +101,27 @@ def test_cold_pairs_time_each_command_in_each_tree(tmp_path):
         bench_pairs.cold_pairs(trees, {"convert": ["convert", "--to", "bogus", "{}"]}, runs=1)
 
 
+def test_layer_rounds_time_parse_and_prefixes_in_each_tree(tmp_path):
+    trees = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for tree in trees.values():
+        tree.mkdir()
+        for name in ("src", "perfbench"):
+            (tree / name).symlink_to(bench_pairs.ROOT / name, target_is_directory=True)
+    layers = bench_pairs.layer_rounds(trees, seed=1, rounds=2, repeats=1)
+    assert sorted(layers) == ["parse_train_us_per_line", "prefixes_ms"]
+    for layer in layers.values():
+        assert layer["parent"] > 0 and layer["change"] > 0
+        assert layer["rel_change"] == pytest.approx(layer["change"] / layer["parent"] - 1.0)
+    (trees["change"] / "src").unlink()  # a tree without polspin fails loudly
+    with pytest.raises(SystemExit, match="layer timing failed"):
+        bench_pairs.layer_rounds(trees, seed=1, rounds=1, repeats=1)
+
+
+def test_cold_runs_resolve_more_than_ten_pairs():
+    # ten cold pairs of a ~100 ms process could not resolve +-20% on a 2-vCPU host
+    assert bench_pairs.COLD_RUNS == 30
+
+
 def test_src_lines_counts_python_lines_under_src(tmp_path):
     (tmp_path / "src" / "pkg").mkdir(parents=True)
     (tmp_path / "src" / "a.py").write_text("x = 1\n\ny = 2\n")
@@ -129,11 +150,16 @@ def test_main_records_src_lines_of_each_tree(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_pairs", run_pairs)
     monkeypatch.setattr(bench_pairs, "cold_argvs", lambda workdir: {})
     monkeypatch.setattr(bench_pairs, "cold_pairs", lambda trees, argvs: pairs())
+    layers = {"prefixes_ms": {"parent": 2.0, "change": 1.0, "rel_change": -0.5}}
+    seeds = []
+    monkeypatch.setattr(bench_pairs, "layer_rounds", lambda trees, seed: seeds.append(seed) or layers)
     monkeypatch.setattr(bench_pairs, "directions_from_spec", lambda: DIRECTIONS)
     bench_pairs.main(["--pr", "t", "--parent", "parent", "--change", "change",
-                      "--first-seed", "1"])
+                      "--first-seed", "7"])
     result = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert result["src_lines"] == {"parent": 3, "change": 1}
+    assert result["cold_process"]["runs"] == bench_pairs.COLD_RUNS
+    assert result["in_process_layers"]["metrics"] == layers and seeds == [7]
 
 
 class _Reached(Exception):

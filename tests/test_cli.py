@@ -1,10 +1,12 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 
@@ -34,9 +36,9 @@ from polspin import (
 )
 from polspin import cli
 from polspin.beamio import BeamFormatError, beam_from_stokes, parse_beam_json
-from polspin.cli import cmd_convert, cmd_mueller, cmd_trace, main
+from polspin.cli import TRACE_HEADER, cmd_convert, cmd_mueller, cmd_trace, main
 from polspin.dsl import TrainDocument, parse_train, serialize_train
-from polspin.filters import ELEMENTS, _step
+from polspin.filters import ELEMENTS, _prefixes, _step
 from polspin.pauli import linear_to_circular
 
 from .test_filters import STRONG_TRAIN
@@ -972,6 +974,22 @@ README_BEAM = '{"angles": {"theta": 1.0, "phi": 0.2, "chi": 0.0, "amp": 1.0}}'
 DOP1_STOKES = '{"stokes": [1.0, 0.0, 0.0, 1.0]}'
 
 
+@pytest.mark.parametrize("beam", [LINEAR_X, UNPOLARIZED], ids=["pure", "mixed"])
+def test_an_attenuator_whose_scale_underflows_keeps_its_flux(capsys, tmp_path, beam):
+    # F = diag(e^-100, e^-1519): its scale e^-809.5 underflows to 0, where scale m gave flux 0.0
+    path = tmp_path / "big.pol"
+    path.write_text("atten e1=100 e2=1519\n")
+    code, out, err = run(capsys, "trace", str(path), beam)
+    assert (code, err) == (0, "")
+    s_in, s_out = (float(line.split(",")[8]) for line in out.split()[1:])
+    # the x beam passes e^-200 of its flux; unpolarized light passes half of that
+    assert s_out == pytest.approx(math.exp(-200.0) * s_in * (0.5 if beam == UNPOLARIZED else 1),
+                                  rel=1e-14)
+    code, out, err = run(capsys, "mueller", str(path))
+    assert (code, err) == (0, "")
+    assert float(out.split(",")[0]) == pytest.approx(0.5 * math.exp(-200.0), rel=1e-14)
+
+
 class TestExtinction:
     """A flux (s0, or M00 for mueller) below the smallest normal float is exit 3."""
 
@@ -1166,6 +1184,19 @@ def outcome(call):
         return ExtinctionError
 
 
+def exactly_pure(theta, phi):
+    """Stokes floats near the sphere point (theta, phi) with s0^2 = |s_vec|^2 exactly: the
+    inverse stereographic image (1 + r^2, 2x, 2y, +-(1 - r^2)), r^2 = x^2 + y^2, of a point
+    (x, y) of the unit disc on a 2^-20 grid, seen from the nearer pole; every square and sum
+    of it is an exact float.  A spinor and a Stokes vector then hold the same state, where
+    rounded Stokes floats carry about eps s0 in C's weak entry, which a strong attenuator can
+    leave as the whole output."""
+    t = math.tan(0.5 * min(theta, math.pi - theta))
+    x, y = (round(t * f(phi) * 2.0**20) / 2.0**20 for f in (math.cos, math.sin))
+    r2 = x * x + y * y
+    return [1.0 + r2, 2.0 * x, 2.0 * y, 1.0 - r2 if theta <= 0.5 * math.pi else r2 - 1.0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(STRONG_TRAIN, st.floats(0.0, math.pi), ANGLE, st.floats(0.0, 0.9))
 # a mixed trace that carried its coherency matrix from step to step went non-PSD on the
@@ -1174,10 +1205,14 @@ def outcome(call):
          0.0, 0.0, 0.0)
 @example([Attenuator(0.0, 291.0), HalfWave(3.0), HalfWave(3.0), Attenuator(20.0, 0.0)],
          0.0, 0.0, 0.0)
+# a pure beam given by its angles put the trace 1.1e-12 from the coherency routes, which
+# started from its rounded Stokes floats (see test_strong_route_draw_meets_its_reference)
+@example([Attenuator(7.0, 0.0)], 1.578125, 0.0, 0.0)
 def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, train, theta,
                                                               phi, dop):
     """Trains of all kinds with attenuator spreads up to ETA_SPREAD_MAX, on a pure and a mixed
-    beam along one direction.  The trace, apply_train_to_coherency in either basis and
+    beam along one direction, both given as Stokes floats, from which every route starts;
+    the pure one is exactly pure.  The trace, apply_train_to_coherency in either basis and
     Mueller x s_in agree within n 1e-12 of the output flux, give or take (n eps)^2 of
     the input flux: each route's spinor or F holds rounding noise of about n eps, which
     a later attenuator can leave standing where the true output is smaller still.  The
@@ -1190,9 +1225,9 @@ def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, t
     n = len(train)
     mueller = outcome(lambda: [[float(v) for v in line.split(",")]
                                for line in cmd_mueller(str(path)).split()])
-    u = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
-    pure = {"angles": {"theta": theta, "phi": phi, "chi": 0.0, "amp": 1.0}}
-    for beam in (pure, {"stokes": [1.0, *(dop * x for x in u)]}):
+    s0, *u = exactly_pure(theta, phi)
+    pure = {"stokes": [s0, *u]}
+    for beam in (pure, {"stokes": [s0, *(dop * x for x in u)]}):
         s = parse_beam_json(json.dumps(beam)).stokes  # the state the trace starts from
         s_in = [s.s0, s.s1, s.s2, s.s3]
         c_in = {basis: coherency_from_stokes(s, basis) for basis in ("circular", "linear")}
@@ -1213,6 +1248,33 @@ def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, t
         for name, got in routes.items():
             tol = n * 1e-12 * (m00 * s.s0 if name == "mueller" else want[0]) + n * n * 1e-30 * s.s0
             np.testing.assert_allclose(got, want, rtol=0, atol=tol, err_msg=name)
+
+
+# F C F^dag of [Attenuator(7, 0)] on exactly_pure(1.578125, 0.0), to 60 digits (mpmath)
+STRONG_DRAW_STOKES = [1.985448754873687, 1.9853954315185547, 0.0, -0.014551245126313006]
+STRONG_DRAW_OUT = ["0.0000283126130561885250892013675495", "-0.0000250107420761179352019458645062",
+                   "0.0", "-0.0000132690180070478784217137797531"]
+
+
+def test_strong_route_draw_meets_its_reference(tmp_path):
+    """The draw on which the property failed.  From the same exactly pure floats, the trace
+    meets the reference to about 1e-14 and the coherency routes to about 1e-16, within the
+    property's 1e-12 of the flux; from the angles, the trace was 1.3e-14 from its reference
+    and the coherency routes, on the rounded floats, 1.1e-12."""
+    assert exactly_pure(1.578125, 0.0) == STRONG_DRAW_STOKES
+    path = tmp_path / "t.pol"
+    path.write_text("atten e1=7 e2=0\n")
+    beam = json.dumps({"stokes": STRONG_DRAW_STOKES})
+    parsed = parse_beam_json(beam)
+    assert parsed.pure
+    routes = {"trace": [float(v) for v in cmd_trace(str(path), beam).split()[-1].split(",")[8:12]]}
+    for basis in ("circular", "linear"):
+        c = coherency_from_stokes(parsed.stokes, basis)
+        c = apply_train_to_coherency([Attenuator(7.0, 0.0)], c)
+        routes[basis] = stokes_from_coherency(c).as_array().tolist()
+    want = [float(v) for v in STRONG_DRAW_OUT]
+    for name, got in routes.items():
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want[0], err_msg=name)
 
 
 def run_fresh(*argv, python=()):
@@ -1356,16 +1418,115 @@ class TestTrainMemo:
         # one parse per change of file in the sequence, then one per call
         assert len(parses) == sum(a != b for a, b in zip([None] + order, order)) + len(calls)
 
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """The trains cli hands to _prefixes, as lists."""
+        trains = []
+
+        def counting(elements):
+            trains.append(list(elements))
+            return _prefixes(elements)
+
+        monkeypatch.setattr("polspin.cli._prefixes", counting)
+        return trains
+
+    def test_prefixes_are_built_once_per_content(self, capsys, tmp_path, parses, folds,
+                                                 monkeypatch):
+        paths = [tmp_path / "a.pol", tmp_path / "b.pol"]
+        paths[0].write_text(README_ELEMENTS)
+        paths[1].write_text("qwp axis=0.35\natten e1=0.1 e2=0.8\n")
+        calls = [(path, argv) for path in paths for argv in TRAIN_COMMANDS]
+        fresh = {}
+        for path, argv in calls:
+            monkeypatch.setattr(cli, "_last_train", None)
+            fresh[path, argv] = run(capsys, argv[0], str(path), *argv[1:])
+        pure = TRAIN_COMMANDS[1]
+        for sequence in itertools.product(calls, repeat=3):
+            monkeypatch.setattr(cli, "_last_train", None)
+            folds.clear()
+            for path, argv in sequence:
+                assert run(capsys, argv[0], str(path), *argv[1:]) == fresh[path, argv]
+            # one build per run of calls on one file that holds a mueller or a mixed trace
+            runs = [[argv for _, argv in group]
+                    for _, group in itertools.groupby(sequence, key=lambda call: call[0])]
+            assert len(folds) == sum(any(argv != pure for argv in group) for group in runs)
+
+    def test_same_length_edit_drops_the_kept_prefixes(self, capsys, tmp_path, parses, folds):
+        path = tmp_path / "t.pol"
+        path.write_text(README_ELEMENTS)
+        mueller, _, mixed = TRAIN_COMMANDS
+        old = [run(capsys, argv[0], str(path), *argv[1:]) for argv in (mixed, mueller)]
+        kept = cli._last_train[2]()
+        stat = path.stat()
+        path.write_text(README_ELEMENTS.replace("atten e1=0.1", "atten e1=0.2"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size, same mtime
+        assert path.stat().st_size == stat.st_size
+        for argv, before in zip((mueller, mixed), old[::-1]):
+            got = run(capsys, argv[0], str(path), *argv[1:])
+            assert got == run_fresh(argv[0], str(path), *argv[1:]) and got != before
+        assert len(parses) == len(folds) == 2 and cli._last_train[2]() is not kept
+        elements = parse_train(path.read_text()).document.elements
+        assert cli._last_train[2]() == list(_prefixes(elements))
+
+    @pytest.mark.parametrize("text", ["", "# no elements\n", "beam stokes s0=1 s1=0 s2=0 s3=0\n"],
+                             ids=["empty", "comment", "beam-only"])
+    def test_empty_train_in_either_order(self, capsys, tmp_path, parses, monkeypatch, text):
+        path = tmp_path / "t.pol"
+        path.write_text(text)
+        want = [run_fresh(argv[0], str(path), *argv[1:]) for argv in TRAIN_COMMANDS]
+        assert want[0] == (2, "", "train has no elements\n")
+        for code, out, err in want[1:]:  # the input row only
+            assert (code, err, out.splitlines()[0]) == (0, "", TRACE_HEADER)
+            assert [row.split(",")[:2] for row in out.splitlines()[1:]] == [["0", "input"]]
+        for order in (TRAIN_COMMANDS, TRAIN_COMMANDS[::-1]):
+            monkeypatch.setattr(cli, "_last_train", None)
+            got = [run(capsys, argv[0], str(path), *argv[1:]) for argv in order * 2]
+            assert got == [want[TRAIN_COMMANDS.index(argv)] for argv in order * 2]
+
+    def test_concurrent_calls_on_different_files(self, tmp_path, monkeypatch):
+        # more threads than cores, switching often: no call may read another file's prefixes,
+        # whichever thread replaced the entry while this one built them
+        texts = [README_ELEMENTS, "qwp axis=0.35\natten e1=0.1 e2=0.8\n",
+                 "".join(reversed(README_ELEMENTS.splitlines(keepends=True))), "hwp axis=0.3\n"]
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(str(tmp_path / f"{i}.pol"))
+            (tmp_path / f"{i}.pol").write_text(text)
+        mixed = TRAIN_COMMANDS[2][1]
+        want = []
+        for path in paths:
+            monkeypatch.setattr(cli, "_last_train", None)
+            want.append((cmd_mueller(path), cmd_trace(path, mixed)))
+        bad = []
+
+        def calls(i):
+            for _ in range(300):
+                got = cmd_mueller(paths[i]), cmd_trace(paths[i], mixed)
+                if got != want[i]:
+                    bad.append(i)
+
+        threads = [threading.Thread(target=calls, args=(i % 4,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and bad == []
+
     def test_a_miss_frees_the_old_entry_before_parsing(self, capsys, tmp_path, parses,
                                                        monkeypatch):
         a, b = tmp_path / "a.pol", tmp_path / "b.pol"
         a.write_text(README_ELEMENTS)
         b.write_text("qwp axis=0.35\natten e1=0.1 e2=0.8\n")
         assert run(capsys, "mueller", str(a))[0] == 0
-        raw, result = cli._last_train
-        assert raw == a.read_bytes()
+        raw, result, prefixes = cli._last_train
+        assert raw == a.read_bytes() and len(prefixes()) == len(README_ELEMENTS.splitlines())
         old = weakref.ref(result.document)
-        del result
+        del result, prefixes
         seen = []
 
         def inspecting(source):

@@ -40,8 +40,9 @@ from polspin import (
     JonesAmpPhase,
 )
 from polspin.cli import cmd_mueller, cmd_trace
-from polspin.dsl import TrainDocument, parse_train, serialize_train
-from polspin.filters import ELEMENTS, ETA_SPREAD_MAX, _fold, _in_basis, _step, element_matrix
+from polspin.dsl import ParseResult, TrainDocument, parse_train, serialize_train
+from polspin.filters import (ELEMENTS, ETA_SPREAD_MAX, _fold, _in_basis, _prefixes, _step,
+                             element_matrix)
 from polspin.partial import (
     _apply,
     _read_stokes,
@@ -487,9 +488,10 @@ class TestKeptClosedForm:
 
     @pytest.mark.parametrize("call", NON_KEEPING_CALLS.values(), ids=NON_KEEPING_CALLS)
     def test_only_apply_keeps(self, call, monkeypatch):
-        # the train memo keeps products, not element forms; the rest keep nothing
+        # the train memos keep products, not element forms; the rest keep nothing
         train = [type(e)(*as_fields(e)) for e in ALL_ELEMENTS]
-        monkeypatch.setattr("polspin.cli._load_train", lambda path: TrainDocument(elements=train))
+        entry = b"", ParseResult(TrainDocument(elements=train), []), lambda: list(_prefixes(train))
+        monkeypatch.setattr("polspin.cli._load_train", lambda path: entry)
         call(train)
         for e in train:
             assert vars(e) == {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
@@ -617,6 +619,19 @@ class TestStrongAttenuatorTrains:
         assert want.s0 == pytest.approx(0.75, rel=1e-15)
         got = stokes_from_coherency(apply_train_to_coherency(train, c))
         np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("basis", ["circular", "linear"])
+    def test_an_element_whose_scale_underflows(self, basis):
+        # atten e1=100 e2=1519: its scale e^-809.5 is 0 in floats and m's e^709.5 is finite, so
+        # scale m is 0; the fold takes F = diag(e^-100, e^-1519) itself, compose keeps raising
+        e = Attenuator(100.0, 1519.0)
+        assert _fold([e]) == (math.exp(-100.0), 0.0, 0.0, 0.0)
+        assert mueller_of_train([e], basis)[0, 0] == pytest.approx(0.5 * math.exp(-200.0),
+                                                                   rel=1e-14)
+        with pytest.raises(FloatRangeError, match="scale of the train underflows"):
+            compose([e], basis)
+        (a, b), (c, d) = element_matrix(e, "linear").m.tolist()
+        assert abs(a * d - b * c - 1.0) <= 1e-15 and a.real == math.exp(709.5)
 
     def test_compose_raises_where_m_overflows(self):
         with pytest.raises(FloatRangeError, match="overflows"):

@@ -25,8 +25,8 @@ from polspin import (
     mueller_of_train,
 )
 from polspin.cli import cmd_mueller, main
-from polspin.dsl import TrainDocument, parse_train, serialize_train
-from polspin.filters import _fold
+from polspin.dsl import ParseResult, TrainDocument, parse_train, serialize_train
+from polspin.filters import _fold, _prefixes
 from polspin.partial import _PROBES, _coherency_entries, _mueller_rows, apply_mueller
 from polspin.pauli import linear_to_circular
 from polspin.spinor import FLUX_MIN
@@ -157,7 +157,7 @@ class TestAgainstTheOracle:
 
 class TestKeptForms:
     """mueller_of_train gives the same digits however its elements were made or used;
-    the CLI keeps nothing."""
+    the CLI keeps products, not element forms."""
 
     @settings(max_examples=100, deadline=None)
     @given(TRAIN, BASIS)
@@ -174,7 +174,8 @@ class TestKeptForms:
 
     def test_cli_keeps_nothing(self, tmp_path, monkeypatch):
         train = parse_train(README_TRAIN).document.elements
-        monkeypatch.setattr("polspin.cli._load_train", lambda path: TrainDocument(elements=train))
+        entry = b"", ParseResult(TrainDocument(elements=train), []), lambda: list(_prefixes(train))
+        monkeypatch.setattr("polspin.cli._load_train", lambda path: entry)
         assert cmd_mueller("t.pol") == csv(oracle_mueller(train).tolist())
         assert not any("_circular" in vars(e) for e in train)
 

@@ -11,10 +11,14 @@ workload.  Pair i of a workload runs the parent first when i is even, the change
 it is odd, so the host's slow drift hits both sides alike.  Each workload
 gets PAIRS consecutive seeds, starting at --first-seed; every run lasts
 SECONDS, the run length BENCHMARK.json fixes.  The traced workload gets
-TRACED_PAIRS more pairs with the per-layer tracer on.  Last, COLD_RUNS
+TRACED_PAIRS more pairs with the per-layer tracer on.  Then COLD_RUNS
 alternating pairs of cold `python -m polspin` processes time every command
-(`cold_argvs`); their medians are layers, not bounds.  `src_lines` records the line count
-of each tree's `src/`, a record and not a gate.  The summary gives, per
+(`cold_argvs`); their medians are layers, not bounds.  Last, LAYER_ROUNDS alternating
+rounds time, in one process per tree and round, `parse_train` and the prefix products
+(`filters._prefixes`) of the first long-train seed's 6000-element train, the best of
+LAYER_REPEATS calls each: warm CLI passes reuse both from the CLI's train memo, so no
+perfbench layer sees them.  These and `src_lines`, the line count of each tree's `src/`,
+are records, not gates.  The summary gives, per
 end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
 change was better (the direction comes from BENCHMARK.json) and the
@@ -40,7 +44,8 @@ PAIRS = 10  # alternating pairs per workload
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = SPEC["run_seconds"]
 TRACED_PAIRS = 5
-COLD_RUNS = 10  # alternating pairs of cold processes per command
+COLD_RUNS = 30  # alternating pairs of cold processes per command; 10 could not resolve 20%
+LAYER_ROUNDS, LAYER_REPEATS = 3, 9  # in-process layer timings: alternating rounds, calls each
 JONES_BEAM = {"jones": {"a1": 1.0, "a2": 0.5, "phi1": 0.0, "phi2": 0.7}}  # cold convert_jones and phase
 COMMAND = f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {SECONDS:g} --trace "
 
@@ -134,6 +139,50 @@ def cold_argvs(workdir):
             "decompose": ["decompose", json.dumps(README_MIXED_BEAM)],
             "convert_jones": ["convert", "--to", "jones", jones],
             "phase": ["phase", beam, jones]}
+
+
+# Run in a tree with the seed as argv[1]: the best of LAYER_REPEATS timings of parse_train
+# (us per line) and of the prefix products (ms) of that seed's long-train train, as JSON.
+LAYER_SCRIPT = """
+import json, sys, tempfile, time
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+from polspin.dsl import parse_train
+from polspin.filters import _prefixes
+from workloads import generate
+seed, repeats = int(sys.argv[1]), int(sys.argv[2])
+with tempfile.TemporaryDirectory() as tmp:
+    train = Path(generate("long-train", seed, Path(tmp))["reference_train"])
+    text = train.read_text(encoding="utf-8")
+def best(call):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter_ns()
+        call()
+        times.append(time.perf_counter_ns() - start)
+    return min(times)
+elements = parse_train(text).document.elements
+print(json.dumps({"parse_train_us_per_line": best(lambda: parse_train(text)) / 1e3
+                  / len(text.splitlines()),
+                  "prefixes_ms": best(lambda: list(_prefixes(elements))) / 1e6}))
+"""
+
+
+def layer_rounds(trees, seed, rounds=LAYER_ROUNDS, repeats=LAYER_REPEATS):
+    """{metric: {side: best over the rounds, "rel_change": change / parent - 1}} of LAYER_SCRIPT,
+    run in each tree once per round, alternating which side runs first."""
+    best = {side: {} for side in SIDES}
+    for i in range(rounds):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPT, str(seed), str(repeats)],
+                                  cwd=trees[side], capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise SystemExit(f"layer timing failed in {trees[side]}:\n{proc.stderr[-2000:]}")
+            for name, value in json.loads(proc.stdout).items():
+                best[side][name] = min(value, best[side].get(name, value))
+    return {name: {**{side: best[side][name] for side in SIDES},
+                   "rel_change": best["change"][name] / best["parent"][name] - 1.0}
+            for name in best["parent"]}
 
 
 def spread(values):
@@ -286,6 +335,11 @@ def main(argv=None):
                        f"python -m polspin convert --to jones '{json.dumps(JONES_BEAM)}'; "
                        "python -m polspin phase <README pure beam> <that Jones beam>",
             "runs": COLD_RUNS, "metrics": summarize_traced(cold_pairs(trees, argvs))}
+        result["in_process_layers"] = {
+            "command": "parse_train and list(filters._prefixes) on the long-train train of seed "
+                       f"{args.first_seed}, best of {LAYER_REPEATS} calls in each of "
+                       f"{LAYER_ROUNDS} alternating rounds per tree",
+            "metrics": layer_rounds(trees, args.first_seed)}
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
