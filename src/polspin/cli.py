@@ -23,7 +23,7 @@ from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
 from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
 from .filters import ELEMENTS, _entries, _prefixes, _step
-from .pauli import U_ROWS, linear_to_circular
+from .pauli import linear_to_circular
 from .partial import (
     _decomposition,
     _mueller_rows,
@@ -35,10 +35,8 @@ from .spinor import (
     FLUX_MIN,
     JONES_PREFACTOR_UNIT,
     PHASE_TOL,
-    _check_wave,
     _sphere_point,
     _tangent,
-    _times,
     angles_from_spinor,
     pancharatnam_phase,
 )
@@ -114,7 +112,7 @@ def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
         return json.dumps({"spinor": [[c.real, c.imag] for c in (w.spinor.c1, w.spinor.c2)]})
     if target == "jones":
         prefactor = JONES_PREFACTOR_UNIT * w.amplitude  # plain products: no FMA on any host
-        z1, z2 = (prefactor * o for o in _times(U_ROWS, w.spinor.c1, w.spinor.c2))
+        z1, z2 = (prefactor * o for o in w._jones)
         phi1, phi2 = (cmath.phase(z) if abs(z) > 0 else 0.0 for z in (z1, z2))
         return json.dumps({"jones": {"a1": abs(z1), "a2": abs(z2), "phi1": phi1, "phi2": phi2}})
     raise CliError(f"unknown conversion target {target!r}")
@@ -139,28 +137,28 @@ def _mixed_row(step, name, s0, s1, s2, s3):
 
 
 def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
-    """Propagate on raw scalars in the linear basis, printing circular-basis rows.  The beam
-    was validated when parsed; every row checks the extinction rule and the invariants the
-    WaveState and CoherencyMatrix constructors would."""
+    """Propagate in the linear basis, printing circular-basis rows.  The beam was validated
+    when parsed; every row checks the extinction rule and the invariants the WaveState and
+    CoherencyMatrix constructors would, a pure row by building the WaveState apply would."""
     _, result, prefixes = _load_train(train_path)
     elements = result.document.elements
     beam = parse_beam_json(beam_json, tol)
     s = beam.stokes.s0, beam.stokes.s1, beam.stokes.s2, beam.stokes.s3
     _require_flux(s[0])
     lines = [TRACE_HEADER]
-    if beam.pure:  # one step per element on U o, whose r and M permute as the Pauli set
-        amp, c1, c2 = beam.wave.amplitude, beam.wave.spinor.c1, beam.wave.spinor.c2
+    if beam.pure:  # apply's step on the Jones spinor U o, whose r and M permute as the Pauli set
+        w = beam.wave
+        c1, c2 = w.spinor.c1, w.spinor.c2
         lines.append(_pure_row(0, "input", _sphere_point(c1, c2), _tangent(c1, c2), s, "0.0"))
-        c1, c2 = _times(U_ROWS, c1, c2)
-        k1, k2 = c1.conjugate(), c2.conjugate()
+        k1, k2 = (c.conjugate() for c in w._jones)
         for step, element in enumerate(elements, start=1):
             name = ELEMENTS[type(element)][0]
-            amp, c1, c2 = _step(_entries(element, scaled=True), amp, c1, c2)
-            _check_wave(amp, c1, c2)
+            w = _step(_entries(element, scaled=True), w)
+            c1, c2 = w._jones
             inner = k1 * c1 + k2 * c2  # <input|o>, as pancharatnam_phase, in either basis
             phase = "" if abs(inner) < PHASE_TOL else repr(cmath.phase(inner))
             r = r1, r2, r3 = linear_to_circular(*_sphere_point(c1, c2))
-            s0 = amp**2
+            s0 = w.amplitude**2
             m = linear_to_circular(*_tangent(c1, c2))
             lines.append(_pure_row(step, name, r, m, (s0, s0 * r1, s0 * r2, s0 * r3), phase))
     else:  # F of each kept prefix on the input C: its rounding is squared, not C's carried on

@@ -12,12 +12,12 @@ attenuation prefactors live in scale.  The closed forms are in the linear
     half-wave       m = -i [[cos 2a, sin 2a], [sin 2a, -cos 2a]], the quarter-wave squared
     attenuator      scale e^{-(e1+e2)/2},   m = diag(e^{(e2-e1)/2}, e^{(e1-e2)/2})
 
-The circular basis is an edge view, U^-1 m U with the same scale, for
-`element_matrix`, `compose` and `apply`: there an attenuator's m has cosh and
-sinh entries, which round alike past a spread of about 37.  Composition is in
-propagation order: the first element of a train is the rightmost factor.
-One cache per level: element, train and the CLI's train file.  `apply`, which a sweep calls per
-element and beam, keeps the element's circular form after first use, outside its fields and
+The circular basis is an edge view, U^-1 m U with the same scale, for `element_matrix` and
+`compose`: there an attenuator's m has cosh and sinh entries, which round alike past a spread
+of about 37.  Composition is in propagation order: the first element of a train is the rightmost
+factor.  One cache per level: element, train and the CLI's train file.  `apply`, which a sweep
+calls per element and beam, steps a wave's Jones spinor U o by `_step`, as the CLI's pure
+`trace` does, with the element's linear form, kept after first use outside its fields and
 pickled state.  The two train calls of `partial` fold through `_train_product`, which keeps the
 product of the last train they folded and, once `mueller_of_train` asks, its Mueller matrix,
 keyed by its element objects: it keeps them alive until a different train is folded, and calls
@@ -44,7 +44,7 @@ _UNIT_GAIN = 2.0**-50
 
 class _Element:
     def __getstate__(self):  # pickles and copies leave out the closed form apply keeps
-        return {k: v for k, v in vars(self).items() if k != "_circular"}
+        return {k: v for k, v in vars(self).items() if k != "_linear"}
 
 
 @dataclass(frozen=True)
@@ -173,21 +173,16 @@ def _entries(e, scaled=False):
     return form
 
 
-def _in_basis(scale, a, b, c, d, basis):
-    """A linear-basis (scale, a, b, c, d) in the basis asked for: circular is U^-1 m U."""
-    if basis == "linear":
-        return scale, a, b, c, d
-    if basis != "circular":
-        raise ValueError(f"unknown basis tag: {basis!r}")
-    # m = p + q . sigma; re-expand U^-1 m U in the standard Pauli set
-    p = 0.5 * a + 0.5 * d
-    q1, q2, q3 = linear_to_circular(0.5 * (b + c), 0.5j * (b - c), 0.5 * a - 0.5 * d)
-    return scale, p + q3, q1 - 1j * q2, q1 + 1j * q2, p - q3
-
-
 def _matrix(entries, basis):
+    """ElementMatrix of a linear (scale, a, b, c, d) in a basis: circular is U^-1 m U."""
     import numpy as np
-    scale, a, b, c, d = _in_basis(*entries, basis)
+    scale, a, b, c, d = entries
+    if basis == "circular":  # m = p + q . sigma; re-expand U^-1 m U in the standard Pauli set
+        p = 0.5 * a + 0.5 * d
+        q1, q2, q3 = linear_to_circular(0.5 * (b + c), 0.5j * (b - c), 0.5 * a - 0.5 * d)
+        a, b, c, d = p + q3, q1 - 1j * q2, q1 + 1j * q2, p - q3
+    elif basis != "linear":
+        raise ValueError(f"unknown basis tag: {basis!r}")
     return ElementMatrix(np.array([[a, b], [c, d]], dtype=complex), scale, basis)
 
 
@@ -210,33 +205,32 @@ def _extinction(flux):
                            f"({FLUX_MIN:.4g})")
 
 
-def _step(entries, amp, c1, c2):
-    """One element F = scale [[a, b], [c, d]] on a raw wave (A, c1, c2).
-
-    v = F o, A' = A ||v||, o' = v / ||v||; a flux A'^2 below FLUX_MIN is
-    extinction.  The caller checks the other WaveState invariants on the
-    result: `apply` through WaveState._of, a raw loop with spinor._check_wave.
-    """
+def _step(entries, w):
+    """One element F = scale [[a, b], [c, d]] on a wave's Jones spinor o: the pure step of
+    `apply` and the CLI's `trace`.  v = F o, A' = A ||v||, o' = v / ||v||; a flux A'^2 below
+    FLUX_MIN is extinction, and WaveState._of checks the other invariants on the result."""
     scale, a, b, c, d = entries
+    c1, c2 = w._jones
     v1 = scale * (a * c1 + b * c2)
     v2 = scale * (c * c1 + d * c2)
     n = math.sqrt(v1.real**2 + v2.real**2 + v1.imag**2 + v2.imag**2)
-    amp *= n if abs(n - 1.0) > _UNIT_GAIN else 1.0
+    amp = w.amplitude * n if abs(n - 1.0) > _UNIT_GAIN else w.amplitude
     if not amp * amp >= FLUX_MIN:
         raise _extinction(amp * amp)
-    return amp, v1 / n, v2 / n
+    return WaveState._of(amp, v1 / n, v2 / n)
 
 
 def apply(e, w):
-    """Pass a wave through one element: v = scale * m * o, A' = A ||v||.
+    """Pass a wave through one element: v = F U o, A' = A ||v||, in the linear basis.
 
-    The global phase of v is retained in the spinor components, so the
+    The result holds the Jones spinor v / ||v||: a chain of calls crosses the basis once in
+    and once when `.spinor` is read.  The global phase of v is retained, so the
     Pancharatnam phase against the input reflects the element's phase.
     """
-    entries = getattr(e, "_circular", None)  # e's circular form, kept for the next beam
+    entries = getattr(e, "_linear", None)  # e's linear form, kept for the next beam
     if entries is None:  # first use; not a field, so == and hash are unchanged
-        object.__setattr__(e, "_circular", entries := _in_basis(*_entries(e), "circular"))
-    return WaveState._of(*_step(entries, w.amplitude, w.spinor.c1, w.spinor.c2))
+        object.__setattr__(e, "_linear", entries := _entries(e, scaled=True))
+    return _step(entries, w)
 
 
 def classify(e):

@@ -87,11 +87,12 @@ def _require_unit(c1, c2, tol=1e-10):
 
 
 def _check_wave(amp, c1, c2):
-    """The WaveState invariants on raw scalars, bar the flux floor that
-    filters._step enforces on every step: 0 < A <= MAX_MAGNITUDE, |o| = 1."""
+    """The WaveState invariants: 0 < A <= MAX_MAGNITUDE, |o| = 1, a normal float A^2."""
     if not 0.0 < amp <= MAX_MAGNITUDE:
         raise ValueError(f"amplitude out of (0, {MAX_MAGNITUDE:.4g}]: {amp}")
     _require_unit(c1, c2)
+    if not amp * amp >= FLUX_MIN:
+        raise ValueError(f"flux A^2 of amplitude {amp} underflows (below {FLUX_MIN:.4g})")
 
 
 @dataclass(frozen=True)
@@ -113,26 +114,34 @@ class AngleSet:
 
 @dataclass(frozen=True)
 class WaveState:
-    """Amplitude A > 0 plus a unit spinor: one monochromatic plane wave."""
+    """Amplitude A > 0 plus a unit spinor: one monochromatic plane wave.  A step result
+    (_of) holds its Jones spinor U o, and its circular `spinor` is a _View of that."""
 
     amplitude: float
     spinor: Spinor2
 
     def __post_init__(self):
-        amp = self.amplitude
-        _check_wave(amp, self.spinor.c1, self.spinor.c2)
-        # a subnormal flux A^2 has lost digits
-        if not amp * amp >= FLUX_MIN:
-            raise ValueError(f"flux A^2 of amplitude {amp} underflows (below {FLUX_MIN:.4g})")
+        _check_wave(self.amplitude, self.spinor.c1, self.spinor.c2)
 
     @classmethod
-    def _of(cls, amp, c1, c2):
-        """From a raw step result whose flux filters._step has checked."""
+    def _of(cls, amp, c1, c2):  # filters._step's amplitude and Jones spinor U o
         _check_wave(amp, c1, c2)
-        s, w = object.__new__(Spinor2), object.__new__(cls)
-        s.__dict__.update(c1=c1, c2=c2)  # frozen: past __setattr__
-        w.__dict__.update(amplitude=amp, spinor=s)
+        w = object.__new__(cls)
+        w.__dict__.update(amplitude=amp, _jones=(c1, c2))  # frozen: past __setattr__
         return w
+
+
+class _View:
+    """The spinor a WaveState does not hold, made from the other on first read, then kept."""
+
+    def __get__(self, w, owner=None):  # on the class (w None) an AttributeError, as for a field
+        held = w.__dict__
+        if "_jones" in held:
+            return held.setdefault("spinor", Spinor2(*_times(U_INV_ROWS, *held["_jones"])))
+        return held.setdefault("_jones", _times(U_ROWS, held["spinor"].c1, held["spinor"].c2))
+
+
+WaveState.spinor = WaveState._jones = _View()  # after @dataclass, or spinor would default to it
 
 
 @dataclass(frozen=True)
@@ -273,8 +282,7 @@ def jones_from_wave(w):
     their real parts at t = z = 0 are the sampled field there.
     """
     import numpy as np
-    o_tilde = np.array(_times(U_ROWS, w.spinor.c1, w.spinor.c2))
-    return o_tilde, JONES_PREFACTOR_UNIT * w.amplitude
+    return np.array(w._jones), JONES_PREFACTOR_UNIT * w.amplitude
 
 
 def wave_from_jones(j):

@@ -628,26 +628,43 @@ CROSSED = {
 }
 
 
+def apply_chain(train, w):
+    """The library's pure route: apply, one element after another."""
+    for e in train:
+        w = apply(e, w)
+    return w
+
+
 @pytest.mark.parametrize("e2", list(CROSSED))
 def test_crossed_polarizers_every_route_exits_0_at_the_reference(capsys, tmp_path, e2):
-    """`mueller` and the mixed and pure `trace` of crossed polarizers: exit 0, and M00 and
-    the last rows within 1e-12 of the flux (of 1 for unit vectors) of the references."""
+    """`mueller`, the mixed and pure `trace` and a chain of `apply` calls on crossed
+    polarizers: exit 0, and M00 and the last rows within 1e-12 of the flux (of 1 for unit
+    vectors) of the references."""
     m00, mixed, pure, phase, overlap = CROSSED[e2]
     path = tmp_path / "crossed.pol"
     path.write_text(f"atten e1=0 e2={e2}\nrotate alpha=1.5707963267948966\natten e1=0 e2={e2}\n")
     code, out, err = run(capsys, "mueller", str(path))
     assert (code, err) == (0, "")
     assert abs(float(out.split(",")[0]) - m00) <= 1e-12 * m00
-    for beam, want in (('{"stokes": [1, 0, 0, 0]}', mixed), ('{"stokes": [1, 0, 1, 0]}', pure)):
-        code, out, err = run(capsys, "trace", str(path), beam)
-        assert (code, err) == (0, "")
-        last = out.split()[-1].split(",")
-        got = [float(v) for v in last[2:12] if v]  # a mixed row has no M
+
+    def meets(got, want):
         unit = len(want) - 4  # the direction or r and Re M, then s0..s3
         np.testing.assert_allclose(got[:unit], want[:unit], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[unit:], want[unit:], rtol=0, atol=1e-12 * want[unit])
+
+    pure_beam = '{"stokes": [1, 0, 1, 0]}'
+    for beam, want in (('{"stokes": [1, 0, 0, 0]}', mixed), (pure_beam, pure)):
+        code, out, err = run(capsys, "trace", str(path), beam)
+        assert (code, err) == (0, "")
+        last = out.split()[-1].split(",")
+        meets([float(v) for v in last[2:12] if v], want)  # a mixed row has no M
     # the phase of <input|output> is good to about 2 eps / |<input|output>|
     assert abs(float(last[12]) - phase) <= 1e-15 / overlap
+    w0 = parse_beam_json(pure_beam).wave
+    w = apply_chain(parse_train(path.read_text()).document.elements, w0)
+    f, s = poincare_frame(w.spinor), stokes_from_wave(w)
+    meets([*f.r, *f.m_re, s.s0, s.s1, s.s2, s.s3], pure)
+    assert abs(pancharatnam_phase(w0.spinor, w.spinor) - phase) <= 1e-15 / overlap
 
 
 class TestTrainFile:
@@ -1040,8 +1057,9 @@ def oracle_trace(train_text, beam_json, basis="linear"):
     matrix_linear, read by poincare_frame, stokes_from_wave and pancharatnam_phase
     and permuted to the circular basis; for a mixed one, apply_train_to_coherency
     of each prefix of the train on a linear C, and stokes_from_coherency.  In the
-    circular basis: apply, and apply_filter_to_coherency on a circular C, one
-    element at a time, which agree with it to rounding."""
+    circular basis: apply, read through the wave's circular spinor, and
+    apply_filter_to_coherency on a circular C, one element at a time, which agree
+    with it to rounding."""
     doc = parse_train(train_text).document
     beam = parse_beam_json(beam_json)
 
@@ -1066,8 +1084,9 @@ def oracle_trace(train_text, beam_json, basis="linear"):
             if basis == "linear":
                 em = matrix_linear(e)
                 f = (em.scale, *em.m.ravel().tolist())
-                amp, c1, c2 = _step(f, w.amplitude, w.spinor.c1, w.spinor.c2)
-                w = WaveState(amp, Spinor2(c1, c2))
+                # w holds U o as its spinor; _step takes and gives a wave holding it as U o
+                w = _step(f, WaveState._of(w.amplitude, w.spinor.c1, w.spinor.c2))
+                w = WaveState(w.amplitude, Spinor2(*w._jones))
             else:
                 w = apply(e, w)
             frame = poincare_frame(w.spinor)
@@ -1212,9 +1231,10 @@ def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, t
                                                               phi, dop):
     """Trains of all kinds with attenuator spreads up to ETA_SPREAD_MAX, on a pure and a mixed
     beam along one direction, both given as Stokes floats, from which every route starts;
-    the pure one is exactly pure.  The trace, apply_train_to_coherency in either basis and
-    Mueller x s_in agree within n 1e-12 of the output flux, give or take (n eps)^2 of
-    the input flux: each route's spinor or F holds rounding noise of about n eps, which
+    the pure one is exactly pure.  The trace, apply_train_to_coherency in either basis,
+    Mueller x s_in and, on the pure beam, a chain of apply calls from the wave parsed from
+    those floats agree within n 1e-12 of the output flux, give or take (n eps)^2 of the
+    input flux: each route's spinor or F holds rounding noise of about n eps, which
     a later attenuator can leave standing where the true output is smaller still.  The
     Mueller product rounds at n eps of M00 s0, the flux of unpolarized light.  No route
     raises where another returns, but `mueller`, which checks M00, may return where this
@@ -1238,6 +1258,9 @@ def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, t
                 apply_train_to_coherency(train, c)).as_array().tolist())
                for basis, c in c_in.items()},
         }
+        if beam is pure:
+            routes["apply"] = outcome(lambda: stokes_from_wave(apply_chain(
+                train, parse_beam_json(json.dumps(beam)).wave)).as_array().tolist())
         if ExtinctionError in routes.values() or mueller is ExtinctionError:
             assert all(got is ExtinctionError for got in routes.values())
             continue

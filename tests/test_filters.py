@@ -41,7 +41,7 @@ from polspin import (
 )
 from polspin.cli import cmd_mueller, cmd_trace
 from polspin.dsl import ParseResult, TrainDocument, parse_train, serialize_train
-from polspin.filters import (ELEMENTS, ETA_SPREAD_MAX, _fold, _in_basis, _prefixes, _step,
+from polspin.filters import (ELEMENTS, ETA_SPREAD_MAX, _entries, _fold, _prefixes, _step,
                              element_matrix)
 from polspin.partial import (
     _apply,
@@ -369,9 +369,10 @@ WAVE = st.builds(
 
 
 def fresh_step(e, w):
-    """apply's result from the circular view of the element's closed form, computed anew."""
-    entries = _in_basis(*ELEMENTS[type(e)][2](e), "circular")
-    return _step(entries, w.amplitude, w.spinor.c1, w.spinor.c2)
+    """The amplitude and Jones spinor of apply's result, from the element's linear closed form
+    computed anew."""
+    out = _step(_entries(e, scaled=True), w)
+    return out.amplitude, *out._jones
 
 
 def as_fields(e):
@@ -421,7 +422,7 @@ NON_KEEPING_CALLS = {
 
 
 class TestKeptClosedForm:
-    """apply keeps each element's closed form after its first use; nothing
+    """apply keeps each element's linear closed form after its first use; nothing
     else about the element changes, and no other call keeps anything on it."""
 
     @settings(max_examples=200, deadline=None)
@@ -437,7 +438,7 @@ class TestKeptClosedForm:
                         apply(e, w)
                     break
                 w = apply(e, w)
-                assert repr((w.amplitude, w.spinor.c1, w.spinor.c2)) == repr(want)
+                assert repr((w.amplitude, *w._jones)) == repr(want)
 
     @settings(max_examples=100, deadline=None)
     @given(ELEMENT)
@@ -453,16 +454,16 @@ class TestKeptClosedForm:
         # computes its own from its fields on its first apply
         w = linear_x_wave()
         first = apply(e, w)
-        assert "_circular" in vars(e)
+        assert vars(e)["_linear"] == _entries(e, scaled=True)
         assert pickle.dumps(e) == pickle.dumps(type(e)(*as_fields(e)))
         for dup in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
-            assert dup == e and "_circular" not in vars(dup)
+            assert dup == e and "_linear" not in vars(dup)
             assert apply(dup, w) == first
         name = dataclasses.fields(e)[0].name
         other = dataclasses.replace(e, **{name: getattr(e, name) + 0.25})
-        assert "_circular" not in vars(other)
+        assert "_linear" not in vars(other)
         got = apply(other, w)
-        assert repr((got.amplitude, got.spinor.c1, got.spinor.c2)) == repr(fresh_step(other, w))
+        assert repr((got.amplitude, *got._jones)) == repr(fresh_step(other, w))
         assert got != first
 
     @settings(max_examples=200, deadline=None)
@@ -498,31 +499,32 @@ class TestKeptClosedForm:
 
 
 # Exact reprs of the pure-beam library path on the README train (the
-# beam-sweep trace_pure op), recorded before apply kept closed forms; the
-# amplitudes and Stokes vectors of the last two beams moved when a unitary
-# step stopped scaling the amplitude by its rounded gain (filters._UNIT_GAIN):
+# beam-sweep trace_pure op), re-recorded when apply came to step the Jones
+# spinor with each element's linear form, which moved the last digit or two of
+# most values; the old and new amplitudes and spinors are all within 4e-16 of a
+# 50-digit reference:
 # (amp, theta, phi, chi) -> final amplitude, final spinor, poincare_frame
 # (r, m_re, m_im), stokes_from_wave and pancharatnam_phase against the input.
 README_PURE_OUTPUTS = {
     (1.0, 0.4, 1.0, 0.2): (
-        '0.5992272976641966',
-        'Spinor2(c1=(-0.9815937153664759-0.16075918155774305j), c2=(-0.07014616799732185-0.0755630770496673j))',
-        '([0.16200499217140268, 0.12579120197808963, 0.9787394730041549], [0.9384720013203521, -0.32620132520331874, -0.1134151584814459], [0.3049994840148366, 0.9368934138633412, -0.17089776420473524])',
-        'StokesVector(s0=0.3590733542659357, s1=0.05817167594681221, s2=0.04516826883141645, s3=0.35143926552407606)',
+        '0.5992272976641967',
+        'Spinor2(c1=(-0.9815937153664759-0.16075918155774305j), c2=(-0.07014616799732198-0.07556307704966753j))',
+        '([0.162004992171403, 0.12579120197809002, 0.9787394730041549], [0.9384720013203521, -0.3262013252033188, -0.11341515848144608], [0.30499948401483656, 0.9368934138633412, -0.17089776420473574])',
+        'StokesVector(s0=0.3590733542659358, s1=0.058171675946812336, s2=0.0451682688314166, s3=0.35143926552407617)',
         '-2.386126766506172',
     ),
     (2.5, 2.0, 5.5, 3.0): (
-        '1.535186649003188',
-        'Spinor2(c1=(0.15626539087437014+0.17951778810604688j), c2=(-0.3106554775261906+0.9202432643879376j))',
-        '([0.23331067143903272, 0.3991407151952338, -0.886708982736786], [0.7425330760729743, 0.5156523868228029, 0.4274894699306099], [0.6278620561319779, -0.7581486037957099, -0.17606797844111582])',
-        'StokesVector(s0=2.3567980472776378, s1=0.5498661348565469, s2=0.9406940581611268, s3=-2.0897939990175978)',
-        '0.4891142529466494',
+        '1.5351866490031882',
+        'Spinor2(c1=(0.15626539087437022+0.17951778810604702j), c2=(-0.3106554775261904+0.9202432643879375j))',
+        '([0.23331067143903297, 0.3991407151952339, -0.8867089827367854], [0.742533076072974, 0.5156523868228023, 0.4274894699306101], [0.6278620561319775, -0.7581486037957099, -0.17606797844111594])',
+        'StokesVector(s0=2.356798047277638, s1=0.5498661348565476, s2=0.9406940581611273, s3=-2.089793999017597)',
+        '0.4891142529466491',
     ),
     (0.7, 0.0, 0.0, 0.0): (
-        '0.45641674710169683',
-        'Spinor2(c1=(-0.6091176537946114-0.7322479280915261j), c2=(0.03969403365338267-0.3020149654135362j))',
-        '([0.393942992056206, 0.42605704208767725, 0.8144226887171694], [-0.07552528900401713, -0.8680738955082511, 0.4906563386505771], [0.9160266643120515, -0.2548001350561443, -0.3097935464865381])',
-        'StokesVector(s0=0.2083162470348943, s1=0.08206472565084601, s2=0.08875460403049293, s3=0.16965747801362868)',
+        '0.4564167471016968',
+        'Spinor2(c1=(-0.6091176537946115-0.732247928091526j), c2=(0.03969403365338259-0.3020149654135362j))',
+        '([0.393942992056206, 0.42605704208767714, 0.8144226887171694], [-0.0755252890040168, -0.8680738955082511, 0.490656338650577], [0.9160266643120515, -0.25480013505614396, -0.30979354648653834])',
+        'StokesVector(s0=0.20831624703489424, s1=0.08206472565084598, s2=0.08875460403049289, s3=0.16965747801362863)',
         '-2.26465630625789',
     ),
 }
@@ -632,6 +634,13 @@ class TestStrongAttenuatorTrains:
             compose([e], basis)
         (a, b), (c, d) = element_matrix(e, "linear").m.tolist()
         assert abs(a * d - b * c - 1.0) <= 1e-15 and a.real == math.exp(709.5)
+
+    def test_apply_where_the_scale_underflows(self):
+        # apply steps the same F: an x-polarized wave keeps e^-200 of its flux, where the
+        # circular scale m stepped to flux 0.0 and raised ExtinctionError
+        w = linear_x_wave()
+        out = stokes_from_wave(apply(Attenuator(100.0, 1519.0), w))
+        assert out.s0 == pytest.approx(math.exp(-200.0) * stokes_from_wave(w).s0, rel=1e-12)
 
     def test_compose_raises_where_m_overflows(self):
         with pytest.raises(FloatRangeError, match="overflows"):

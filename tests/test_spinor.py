@@ -1,6 +1,8 @@
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -412,7 +414,7 @@ class TestWaveStateFluxFloor:
          (0.0, 1.0, 0.0), (-1.0, 1.0, 0.0)],
     )
     def test_raw_constructor_raises_the_constructor_text(self, amp, c1, c2):
-        # WaveState._of (the raw filters.apply step) checks all but the flux floor
+        # WaveState._of (the raw filters._step result) checks what the constructor checks
         with pytest.raises(ValueError) as want:
             WaveState(amp, Spinor2(c1, c2))
         with pytest.raises(ValueError) as got:
@@ -420,12 +422,34 @@ class TestWaveStateFluxFloor:
         assert str(got.value) == str(want.value)
 
     def test_raw_constructor_equals_the_constructor(self):
-        w = WaveState._of(0.5, 0.6 + 0.0j, 0.8j)
+        # the raw constructor takes the Jones spinor U o: here U (1, 0), whose entries and
+        # whose circular view are exact
+        w = WaveState._of(0.5, 0.5 + 0.5j, -0.5 + 0.5j)
         assert type(w) is WaveState and type(w.spinor) is Spinor2
-        assert w == WaveState(0.5, Spinor2(0.6 + 0.0j, 0.8j))
-        assert hash(w) == hash(WaveState(0.5, Spinor2(0.6 + 0.0j, 0.8j)))
+        assert w == WaveState(0.5, Spinor2(1.0 + 0.0j, 0.0j))
+        assert hash(w) == hash(WaveState(0.5, Spinor2(1.0 + 0.0j, 0.0j)))
         with pytest.raises(dataclasses.FrozenInstanceError):
             w.amplitude = 1.0
+
+    @pytest.mark.parametrize("held", ["circular", "linear"])
+    def test_the_held_basis_is_not_seen(self, held):
+        # a wave built from its spinor holds it; a step holds the Jones spinor U o.  Either
+        # way the wave compares, hashes and prints as its amplitude and circular spinor,
+        # pickles and copies to a wave that holds the same, and stays frozen; each view is
+        # made once
+        w = wave(1.1, 0.4, 0.3, amp=1.7)
+        if held == "linear":
+            w = WaveState._of(w.amplitude, *w._jones)
+        assert list(vars(w)) == ["amplitude", "spinor" if held == "circular" else "_jones"]
+        twin = WaveState(w.amplitude, w.spinor)  # the same wave, held circular
+        assert w == twin and hash(w) == hash(twin)
+        assert repr(w) == repr(twin) == f"WaveState(amplitude=1.7, spinor={w.spinor!r})"
+        assert w.spinor is w.spinor and w._jones is w._jones
+        for dup in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert type(dup) is WaveState and dup == w and vars(dup) == vars(w)
+        for name in ("amplitude", "spinor", "_jones"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, name, getattr(w, name))
 
     def test_pure_stokes_with_subnormal_s0_rejected(self):
         with pytest.raises(ValueError, match="underflows"):

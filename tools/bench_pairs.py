@@ -17,7 +17,9 @@ alternating pairs of cold `python -m polspin` processes time every command
 rounds time, in one process per tree and round, `parse_train` and the prefix products
 (`filters._prefixes`) of the first long-train seed's 6000-element train, the best of
 LAYER_REPEATS calls each: warm CLI passes reuse both from the CLI's train memo, so no
-perfbench layer sees them.  These and `src_lines`, the line count of each tree's `src/`,
+perfbench layer sees them.  They also time `apply_chain_us`: one pure beam built, stepped
+through the README train by `filters.apply` and read as `.spinor`, which shows what the
+spinor views cost.  These and `src_lines`, the line count of each tree's `src/`,
 are records, not gates.  The summary gives, per
 end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
@@ -142,14 +144,16 @@ def cold_argvs(workdir):
 
 
 # Run in a tree with the seed as argv[1]: the best of LAYER_REPEATS timings of parse_train
-# (us per line) and of the prefix products (ms) of that seed's long-train train, as JSON.
+# (us per line) and of the prefix products (ms) of that seed's long-train train, and of
+# 1000 README-train chains of apply (us per chain; one is about 20 us), as JSON.
 LAYER_SCRIPT = """
 import json, sys, tempfile, time
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 from polspin.dsl import parse_train
-from polspin.filters import _prefixes
-from workloads import generate
+from polspin.filters import _prefixes, apply
+from polspin.spinor import AngleSet, WaveState, spinor_from_angles
+from workloads import README_PURE_BEAM, README_TRAIN, generate
 seed, repeats = int(sys.argv[1]), int(sys.argv[2])
 with tempfile.TemporaryDirectory() as tmp:
     train = Path(generate("long-train", seed, Path(tmp))["reference_train"])
@@ -162,9 +166,19 @@ def best(call):
         times.append(time.perf_counter_ns() - start)
     return min(times)
 elements = parse_train(text).document.elements
+readme = parse_train(README_TRAIN).document.elements
+b = README_PURE_BEAM["angles"]
+o = spinor_from_angles(AngleSet(b["theta"], b["phi"], b["chi"]))
+def chains():  # the wave built, stepped through the README train and read as .spinor
+    for _ in range(1000):
+        w = WaveState(b["amp"], o)
+        for e in readme:
+            w = apply(e, w)
+        w.spinor
 print(json.dumps({"parse_train_us_per_line": best(lambda: parse_train(text)) / 1e3
                   / len(text.splitlines()),
-                  "prefixes_ms": best(lambda: list(_prefixes(elements))) / 1e6}))
+                  "prefixes_ms": best(lambda: list(_prefixes(elements))) / 1e6,
+                  "apply_chain_us": best(chains) / 1e6}))
 """
 
 
@@ -337,7 +351,8 @@ def main(argv=None):
             "runs": COLD_RUNS, "metrics": summarize_traced(cold_pairs(trees, argvs))}
         result["in_process_layers"] = {
             "command": "parse_train and list(filters._prefixes) on the long-train train of seed "
-                       f"{args.first_seed}, best of {LAYER_REPEATS} calls in each of "
+                       f"{args.first_seed}, and 1000 README-train chains of filters.apply on "
+                       f"the README pure beam, best of {LAYER_REPEATS} calls in each of "
                        f"{LAYER_ROUNDS} alternating rounds per tree",
             "metrics": layer_rounds(trees, args.first_seed)}
 
