@@ -23,7 +23,6 @@ from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
 from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
 from .filters import ELEMENTS, _entries, _prefixes, _step
-from .pauli import linear_to_circular
 from .partial import (
     _decomposition,
     _mueller_rows,
@@ -121,15 +120,6 @@ def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
 TRACE_HEADER = "step,element,rx,ry,rz,mx,my,mz,s0,s1,s2,s3,phase"
 
 
-def _pure_row(step, name, r, m, s, phase):
-    """One pure-beam row: sphere point r, Re M of the spinor, Stokes s, phase."""
-    m1, m2, m3 = m
-    return (
-        f"{step},{name},{r[0]!r},{r[1]!r},{r[2]!r},{m1.real!r},{m2.real!r},{m3.real!r},"
-        f"{s[0]!r},{s[1]!r},{s[2]!r},{s[3]!r},{phase}"
-    )
-
-
 def _mixed_row(step, name, s0, s1, s2, s3):
     """One mixed-beam row: direction s_vec / s0 (zeros at s0 = 0), Stokes, no M or phase."""
     d1, d2, d3 = (s1 / s0, s2 / s0, s3 / s0) if s0 > 0 else (0.0, 0.0, 0.0)
@@ -139,28 +129,31 @@ def _mixed_row(step, name, s0, s1, s2, s3):
 def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
     """Propagate in the linear basis, printing circular-basis rows.  The beam was validated
     when parsed; every row checks the extinction rule and the invariants the WaveState and
-    CoherencyMatrix constructors would, a pure row by building the WaveState apply would."""
+    CoherencyMatrix constructors would, a pure row on apply's raw step, with no WaveState."""
     _, result, prefixes = _load_train(train_path)
     elements = result.document.elements
     beam = parse_beam_json(beam_json, tol)
     s = beam.stokes.s0, beam.stokes.s1, beam.stokes.s2, beam.stokes.s3
     _require_flux(s[0])
     lines = [TRACE_HEADER]
-    if beam.pure:  # apply's step on the Jones spinor U o, whose r and M permute as the Pauli set
-        w = beam.wave
-        c1, c2 = w.spinor.c1, w.spinor.c2
-        lines.append(_pure_row(0, "input", _sphere_point(c1, c2), _tangent(c1, c2), s, "0.0"))
-        k1, k2 = (c.conjugate() for c in w._jones)
+    if beam.pure:  # a row: sphere point r, Re M of the spinor, Stokes s, phase
+        o = beam.wave.spinor  # the input row reads the circular spinor, the steps U o
+        (r1, r2, r3), (m1, m2, m3) = _sphere_point(o.c1, o.c2), _tangent(o.c1, o.c2)
+        lines.append(f"0,input,{r1!r},{r2!r},{r3!r},{m1.real!r},{m2.real!r},{m3.real!r},"
+                     f"{s[0]!r},{s[1]!r},{s[2]!r},{s[3]!r},0.0")
+        amp, (c1, c2), last = beam.wave.amplitude, beam.wave._jones, None
+        k1, k2 = c1.conjugate(), c2.conjugate()
         for step, element in enumerate(elements, start=1):
-            name = ELEMENTS[type(element)][0]
-            w = _step(_entries(element, scaled=True), w)
-            c1, c2 = w._jones
+            amp, c1, c2 = _step(_entries(element, scaled=True), amp, c1, c2)
             inner = k1 * c1 + k2 * c2  # <input|o>, as pancharatnam_phase, in either basis
             phase = "" if abs(inner) < PHASE_TOL else repr(cmath.phase(inner))
-            r = r1, r2, r3 = linear_to_circular(*_sphere_point(c1, c2))
-            s0 = w.amplitude**2
-            m = linear_to_circular(*_tangent(c1, c2))
-            lines.append(_pure_row(step, name, r, m, (s0, s0 * r1, s0 * r2, s0 * r3), phase))
+            r2, r3, r1 = _sphere_point(c1, c2)  # linear (x, y, z) is circular (2, 3, 1)
+            m2, m3, m1 = _tangent(c1, c2)
+            if amp != last:  # a unitary step keeps A bit for bit, and so s0's digits
+                last, s0, s0_text = amp, amp**2, repr(amp**2)
+            lines.append(f"{step},{ELEMENTS[type(element)][0]},{r1!r},{r2!r},{r3!r},"
+                         f"{m1.real!r},{m2.real!r},{m3.real!r},"
+                         f"{s0_text},{s0 * r1!r},{s0 * r2!r},{s0 * r3!r},{phase}")
     else:  # F of each kept prefix on the input C: its rounding is squared, not C's carried on
         lines.append(_mixed_row(0, "input", *s))
         propagate = _propagator(beam.stokes)

@@ -15,14 +15,15 @@ attenuation prefactors live in scale.  The closed forms are in the linear
 The circular basis is an edge view, U^-1 m U with the same scale, for `element_matrix` and
 `compose`: there an attenuator's m has cosh and sinh entries, which round alike past a spread
 of about 37.  Composition is in propagation order: the first element of a train is the rightmost
-factor.  One cache per level: element, train and the CLI's train file.  `apply`, which a sweep
-calls per element and beam, steps a wave's Jones spinor U o by `_step`, as the CLI's pure
-`trace` does, with the element's linear form, kept after first use outside its fields and
-pickled state.  The two train calls of `partial` fold through `_train_product`, which keeps the
-product of the last train they folded and, once `mueller_of_train` asks, its Mueller matrix,
-keyed by its element objects: it keeps them alive until a different train is folded, and calls
-alternating between trains (concurrent sweeps) only miss, never mix entries.  The CLI keeps the
-last train file's bytes, parse and prefix products (`cli`); all else computes closed forms afresh.
+factor.  One cache per level: element, train and the CLI's train file.  `_step` steps a raw
+amplitude and Jones spinor (A, U o) and checks the result once: the pure `trace` carries them
+from row to row; `apply` wraps them in a WaveState and keeps the element's linear form, for a
+sweep's next beam, outside its fields and pickled state.  The train calls of `partial` fold
+through `_train_product`, which keeps the product of the last train they folded and, once
+`mueller_of_train` asks, its Mueller matrix, keyed by its element objects: it keeps them alive
+until a different train is folded, and calls alternating between trains (concurrent sweeps)
+only miss, never mix entries.  The CLI keeps the last train file's bytes, parse and prefix
+products (`cli`); all else computes closed forms afresh.
 """
 
 import cmath
@@ -34,7 +35,7 @@ from operator import is_not
 
 from .errors import EmptyTrainError, ExtinctionError, FloatRangeError
 from .pauli import linear_to_circular
-from .spinor import FLUX_MIN, WaveState, _quaternion
+from .spinor import FLUX_MIN, WaveState, _check_wave, _quaternion
 
 # Largest |e2 - e1| at which the linear m's larger entry e^{|e2 - e1|/2} is finite.
 ETA_SPREAD_MAX = 2.0 * math.log(sys.float_info.max)
@@ -205,32 +206,36 @@ def _extinction(flux):
                            f"({FLUX_MIN:.4g})")
 
 
-def _step(entries, w):
-    """One element F = scale [[a, b], [c, d]] on a wave's Jones spinor o: the pure step of
-    `apply` and the CLI's `trace`.  v = F o, A' = A ||v||, o' = v / ||v||; a flux A'^2 below
-    FLUX_MIN is extinction, and WaveState._of checks the other invariants on the result."""
+def _step(entries, amp, c1, c2):
+    """(A', o') of one element F = scale [[a, b], [c, d]] on a wave A o, o its Jones spinor U o:
+    v = F o, A' = A ||v||, o' = v / ||v||.  A flux A'^2 below FLUX_MIN is extinction; then
+    _check_wave, the one check of a stepped wave, holds A' and o' to the WaveState invariants."""
     scale, a, b, c, d = entries
-    c1, c2 = w._jones
     v1 = scale * (a * c1 + b * c2)
     v2 = scale * (c * c1 + d * c2)
     n = math.sqrt(v1.real**2 + v2.real**2 + v1.imag**2 + v2.imag**2)
-    amp = w.amplitude * n if abs(n - 1.0) > _UNIT_GAIN else w.amplitude
+    if abs(n - 1.0) > _UNIT_GAIN:  # else A is kept bit for bit
+        if n < 2.0**-510:  # v's squares may have underflowed: the norm without squares
+            n = abs(complex(abs(v1), abs(v2)))
+        amp *= n
     if not amp * amp >= FLUX_MIN:
         raise _extinction(amp * amp)
-    return WaveState._of(amp, v1 / n, v2 / n)
+    return _check_wave(amp, v1 / n, v2 / n)
 
 
 def apply(e, w):
     """Pass a wave through one element: v = F U o, A' = A ||v||, in the linear basis.
 
-    The result holds the Jones spinor v / ||v||: a chain of calls crosses the basis once in
-    and once when `.spinor` is read.  The global phase of v is retained, so the
-    Pancharatnam phase against the input reflects the element's phase.
+    The result, checked by _step and wrapped by WaveState._of, holds the Jones spinor v / ||v||:
+    a chain crosses the basis once in and once when `.spinor` is read.  The global phase of v
+    is retained, so the Pancharatnam phase against the input reflects the element's phase.
     """
     entries = getattr(e, "_linear", None)  # e's linear form, kept for the next beam
     if entries is None:  # first use; not a field, so == and hash are unchanged
         object.__setattr__(e, "_linear", entries := _entries(e, scaled=True))
-    return _step(entries, w)
+    c1, c2 = w._jones
+    amp, c1, c2 = _step(entries, w.amplitude, c1, c2)
+    return WaveState._of(amp, c1, c2)
 
 
 def classify(e):

@@ -44,6 +44,7 @@ MAX_MAGNITUDE = math.sqrt(0.5 * sys.float_info.max)
 # train that drives a beam below it has extinguished it.
 FLUX_MIN = sys.float_info.min
 PHASE_TOL = 1e-12  # |<a|b>| below which the relative phase is undefined
+UNIT_TOL = 1e-10  # | |o| - 1 | above which a spinor is not unit
 PURITY_FLOOR = 1e-9  # wave_from_stokes' default tol; beam_from_stokes checks at no less
 
 
@@ -75,24 +76,26 @@ class Spinor2:
         n = self.norm()
         return Spinor2(self.c1 / n, self.c2 / n)
 
-    def require_unit(self, tol=1e-10):
+    def require_unit(self, tol=UNIT_TOL):
         _require_unit(self.c1, self.c2, tol)
         return self
 
 
-def _require_unit(c1, c2, tol=1e-10):
+def _require_unit(c1, c2, tol=UNIT_TOL):
     n = math.hypot(abs(c1), abs(c2))
     if abs(n - 1.0) > tol:
         raise ValueError(f"spinor is not unit-norm: |o| = {n}")
 
 
 def _check_wave(amp, c1, c2):
-    """The WaveState invariants: 0 < A <= MAX_MAGNITUDE, |o| = 1, a normal float A^2."""
+    """(amp, c1, c2), checked: 0 < A <= MAX_MAGNITUDE, |o| = 1, a normal float A^2."""
     if not 0.0 < amp <= MAX_MAGNITUDE:
         raise ValueError(f"amplitude out of (0, {MAX_MAGNITUDE:.4g}]: {amp}")
-    _require_unit(c1, c2)
+    if abs(math.hypot(abs(c1), abs(c2)) - 1.0) > UNIT_TOL:  # _require_unit's test, inline
+        _require_unit(c1, c2)  # raises, with the norm in its text
     if not amp * amp >= FLUX_MIN:
         raise ValueError(f"flux A^2 of amplitude {amp} underflows (below {FLUX_MIN:.4g})")
+    return amp, c1, c2
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,7 @@ class WaveState:
         _check_wave(self.amplitude, self.spinor.c1, self.spinor.c2)
 
     @classmethod
-    def _of(cls, amp, c1, c2):  # filters._step's amplitude and Jones spinor U o
-        _check_wave(amp, c1, c2)
+    def _of(cls, amp, c1, c2):  # filters._step's result, which _step has checked: no check here
         w = object.__new__(cls)
         w.__dict__.update(amplitude=amp, _jones=(c1, c2))  # frozen: past __setattr__
         return w

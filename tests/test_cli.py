@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import itertools
@@ -28,13 +29,14 @@ from polspin import (
     apply_train_to_coherency,
     coherency_from_stokes,
     jones_from_wave,
+    matrix_circular,
     matrix_linear,
     pancharatnam_phase,
     poincare_frame,
     stokes_from_coherency,
     stokes_from_wave,
 )
-from polspin import cli
+from polspin import cli, filters
 from polspin.beamio import BeamFormatError, beam_from_stokes, parse_beam_json
 from polspin.cli import TRACE_HEADER, cmd_convert, cmd_mueller, cmd_trace, main
 from polspin.dsl import TrainDocument, parse_train, serialize_train
@@ -1007,6 +1009,37 @@ def test_an_attenuator_whose_scale_underflows_keeps_its_flux(capsys, tmp_path, b
     assert float(out.split(",")[0]) == pytest.approx(0.5 * math.exp(-200.0), rel=1e-14)
 
 
+# Large beams through strong losses: each step's ||F o|| is below 1.5e-154, where the squares
+# of F o's parts underflow (wholly at e^-400, partly at e^-370), while A ||F o|| is a normal
+# float.  The flux from squares read 0.0 (exit 3) or lost the digits that keep o unit (a
+# ValueError out of main); mueller still exits 3 on all three, its M00 < e^-700 underflows.
+LARGE_BEAM_TRAINS = {
+    "uniform": "atten e1=400 e2=400\n",
+    "uneven": "atten e1=370 e2=380\n",
+    "chain": "rotate alpha=0.3\natten e1=380 e2=370\nhwp axis=0.2\n",
+}
+
+
+@pytest.mark.parametrize("beam", ['{"stokes": [1e150, 0, 0, 1e150]}',
+                                  '{"stokes": [1e150, 6e149, 0, 8e149]}',
+                                  '{"jones": {"a1": 6e74, "a2": 8e74, "phi1": 0.3, "phi2": 1.9}}'],
+                         ids=["north", "oblique", "jones"])
+@pytest.mark.parametrize("train", list(LARGE_BEAM_TRAINS))
+def test_a_large_beam_keeps_a_flux_whose_norm_squares_underflow(capsys, tmp_path, train, beam):
+    path = tmp_path / "loss.pol"
+    path.write_text(LARGE_BEAM_TRAINS[train])
+    code, out, err = run(capsys, "trace", str(path), beam)
+    assert (code, err) == (0, "")
+    code, mixed, err = run(capsys, "trace", str(path), beam, "--tolerance=-1")
+    assert (code, err) == (0, "")
+    for row, want in zip(out.split()[1:], mixed.split()[1:]):
+        got, want = ([float(v) for v in line.split(",")[8:12]] for line in (row, want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want[0])
+    if train == "uniform" and "stokes" in beam:  # 1e150 e^-800, as the mixed route gives it
+        assert float(out.split()[-1].split(",")[8]) == 3.667874584177687e-198
+    assert run(capsys, "mueller", str(path))[0] == cli.EXIT_EXTINCTION
+
+
 class TestExtinction:
     """A flux (s0, or M00 for mueller) below the smallest normal float is exit 3."""
 
@@ -1084,9 +1117,9 @@ def oracle_trace(train_text, beam_json, basis="linear"):
             if basis == "linear":
                 em = matrix_linear(e)
                 f = (em.scale, *em.m.ravel().tolist())
-                # w holds U o as its spinor; _step takes and gives a wave holding it as U o
-                w = _step(f, WaveState._of(w.amplitude, w.spinor.c1, w.spinor.c2))
-                w = WaveState(w.amplitude, Spinor2(*w._jones))
+                # w holds U o as its spinor; _step takes and gives the raw (A, U o)
+                amp, c1, c2 = _step(f, w.amplitude, w.spinor.c1, w.spinor.c2)
+                w = WaveState(amp, Spinor2(c1, c2))
             else:
                 w = apply(e, w)
             frame = poincare_frame(w.spinor)
@@ -1148,6 +1181,72 @@ def test_trace_stdout_equals_public_api_oracle(capsys, tmp_path, beam, train):
         np.testing.assert_allclose(row, other, rtol=0, atol=1e-12 * row[0])
     if train == "antipode" and beam == LINEAR_X:
         assert out.splitlines()[3].endswith(",")  # step 2: an empty phase
+
+
+def circular_steps(train_text, beam_json):
+    """The pure `trace` rows after the input, stepped in the circular basis: the circular
+    spinor o of the input times each element's matrix_circular, v = scale m o, A' = A ||v||,
+    o' = v / ||v||, read as (r, Re M, Stokes, <input|o'>) by poincare_frame."""
+    w = parse_beam_json(beam_json).wave
+    amp, o = w.amplitude, w.spinor.as_array()
+    rows = []
+    for e in parse_train(train_text).document.elements:
+        em = matrix_circular(e)
+        v = em.scale * (em.m @ o)
+        n = np.linalg.norm(v)
+        amp, o = amp * n, v / n
+        f = poincare_frame(Spinor2(*o.tolist()))
+        rows.append((f.r, f.m_re, amp**2 * np.array([1.0, *f.r]), np.vdot(w.spinor.as_array(), o)))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_pure_trace_rows_equal_the_circular_steps(capsys, tmp_path, seed):
+    """Every pure `trace` row, stepped in the linear basis, meets a step-by-step oracle in the
+    circular closed forms to 1e-12: r and Re M; Stokes, of s0; the phase, as |<input|o>|
+    e^{i phase} against <input|o>.  The README train and beam, then seeded trains of 6 or 12
+    elements with weak attenuators and pure beams of all three forms."""
+    rng = np.random.default_rng(seed)
+    text, beam = README_ELEMENTS, README_BEAM
+    if seed:
+        text = long_train_text(rng, per_kind=1 + seed % 2)
+        theta, phi, chi = map(float, rng.uniform(0.0, [math.pi, 2 * math.pi, 2 * math.pi]))
+        amp = float(rng.uniform(0.5, 2.0))
+        beam = json.dumps({"angles": {"theta": theta, "phi": phi, "chi": chi, "amp": amp}})
+        beam = [beam, cmd_convert(beam, "stokes"), cmd_convert(beam, "jones")][seed % 3]
+    path = tmp_path / "t.pol"
+    path.write_text(text)
+    code, out, err = run(capsys, "trace", str(path), beam)
+    assert (code, err) == (0, "")
+    rows = out.split()[2:]
+    want = circular_steps(text, beam)
+    assert len(rows) == len(want) == len(text.splitlines())
+    for row, (r, m_re, stokes, inner) in zip(rows, want):
+        cells = row.split(",")
+        got = [float(v) for v in cells[2:12]]
+        np.testing.assert_allclose(got[:6], [*r, *m_re], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[6:], stokes, rtol=0, atol=1e-12 * stokes[0])
+        if cells[12]:
+            assert abs(abs(inner) * cmath.exp(1j * float(cells[12])) - inner) <= 1e-12
+        else:  # the input and o are orthogonal to the PHASE_TOL of pancharatnam_phase
+            assert abs(inner) < 1e-12 + 1e-15
+
+
+def test_a_step_checks_once_and_the_pure_trace_builds_no_wave(capsys, tmp_path, monkeypatch):
+    """filters._step checks each stepped wave once, by _check_wave, for apply and the pure
+    `trace` alike; the trace builds no WaveState past its input's, and apply one per step."""
+    checks, waves = [], []
+    check, of, post_init = filters._check_wave, WaveState._of, WaveState.__post_init__
+    monkeypatch.setattr(filters, "_check_wave", lambda *a: checks.append(a) or check(*a))
+    monkeypatch.setattr(WaveState, "_of", classmethod(lambda cls, *a: waves.append(a) or of(*a)))
+    monkeypatch.setattr(WaveState, "__post_init__", lambda w: waves.append(w) or post_init(w))
+    path = tmp_path / "t.pol"
+    path.write_text(README_ELEMENTS)
+    assert run(capsys, "trace", str(path), README_BEAM)[0] == 0
+    assert (len(checks), len(waves)) == (6, 1)
+    w = parse_beam_json(README_BEAM).wave
+    assert stokes_from_wave(apply_chain(parse_train(README_ELEMENTS).document.elements, w)).s0
+    assert (len(checks), len(waves)) == (12, 8)
 
 
 ANGLE = st.floats(0.0, 2.0 * math.pi, exclude_max=True)

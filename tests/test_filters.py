@@ -218,6 +218,18 @@ class TestApply:
         # A'^2 = e^-40 * 1e-260 is still a normal float
         assert apply(Attenuator(20.0, 20.0), WaveState(1e-130, w.spinor)).amplitude > 0.0
 
+    @pytest.mark.parametrize("eta1, eta2", [(400.0, 400.0), (370.0, 380.0)])
+    def test_a_norm_whose_squares_underflow(self, eta1, eta2):
+        # ||F o|| ~ e^-370 is below 1.5e-154, where the squares of F o's parts underflow,
+        # while A ||F o|| is a normal amplitude: the step keeps it, and o' = F o / ||F o||
+        w = wave_from_jones(JonesAmpPhase(6e74, 8e74, 0.3, 1.9))
+        out = apply(Attenuator(eta1, eta2), w)
+        j1, j2 = w._jones
+        v1, v2 = j1 * math.exp(-eta1), j2 * math.exp(-eta2)  # F = diag(e^-eta1, e^-eta2)
+        n = math.hypot(abs(v1), abs(v2))
+        assert out.amplitude == pytest.approx(w.amplitude * n, rel=1e-15)
+        assert abs(out._jones[0] - v1 / n) <= 1e-15 and abs(out._jones[1] - v2 / n) <= 1e-15
+
     def test_scale_only_shifts_pancharatnam_phase(self):
         w = WaveState(1.0, spinor_from_angles(AngleSet(0.4, 1.0, 0.2)))
         d1 = d2 = 0.9  # delta = 0: pure scale e^{-i(d1+d2)/2}
@@ -371,8 +383,8 @@ WAVE = st.builds(
 def fresh_step(e, w):
     """The amplitude and Jones spinor of apply's result, from the element's linear closed form
     computed anew."""
-    out = _step(_entries(e, scaled=True), w)
-    return out.amplitude, *out._jones
+    c1, c2 = w._jones
+    return _step(_entries(e, scaled=True), w.amplitude, c1, c2)
 
 
 def as_fields(e):

@@ -32,6 +32,7 @@ from polspin import (
     wave_from_stokes,
 )
 from polspin.pauli import SIGMA1, SIGMA3, U_BASIS
+from polspin.spinor import _check_wave
 
 from .conftest import as_spinor, random_su2, random_unit_spinors
 
@@ -414,12 +415,14 @@ class TestWaveStateFluxFloor:
          (0.0, 1.0, 0.0), (-1.0, 1.0, 0.0)],
     )
     def test_raw_constructor_raises_the_constructor_text(self, amp, c1, c2):
-        # WaveState._of (the raw filters._step result) checks what the constructor checks
+        # WaveState._of only wraps filters._step's result; the raw route's one check is
+        # _check_wave, which _step runs on every result: it raises the constructor's text
         with pytest.raises(ValueError) as want:
             WaveState(amp, Spinor2(c1, c2))
         with pytest.raises(ValueError) as got:
-            WaveState._of(amp, c1, c2)
+            _check_wave(amp, c1, c2)
         assert str(got.value) == str(want.value)
+        assert vars(WaveState._of(amp, c1, c2)) == {"amplitude": amp, "_jones": (c1, c2)}
 
     def test_raw_constructor_equals_the_constructor(self):
         # the raw constructor takes the Jones spinor U o: here U (1, 0), whose entries and
