@@ -16,14 +16,13 @@ The circular basis is an edge view, U^-1 m U with the same scale, for `element_m
 `compose`: there an attenuator's m has cosh and sinh entries, which round alike past a spread
 of about 37.  Composition is in propagation order: the first element of a train is the rightmost
 factor.  One cache per level: element, train and the CLI's train file.  `_step` steps a raw
-amplitude and Jones spinor (A, U o) and checks the result once: the pure `trace` carries them
-from row to row; `apply` wraps them in a WaveState and keeps the element's linear form, for a
-sweep's next beam, outside its fields and pickled state.  The train calls of `partial` fold
-through `_train_product`, which keeps the product of the last train they folded and, once
-`mueller_of_train` asks, its Mueller matrix, keyed by its element objects: it keeps them alive
-until a different train is folded, and calls alternating between trains (concurrent sweeps)
-only miss, never mix entries.  The CLI keeps the last train file's bytes, parse and prefix
-products (`cli`); all else computes closed forms afresh.
+amplitude and Jones spinor (A, U o), checked once: the pure `trace` carries them row to row;
+`apply` wraps them in a WaveState and keeps the element's linear form outside its fields and
+pickled state.  The train calls of `partial` fold through `_train_product`, which keeps the
+product of the last train they folded and, once `mueller_of_train` asks, its Mueller matrix,
+keyed by its element objects: it keeps them alive until a different train is folded, and calls
+alternating between trains (concurrent sweeps) only miss, never mix entries.  The CLI keeps the
+last train file's bytes, parse and prefix products (`cli`); all else computes closed forms afresh.
 """
 
 import cmath
