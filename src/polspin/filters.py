@@ -207,15 +207,16 @@ def _extinction(flux):
 
 def _step(entries, amp, c1, c2):
     """(A', o') of one element F = scale [[a, b], [c, d]] on a wave A o, o its Jones spinor U o:
-    v = F o, A' = A ||v||, o' = v / ||v||.  A flux A'^2 below FLUX_MIN is extinction; then
-    _check_wave, the one check of a stepped wave, holds A' and o' to the WaveState invariants."""
+    v = F o, A' = A ||v||, o' = v / ||v||.  A flux below FLUX_MIN raises ExtinctionError (exit 3);
+    then _check_wave, the one check of a stepped wave, holds A' and o' to the WaveState
+    invariants (its flux test, which raises the constructor's ValueError, then always passes)."""
     scale, a, b, c, d = entries
     v1 = scale * (a * c1 + b * c2)
     v2 = scale * (c * c1 + d * c2)
     n = math.sqrt(v1.real**2 + v2.real**2 + v1.imag**2 + v2.imag**2)
     if abs(n - 1.0) > _UNIT_GAIN:  # else A is kept bit for bit
         if n < 2.0**-510:  # v's squares may have underflowed: the norm without squares
-            n = abs(complex(abs(v1), abs(v2)))
+            n = math.hypot(abs(v1), abs(v2))
         amp *= n
     if not amp * amp >= FLUX_MIN:
         raise _extinction(amp * amp)

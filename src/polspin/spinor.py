@@ -91,8 +91,7 @@ def _check_wave(amp, c1, c2):
     """(amp, c1, c2), checked: 0 < A <= MAX_MAGNITUDE, |o| = 1, a normal float A^2."""
     if not 0.0 < amp <= MAX_MAGNITUDE:
         raise ValueError(f"amplitude out of (0, {MAX_MAGNITUDE:.4g}]: {amp}")
-    if abs(math.hypot(abs(c1), abs(c2)) - 1.0) > UNIT_TOL:  # _require_unit's test, inline
-        _require_unit(c1, c2)  # raises, with the norm in its text
+    _require_unit(c1, c2)
     if not amp * amp >= FLUX_MIN:
         raise ValueError(f"flux A^2 of amplitude {amp} underflows (below {FLUX_MIN:.4g})")
     return amp, c1, c2

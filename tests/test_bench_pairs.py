@@ -108,8 +108,7 @@ def test_layer_rounds_time_parse_and_prefixes_in_each_tree(tmp_path):
         for name in ("src", "perfbench"):
             (tree / name).symlink_to(bench_pairs.ROOT / name, target_is_directory=True)
     layers = bench_pairs.layer_rounds(trees, seed=1, rounds=2, repeats=1)
-    assert sorted(layers) == ["apply_chain_us", "parse_train_us_per_line", "prefixes_ms",
-                              "trace_pure_ms"]
+    assert sorted(layers) == ["apply_chain_us", "parse_train_us_per_line", "prefixes_ms"]
     for layer in layers.values():
         assert layer["parent"] > 0 and layer["change"] > 0
         assert layer["rel_change"] == pytest.approx(layer["change"] / layer["parent"] - 1.0)

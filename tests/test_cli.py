@@ -1346,8 +1346,8 @@ def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, t
     Mueller product rounds at n eps of M00 s0, the flux of unpolarized light.  No route
     raises where another returns.  `mueller`, which checks M00, may return where this beam
     is extinguished, and may raise where it is not: a beam's output flux M00 s0 + m . s_vec,
-    m the rest of row 0 with |m| <= M00, is at most 2 M00 s0, so it then stays below
-    2 FLUX_MIN s0.  On the mixed beam the trace and both tags run one kernel on one
+    m the rest of row 0 with |m| <= M00, is at most M00 (s0 + |s_vec|), so it then stays
+    below FLUX_MIN (s0 + |s_vec|).  On the mixed beam the trace and both tags run one kernel on one
     Stokes vector, so their final Stokes vectors are the same floats."""
     path = tmp_path_factory.mktemp("strong") / "t.pol"
     path.write_text(serialize_train(TrainDocument(elements=train)))
@@ -1377,7 +1377,7 @@ def test_strong_trains_every_route_raises_together_or_agrees(tmp_path_factory, t
             assert repr(routes["trace"]) == repr(routes["circular"]) == repr(routes["linear"])
         want = routes["linear"]
         if mueller is ExtinctionError:
-            assert want[0] <= 2.0 * FLUX_MIN * s.s0 * (1.0 + n * 1e-12)
+            assert want[0] <= (s.s0 + math.hypot(*s_in[1:])) * FLUX_MIN * (1.0 + n * 1e-12)
         else:
             routes["mueller"] = [sum(m * s for m, s in zip(row, s_in)) for row in mueller]
         for name, got in routes.items():

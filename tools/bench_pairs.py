@@ -17,11 +17,10 @@ alternating pairs of cold `python -m polspin` processes time every command
 rounds time, in one process per tree and round, `parse_train` and the prefix products
 (`filters._prefixes`) of the first long-train seed's 6000-element train, the best of
 LAYER_REPEATS calls each: warm CLI passes reuse both from the CLI's train memo, so no
-perfbench layer sees them.  They also time `trace_pure_ms`, a warm in-process
-`cli.cmd_trace` of that train with the workload's pure beam, and `apply_chain_us`: one pure
-beam built, stepped through the README train by `filters.apply` and read as `.spinor`, which
-shows what the spinor views cost.  These and `src_lines`, the line count of each tree's
-`src/`, are records, not gates.  The summary gives, per
+perfbench layer sees them.  They also time `apply_chain_us`: one pure beam built, stepped
+through the README train by `filters.apply` and read as `.spinor`, which shows what the
+spinor views cost.  These and `src_lines`, the line count of each tree's `src/`,
+are records, not gates.  The summary gives, per
 end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
 change was better (the direction comes from BENCHMARK.json) and the
@@ -145,19 +144,20 @@ def cold_argvs(workdir):
 
 
 # Run in a tree with the seed as argv[1]: the best of LAYER_REPEATS timings of parse_train
-# (us per line), of the prefix products (ms) and of a warm cli.cmd_trace with the workload's
-# pure beam (ms) on that seed's long-train train, and of 1000 README-train chains of apply
-# (us per chain; one is about 20 us), as JSON.
+# (us per line) and of the prefix products (ms) of that seed's long-train train, and of
+# 1000 README-train chains of apply (us per chain; one is about 20 us), as JSON.
 LAYER_SCRIPT = """
 import json, sys, tempfile, time
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
-from polspin.cli import cmd_trace
 from polspin.dsl import parse_train
 from polspin.filters import _prefixes, apply
 from polspin.spinor import AngleSet, WaveState, spinor_from_angles
 from workloads import README_PURE_BEAM, README_TRAIN, generate
 seed, repeats = int(sys.argv[1]), int(sys.argv[2])
+with tempfile.TemporaryDirectory() as tmp:
+    train = Path(generate("long-train", seed, Path(tmp))["reference_train"])
+    text = train.read_text(encoding="utf-8")
 def best(call):
     times = []
     for _ in range(repeats):
@@ -165,12 +165,6 @@ def best(call):
         call()
         times.append(time.perf_counter_ns() - start)
     return min(times)
-with tempfile.TemporaryDirectory() as tmp:
-    inputs = generate("long-train", seed, Path(tmp))
-    text = Path(inputs["reference_train"]).read_text(encoding="utf-8")
-    pure = next(op["argv"][1:] for op in inputs["stream"] if op["kind"] == "trace_pure")
-    cmd_trace(*pure)  # the CLI keeps the file's parse: later calls are warm
-    trace_pure = best(lambda: cmd_trace(*pure))
 elements = parse_train(text).document.elements
 readme = parse_train(README_TRAIN).document.elements
 b = README_PURE_BEAM["angles"]
@@ -184,7 +178,6 @@ def chains():  # the wave built, stepped through the README train and read as .s
 print(json.dumps({"parse_train_us_per_line": best(lambda: parse_train(text)) / 1e3
                   / len(text.splitlines()),
                   "prefixes_ms": best(lambda: list(_prefixes(elements))) / 1e6,
-                  "trace_pure_ms": trace_pure / 1e6,
                   "apply_chain_us": best(chains) / 1e6}))
 """
 
@@ -357,9 +350,8 @@ def main(argv=None):
                        "python -m polspin phase <README pure beam> <that Jones beam>",
             "runs": COLD_RUNS, "metrics": summarize_traced(cold_pairs(trees, argvs))}
         result["in_process_layers"] = {
-            "command": "parse_train, list(filters._prefixes) and a warm cli.cmd_trace with the "
-                       f"workload's pure beam on the long-train train of seed {args.first_seed}, "
-                       "and 1000 README-train chains of filters.apply on "
+            "command": "parse_train and list(filters._prefixes) on the long-train train of seed "
+                       f"{args.first_seed}, and 1000 README-train chains of filters.apply on "
                        f"the README pure beam, best of {LAYER_REPEATS} calls in each of "
                        f"{LAYER_ROUNDS} alternating rounds per tree",
             "metrics": layer_rounds(trees, args.first_seed)}
