@@ -11,6 +11,7 @@ straight from it; argparse is imported, and its parser built from it, only
 for help, usage and errors, so their text is argparse's own.
 `trace` and `mueller` keep one train file: the bytes last read, their parse and, once `mueller`
 or a mixed `trace` asks, the train's prefix products; bytes that differ replace all three.
+parse_train reads the bytes as the file's content: UTF-8 with universal newlines.
 """
 
 import cmath
@@ -68,11 +69,7 @@ def _load_train(path):
     last = _last_train  # read once: a concurrent call on another file only misses
     if last is None or last[0] != raw:
         last = _last_train = None  # the old parse is freed before the new one is made
-        try:  # universal newlines, as text mode reads them
-            source = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        except UnicodeDecodeError:  # parse_train diagnoses the undecodable bytes
-            source = raw
-        result = parse_train(source)
+        result = parse_train(raw)  # UTF-8 with universal newlines, as text mode reads them
         prefixes = functools.cache(lambda: list(_prefixes(result.document.elements)))
         last = _last_train = raw, result, prefixes
     if not last[1].ok:  # formatted on every call, with this call's path

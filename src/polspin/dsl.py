@@ -16,9 +16,10 @@ Angles are radians; a `deg(<r>)` value is converted at parse time.
 key=value pairs may appear in any order within a line; duplicates are
 errors.  Parsing recovers per line: one bad line yields one diagnostic
 and later lines are still parsed.  Serialization is canonical (grammar
-key order, shortest round-tripping decimals, LF endings).  An element line
-already in that form (single spaces, no comment) takes a faster path with
-the identical element and span; every other line takes the general loop.
+key order, shortest round-tripping decimals, LF endings).  Bytes are read
+as a file's content: UTF-8 with universal newlines (CRLF and CR end a
+line, as in text mode); a str is taken as given, so a lone CR in it is
+whitespace.
 """
 
 import math
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import List, Tuple
 
-from .beamio import BEAM_FORMS, AnglesBeam, BeamDecl, beam_from_decl
+from .beamio import BEAM_FORMS, PURITY_TOL, AnglesBeam, BeamDecl
 from .errors import PolspinError
 from .filters import ELEMENTS
 from .spinor import JonesAmpPhase, StokesVector
@@ -71,9 +72,11 @@ class ParseResult:
 _ELEMENT_STATEMENTS = {name: (cls, keys) for cls, (name, keys, _) in ELEMENTS.items()}
 # class -> (statement head, (key, field name) pairs in field order), for
 # serialization; fields() is read once per class here, not per statement
-_HEADS = {cls: (name, keys) for name, (cls, keys) in _ELEMENT_STATEMENTS.items()}
-_HEADS.update({cls: (f"beam {form}", keys) for form, (cls, keys, _) in BEAM_FORMS.items()})
-_HEADS = {c: (h, tuple(zip(k, [f.name for f in fields(c)]))) for c, (h, k) in _HEADS.items()}
+_HEADS = {
+    cls: (head, tuple(zip(keys, [f.name for f in fields(cls)])))
+    for head, cls, keys in [(name, cls, keys) for cls, (name, keys, _) in ELEMENTS.items()]
+    + [(f"beam {form}", cls, keys) for form, (cls, keys, _) in BEAM_FORMS.items()]
+}
 
 # only for diagnostic columns; splits where str.split() and str.strip() do
 _TOKEN_RE = re.compile(r"\S+")
@@ -92,49 +95,15 @@ def _number(text):
         return None
 
 
-# An element line as serialize_train writes it, `<head> k1=v1[ k2=v2]`, with
-# each value printable ASCII without spaces: head -> (class, its line's fullmatch)
-_CANONICAL = {
-    head: (cls, re.compile(head + "".join(f" {k}=([!-~]+)" for k in keys)).fullmatch)
-    for head, (cls, keys) in _ELEMENT_STATEMENTS.items()
-}
-
-
-def _canonical_element(line):
-    """The element of a line in serialize_train's form, else None.
-
-    That form has the keys in grammar order, single spaces, no comment and
-    finite values.  None sends the line to the general loop, which gives
-    the same element for every line accepted here and writes every
-    diagnostic.
-    """
-    cls, fullmatch = _CANONICAL.get(line[: line.find(" ")], (None, None))
-    match = fullmatch and fullmatch(line)
-    if not match:
-        return None
-    try:
-        # a group per key, one or two; faster than map() over groups()
-        first = float(match[1])
-        values = (first,) if match.lastindex == 1 else (first, float(match[2]))
-    except ValueError:  # deg(...) or malformed; numbers keep the inline float()
-        values = tuple(map(_number, match.groups()))
-        if None in values:
-            return None
-    try:
-        # a sum of finite values may overflow: that line takes the general loop
-        return cls(*values) if math.isfinite(sum(values)) else None
-    except ValueError:  # refused by the constructor
-        return None
-
-
 def parse_train(source):
-    """Parse `.pol` text into a TrainDocument plus diagnostics."""
+    """Parse `.pol` text, or a file's bytes, into a TrainDocument plus diagnostics."""
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             diagnostic = ParseDiagnostic("error", 1, 1, f"input is not valid UTF-8: {exc}", "")
             return ParseResult(TrainDocument(), [diagnostic])
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
     doc = TrainDocument()
     diagnostics = []
 
@@ -144,12 +113,7 @@ def parse_train(source):
         diagnostics.append(ParseDiagnostic("error", line_no, column, message, token))
 
     for line_no, line in enumerate(source.split("\n"), start=1):
-        element = _canonical_element(line)
-        if element is not None:
-            doc.elements.append(element)
-            doc.element_spans.append((line_no, 1, 1 + len(line)))
-            continue
-        # a CRLF's "\r" is whitespace to str.split() and str.strip()
+        # in a str, a CRLF's "\r" is whitespace to str.split() and str.strip()
         code = line.split("#", 1)[0] if "#" in line else line
         words = code.split()
         if not words:
@@ -164,7 +128,7 @@ def parse_train(source):
             if kind not in BEAM_FORMS:
                 error(1, f"unknown beam form {kind!r}", kind)
                 continue
-            cls, keys, _ = BEAM_FORMS[kind]
+            cls, keys, build = BEAM_FORMS[kind]
             first = 2
         else:
             kind = head
@@ -205,7 +169,7 @@ def parse_train(source):
         try:
             item = cls(*[values[k] for k in keys])
             if head == "beam":
-                beam_from_decl(item)
+                build(item, PURITY_TOL)
         except (ValueError, PolspinError) as exc:
             error(0, str(exc), statement)
             continue

@@ -11,7 +11,6 @@ from polspin.dsl import (
     JonesBeam,
     StokesBeam,
     TrainDocument,
-    _canonical_element,
     parse_train,
     serialize_train,
 )
@@ -174,6 +173,19 @@ class TestParse:
         assert not result.ok
         assert "UTF-8" in result.diagnostics[0].message
 
+    @pytest.mark.parametrize("newlines", [["\n"] * 4, ["\r\n"] * 4, ["\r"] * 4,
+                                          ["\r", "\r\n", "\n", "\r"]],
+                             ids=["lf", "crlf", "cr", "mixed"])
+    def test_file_bytes_parse_as_its_text(self, tmp_path, newlines):
+        # bytes are a file's content: their lines end where text mode ends them
+        lines = ["rotate alpha=1", "beam stokes s0=1 s1=0 s2=0 s3=0", "bogus x=1", "qwp axis=2 #"]
+        path = tmp_path / "train.pol"
+        path.write_bytes("".join(map(str.__add__, lines, newlines)).encode())
+        text = parse_train(path.read_text(encoding="utf-8"))
+        assert [d.line for d in text.diagnostics] == [3]
+        assert text.document.element_spans == [(1, 1, 15), (4, 1, 11)]
+        assert parse_train(path.read_bytes()) == text
+
     # Every diagnostic branch of parse_train, with its exact column and
     # token.  The bad line is line 2, between two good lines; indentation
     # and separators include tab, \x1c (a str.isspace control character),
@@ -233,13 +245,16 @@ class TestParse:
                     "beam\xa0angles theta=4.0 phi=0 chi=0 amp=1",
                 ),
             ),
-            # canonical in shape, refused by parse_train's fast path (float()
-            # would strip the tab): the general loop words the diagnostic
+            # float() would strip the tab, but the value is the empty text before it
             ("qwp axis=\t0.5", (5, "malformed or non-finite number ''", "axis=")),
             ("qwp axis=inf", (5, "malformed or non-finite number 'inf'", "axis=inf")),
             (
                 "atten e1=-0.5 e2=1",
                 (1, "attenuation exponents must be nonnegative", "atten e1=-0.5 e2=1"),
+            ),
+            (
+                "rotate alpha=deg(1e400)",
+                (8, "malformed or non-finite number 'deg(1e400)'", "alpha=deg(1e400)"),
             ),
         ],
     )
@@ -277,8 +292,8 @@ def test_beam_from_decl_rejects_a_non_declaration():
         beam_from_decl(Rotator(0.1))
 
 
-# .pol lines for the canonical-form fast path of parse_train: statement
-# head -> keys in grammar order, for elements and beams
+# .pol lines for the properties of parse_train: statement head -> keys in
+# grammar order, for elements and beams
 KEYS_OF = {name: keys for name, keys, _ in ELEMENTS.values()}
 KEYS_OF.update({f"beam {form}": keys for form, (_, keys, _) in BEAM_FORMS.items()})
 NUMBER = st.one_of(
@@ -316,33 +331,26 @@ def messy_line(draw):
 LINES = st.lists(st.one_of(canonical_line(), messy_line(), st.just("")), max_size=8)
 
 
-class TestCanonicalFastPath:
-    """Lines in serialize_train's form skip the general loop of parse_train;
-    the general loop is the oracle for every result."""
+class TestCommentsAndSpans:
+    """A trailing comment changes nothing a line parses to, and a serialized
+    element line spans the whole line."""
 
     @settings(max_examples=400, deadline=None)
     @given(LINES, st.sampled_from(["", "\n"]))
-    def test_same_result_as_the_general_loop(self, lines, end):
-        # a trailing comment sends every line through the general loop and
-        # moves no column, span or token
-        fast = parse_train("\n".join(lines) + end)
-        general = parse_train("\n".join(line + " #" for line in lines) + end)
-        assert fast == general
-        assert repr(fast) == repr(general)  # float signs too
+    def test_a_trailing_comment_moves_nothing(self, lines, end):
+        # no element, diagnostic, column, span or token moves
+        bare = parse_train("\n".join(lines) + end)
+        commented = parse_train("\n".join(line + " #" for line in lines) + end)
+        assert bare == commented
+        assert repr(bare) == repr(commented)  # float signs too
 
-    def test_serialized_lines_take_the_fast_path(self, rng):
+    def test_serialized_lines_span_the_whole_line(self, rng):
         for _ in range(50):
             doc = random_document(rng)
             doc.beams.clear()
             lines = serialize_train(doc).splitlines()
-            assert [_canonical_element(line) for line in lines] == doc.elements
             spans = parse_train(serialize_train(doc)).document.element_spans
             assert spans == [(i, 1, 1 + len(line)) for i, line in enumerate(lines, start=1)]
-
-    def test_deg_values_take_the_fast_path(self):
-        assert _canonical_element("rotate alpha=deg(45)") == Rotator(math.radians(45.0))
-        # out of range: the general loop writes its diagnostic
-        assert _canonical_element("rotate alpha=deg(1e400)") is None
 
 
 class TestSerialize:
