@@ -15,7 +15,6 @@ The same three forms, with the same keys, are the `.pol` beam statements.
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
 
 from .errors import PolspinError
 from .partial import _check_stokes, degree_of_polarization
@@ -45,15 +44,12 @@ class AnglesBeam:
     amp: float
 
 
-BeamDecl = Union[AnglesBeam, StokesVector, JonesAmpPhase]
-
-
 @dataclass
 class Beam:
     """Either a pure wave (wave set) or a mixed Stokes beam (wave None)."""
 
     stokes: StokesVector
-    wave: Optional[WaveState] = None
+    wave: "WaveState | None" = None
 
     @property
     def pure(self):

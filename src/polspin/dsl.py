@@ -12,6 +12,7 @@ One statement per line; `#` starts a comment.  Statements:
     hwp axis=<r>
     atten e1=<r> e2=<r>
 
+One table, keyed by the head (`beam <form>` for a beam), reads every statement.
 Angles are radians; a `deg(<r>)` value is converted at parse time.
 key=value pairs may appear in any order within a line; duplicates are
 errors.  Parsing recovers per line: one bad line yields one diagnostic
@@ -25,9 +26,8 @@ whitespace.
 import math
 import re
 from dataclasses import dataclass, field, fields
-from typing import List, Tuple
 
-from .beamio import BEAM_FORMS, PURITY_TOL, AnglesBeam, BeamDecl
+from .beamio import BEAM_FORMS, PURITY_TOL, AnglesBeam
 from .errors import PolspinError
 from .filters import ELEMENTS
 from .spinor import JonesAmpPhase, StokesVector
@@ -49,11 +49,11 @@ class ParseDiagnostic:
 
 @dataclass
 class TrainDocument:
-    beams: List[BeamDecl] = field(default_factory=list)
-    elements: List[object] = field(default_factory=list)
+    beams: list = field(default_factory=list)
+    elements: list = field(default_factory=list)
     # (line, col_start, col_end) per beam / per element, in document order
-    beam_spans: List[Tuple[int, int, int]] = field(default_factory=list)
-    element_spans: List[Tuple[int, int, int]] = field(default_factory=list)
+    beam_spans: list = field(default_factory=list)
+    element_spans: list = field(default_factory=list)
 
     def same_content(self, other):
         return self.beams == other.beams and self.elements == other.elements
@@ -62,21 +62,20 @@ class TrainDocument:
 @dataclass
 class ParseResult:
     document: TrainDocument
-    diagnostics: List[ParseDiagnostic]
+    diagnostics: list
 
     @property
     def ok(self):
         return not any(d.severity == "error" for d in self.diagnostics)
 
 
-_ELEMENT_STATEMENTS = {name: (cls, keys) for cls, (name, keys, _) in ELEMENTS.items()}
-# class -> (statement head, (key, field name) pairs in field order), for
-# serialization; fields() is read once per class here, not per statement
-_HEADS = {
-    cls: (head, tuple(zip(keys, [f.name for f in fields(cls)])))
-    for head, cls, keys in [(name, cls, keys) for cls, (name, keys, _) in ELEMENTS.items()]
-    + [(f"beam {form}", cls, keys) for form, (cls, keys, _) in BEAM_FORMS.items()]
-}
+# The one statement table: head -> (class, keys in field order, (decl, tol) -> Beam for a beam,
+# None for an element); a beam's head is "beam <form>"
+_STATEMENTS = {name: (cls, keys, None) for cls, (name, keys, _) in ELEMENTS.items()}
+_STATEMENTS.update((f"beam {form}", entry) for form, entry in BEAM_FORMS.items())
+# its inverse, for serialization: class -> (head, (key, field name) pairs in field order)
+_HEADS = {cls: (head, tuple(zip(keys, [f.name for f in fields(cls)])))
+          for head, (cls, keys, _) in _STATEMENTS.items()}
 
 # only for diagnostic columns; splits where str.split() and str.strip() do
 _TOKEN_RE = re.compile(r"\S+")
@@ -118,25 +117,18 @@ def parse_train(source):
         words = code.split()
         if not words:
             continue
-        head = words[0]
-        head_col = code.find(head) + 1
+        head = name = kind = words[0]
+        first = 1  # the index of the first key=value token
         if head == "beam":
             if len(words) < 2:
                 error(0, "beam statement missing its form", head)
                 continue
-            kind = words[1]
-            if kind not in BEAM_FORMS:
-                error(1, f"unknown beam form {kind!r}", kind)
-                continue
-            cls, keys, build = BEAM_FORMS[kind]
-            first = 2
-        else:
-            kind = head
-            if kind not in _ELEMENT_STATEMENTS:
-                error(0, f"unknown statement {kind!r}", kind)
-                continue
-            cls, keys = _ELEMENT_STATEMENTS[kind]
-            first = 1
+            kind, name, first = words[1], f"beam {words[1]}", 2
+        syntax = _STATEMENTS.get(name)
+        if syntax is None:
+            error(first - 1, f"unknown {'statement' if first == 1 else 'beam form'} {kind!r}", kind)
+            continue
+        cls, keys, build = syntax
 
         values = {}
         message = None
@@ -163,22 +155,19 @@ def parse_train(source):
             error(0, f"missing key {missing!r} for {kind!r}", head)
             continue
         statement = code.strip()
-        span = (line_no, head_col, head_col + len(statement))
         # range checks live in the constructors (and, for beams, in the
         # conversion to a Beam); a failure is one diagnostic for the statement
         try:
             item = cls(*[values[k] for k in keys])
-            if head == "beam":
+            if build:
                 build(item, PURITY_TOL)
         except (ValueError, PolspinError) as exc:
             error(0, str(exc), statement)
             continue
-        if head == "beam":
-            doc.beams.append(item)
-            doc.beam_spans.append(span)
-        else:
-            doc.elements.append(item)
-            doc.element_spans.append(span)
+        items, spans = (doc.beams, doc.beam_spans) if build else (doc.elements, doc.element_spans)
+        head_col = code.find(head) + 1
+        items.append(item)
+        spans.append((line_no, head_col, head_col + len(statement)))
     return ParseResult(doc, diagnostics)
 
 

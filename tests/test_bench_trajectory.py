@@ -48,3 +48,18 @@ def test_main_prints_one_row_per_file(capsys):
     assert [int(row[0]) for row in rows] == [n for n, _ in RECORDS]
     assert rows[[n for n, _ in RECORDS].index(25)][1:] == ["23", "98.58", "same", "100.87",
                                                           "+2.3%", "84.342", "-16.4%"]
+
+
+def test_src_lines_are_read_from_bench_20_on():
+    assert bench_trajectory.src_lines(dict(RECORDS)[26]) == (1850, 1811)
+    assert bench_trajectory.src_lines(dict(RECORDS)[19]) is None
+
+
+def test_main_prints_the_src_lines_of_every_file(capsys):
+    bench_trajectory.main()
+    section = capsys.readouterr().out.split("src_lines (lines of src/, lower is better)\n")[1]
+    rows = {int(row[0]): row[1:] for row in map(str.split, section.splitlines()[1:])}
+    assert list(rows) == [n for n, _ in RECORDS]
+    assert rows[26] == ["1850", "1811", "-39"]
+    assert rows[22] == ["1840", "1850", "+10"]
+    assert rows[19] == ["-", "-", "-"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polspin import dsl
 from polspin.beamio import BEAM_FORMS, beam_from_decl, parse_beam_json
 from polspin.dsl import (
     AnglesBeam,
@@ -290,6 +291,24 @@ def test_beam_from_decl_builds_each_form_as_its_json(decl):
 def test_beam_from_decl_rejects_a_non_declaration():
     with pytest.raises(TypeError, match=r"^not a beam declaration: Rotator\(alpha=0\.1\)$"):
         beam_from_decl(Rotator(0.1))
+
+
+def test_the_serializer_table_inverts_the_statement_table():
+    assert {cls.__name__: syntax for cls, syntax in dsl._HEADS.items()} == {
+        "PhaseShifter": ("shifter", (("d1", "delta1"), ("d2", "delta2"))),
+        "Rotator": ("rotate", (("alpha", "alpha"),)),
+        "Gyrotropic": ("gyro", (("d1", "delta1"), ("d2", "delta2"))),
+        "QuarterWave": ("qwp", (("axis", "axis_angle"),)),
+        "HalfWave": ("hwp", (("axis", "axis_angle"),)),
+        "Attenuator": ("atten", (("e1", "eta1"), ("e2", "eta2"))),
+        "AnglesBeam": ("beam angles", tuple((k, k) for k in ("theta", "phi", "chi", "amp"))),
+        "StokesVector": ("beam stokes", tuple((k, k) for k in ("s0", "s1", "s2", "s3"))),
+        "JonesAmpPhase": ("beam jones", tuple((k, k) for k in ("a1", "a2", "phi1", "phi2"))),
+    }
+    assert {head: (cls, tuple(k for k, _ in pairs)) for cls, (head, pairs) in dsl._HEADS.items()} \
+        == {head: (cls, keys) for head, (cls, keys, _) in dsl._STATEMENTS.items()}
+    assert [build for _, _, build in dsl._STATEMENTS.values()] \
+        == [None] * len(ELEMENTS) + [build for _, _, build in BEAM_FORMS.values()]
 
 
 # .pol lines for the properties of parse_train: statement head -> keys in

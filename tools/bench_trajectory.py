@@ -8,7 +8,9 @@ of BENCHMARK.json this prints one row per file, in order of n: the previous file
 change median, whether this file's parent has the same src/ as that change ("same" or
 "new", by src_sha256), this file's parent median and its relative gap to the previous
 change ("drift"), then this file's change median and its relative change.  Where the src/ is
-the same, the drift is the host's, not the code's.  Standard library only.
+the same, the drift is the host's, not the code's.  Last, one row per file gives the lines
+of the parent's and the change's src/ (src_lines, recorded from BENCH_20 on) and their
+difference, or "-" where the file has no count.  Standard library only.
 """
 
 import json
@@ -31,6 +33,12 @@ def medians(record, workload, metric):
     """(parent, change) medians of one metric in one file, or None where it has none."""
     m = record.get("workloads", {}).get(workload, {}).get("metrics", {}).get(metric)
     return m and (m["parent"]["median"], m["change"]["median"])
+
+
+def src_lines(record):
+    """(parent, change) line counts of src/ in one file, or None where it has none."""
+    lines = record.get("src_lines")
+    return lines and (lines["parent"], lines["change"])
 
 
 def trajectory(records, workload, metric):
@@ -69,6 +77,12 @@ def main():
                       f"{_num(parent):>11} {_rel(parent, prev):>7} {_num(change):>11} "
                       f"{_rel(change, parent):>7}")
             print()
+    print("src_lines (lines of src/, lower is better)")
+    print(f"{'file':>5} {'parent':>7} {'change':>7} {'diff':>5}")
+    for n, record in records:
+        parent, change = src_lines(record) or ("-", "-")
+        diff = "-" if parent == "-" else f"{change - parent:+d}"
+        print(f"{n:>5} {parent:>7} {change:>7} {diff:>5}")
 
 
 if __name__ == "__main__":
