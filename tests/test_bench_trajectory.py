@@ -50,11 +50,6 @@ def test_main_prints_one_row_per_file(capsys):
                                                           "+2.3%", "84.342", "-16.4%"]
 
 
-def test_src_lines_are_read_from_bench_20_on():
-    assert bench_trajectory.src_lines(dict(RECORDS)[26]) == (1850, 1811)
-    assert bench_trajectory.src_lines(dict(RECORDS)[19]) is None
-
-
 def test_main_prints_the_src_lines_of_every_file(capsys):
     bench_trajectory.main()
     section = capsys.readouterr().out.split("src_lines (lines of src/, lower is better)\n")[1]

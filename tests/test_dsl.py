@@ -307,8 +307,6 @@ def test_the_serializer_table_inverts_the_statement_table():
     }
     assert {head: (cls, tuple(k for k, _ in pairs)) for cls, (head, pairs) in dsl._HEADS.items()} \
         == {head: (cls, keys) for head, (cls, keys, _) in dsl._STATEMENTS.items()}
-    assert [build for _, _, build in dsl._STATEMENTS.values()] \
-        == [None] * len(ELEMENTS) + [build for _, _, build in BEAM_FORMS.values()]
 
 
 # .pol lines for the properties of parse_train: statement head -> keys in

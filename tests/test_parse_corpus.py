@@ -66,11 +66,11 @@ def bad(rng, head, pairs):
         return head, pairs + [rng.choice(("1.0", "alpha", ":"))]
     if branch == 4:
         return head, [rng.choice(("x=1", "axis2=0", "=1"))] + pairs
-    if branch == 5 and pairs:
+    if branch == 5:
         return head, pairs + [pairs[0]]
-    if branch == 6 and pairs:
+    if branch == 6:
         return head, pairs[1:]
-    if branch == 7 and pairs:
+    if branch == 7:
         key = pairs[0].split("=")[0]
         raw = rng.choice(("nan", "inf", "-inf", "1e400", "deg(1e400)", "deg(x)", "", "1,5"))
         return head, [f"{key}={raw}"] + pairs[1:]

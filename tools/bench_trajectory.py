@@ -35,12 +35,6 @@ def medians(record, workload, metric):
     return m and (m["parent"]["median"], m["change"]["median"])
 
 
-def src_lines(record):
-    """(parent, change) line counts of src/ in one file, or None where it has none."""
-    lines = record.get("src_lines")
-    return lines and (lines["parent"], lines["change"])
-
-
 def trajectory(records, workload, metric):
     """[(n, previous n, previous change, parent, change, same src)] per file holding the
     metric.  same src is True when this file's parent src/ hashes (src_sha256) as the
@@ -80,8 +74,9 @@ def main():
     print("src_lines (lines of src/, lower is better)")
     print(f"{'file':>5} {'parent':>7} {'change':>7} {'diff':>5}")
     for n, record in records:
-        parent, change = src_lines(record) or ("-", "-")
-        diff = "-" if parent == "-" else f"{change - parent:+d}"
+        lines = record.get("src_lines")
+        parent, change = (lines["parent"], lines["change"]) if lines else ("-", "-")
+        diff = f"{change - parent:+d}" if lines else "-"
         print(f"{n:>5} {parent:>7} {change:>7} {diff:>5}")
 
 
