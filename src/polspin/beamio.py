@@ -24,6 +24,7 @@ from .spinor import (
     JonesAmpPhase,
     StokesVector,
     WaveState,
+    _record,
     spinor_from_angles,
     stokes_from_wave,
     wave_from_jones,
@@ -34,7 +35,7 @@ PURITY_TOL = 1e-12
 _DECODER = json.JSONDecoder(parse_int=float)  # json.loads(..., parse_int=float) makes one per call
 
 
-@dataclass(frozen=True)
+@_record
 class AnglesBeam:
     """Sphere angles plus amplitude of a pure beam, as declared."""
 
@@ -129,11 +130,3 @@ def _beam_from_json(obj, tol=PURITY_TOL):
         return build(cls(*values), tol)
     except ValueError as exc:
         raise BeamFormatError(str(exc)) from exc
-
-
-def beam_from_decl(decl, tol=PURITY_TOL):
-    """Beam from a beam declaration (parsed from JSON or a `.pol` statement)."""
-    for cls, _, build in BEAM_FORMS.values():
-        if isinstance(decl, cls):
-            return build(decl, tol)
-    raise TypeError(f"not a beam declaration: {decl!r}")

@@ -13,7 +13,7 @@ One statement per line; `#` starts a comment.  Statements:
     atten e1=<r> e2=<r>
 
 One table, keyed by the head (`beam <form>` for a beam), reads every statement.
-Angles are radians; a `deg(<r>)` value is converted at parse time.
+Angles are radians; `deg(<r>)` is converted at parse time, for an angle key (_ANGLE_KEYS) only.
 key=value pairs may appear in any order within a line; duplicates are
 errors.  Parsing recovers per line: one bad line yields one diagnostic
 and later lines are still parsed.  Serialization is canonical (grammar
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from .beamio import BEAM_FORMS, PURITY_TOL, AnglesBeam
 from .errors import PolspinError
 from .filters import ELEMENTS
-from .spinor import JonesAmpPhase, StokesVector
+from .spinor import JonesAmpPhase, StokesVector, _record
 
 # The `.pol` beam declarations (AnglesBeam, StokesBeam, JonesBeam) are the
 # classes of the beam JSON forms.
@@ -38,7 +38,7 @@ StokesBeam = StokesVector
 JonesBeam = JonesAmpPhase
 
 
-@dataclass(frozen=True)
+@_record
 class ParseDiagnostic:
     severity: str
     line: int
@@ -77,16 +77,17 @@ _STATEMENTS.update((f"beam {form}", entry) for form, entry in BEAM_FORMS.items()
 _HEADS = {cls: (head, tuple(zip(keys, [f.name for f in fields(cls)])))
           for head, (cls, keys, _) in _STATEMENTS.items()}
 
+_ANGLE_KEYS = frozenset(("d1", "d2", "alpha", "axis", "theta", "phi", "chi", "phi1", "phi2"))
 # only for diagnostic columns; splits where str.split() and str.strip() do
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _number(text):
-    """float(text), else deg(<float>) in radians; None for any other text (finite or not)."""
+def _number(text, key):
+    """float(text), else deg(<float>) in radians for an angle key; None for any other text."""
     try:
         return float(text)
     except ValueError:
-        if not (text.startswith("deg(") and text.endswith(")")):
+        if not (text.startswith("deg(") and text.endswith(")")) or key not in _ANGLE_KEYS:
             return None
     try:
         return math.radians(float(text[4:-1]))
@@ -141,11 +142,13 @@ def parse_train(source):
             elif key in values:
                 message = f"duplicate key {key!r}"
             else:
-                value = _number(raw)
+                value = _number(raw, key)
                 if value is not None and math.isfinite(value):
                     values[key] = value
                     continue
-                message = f"malformed or non-finite number {raw!r}"
+                message = (f"deg() is for angles, not for {key!r}"
+                           if raw.startswith("deg(") and key not in _ANGLE_KEYS
+                           else f"malformed or non-finite number {raw!r}")
             error(index, message, token)
             break
         if message is not None:

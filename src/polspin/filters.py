@@ -29,12 +29,11 @@ import cmath
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
 from operator import is_not
 
 from .errors import EmptyTrainError, ExtinctionError, FloatRangeError
 from .pauli import linear_to_circular
-from .spinor import FLUX_MIN, WaveState, _check_wave, _quaternion
+from .spinor import FLUX_MIN, WaveState, _check_wave, _quaternion, _record
 
 # Largest |e2 - e1| at which the linear m's larger entry e^{|e2 - e1|/2} is finite.
 ETA_SPREAD_MAX = 2.0 * math.log(sys.float_info.max)
@@ -47,34 +46,34 @@ class _Element:
         return {k: v for k, v in vars(self).items() if k != "_linear"}
 
 
-@dataclass(frozen=True)
+@_record
 class PhaseShifter(_Element):
     delta1: float
     delta2: float
 
 
-@dataclass(frozen=True)
+@_record
 class Rotator(_Element):
     alpha: float
 
 
-@dataclass(frozen=True)
+@_record
 class Gyrotropic(_Element):
     delta1: float
     delta2: float
 
 
-@dataclass(frozen=True)
+@_record
 class QuarterWave(_Element):
     axis_angle: float
 
 
-@dataclass(frozen=True)
+@_record
 class HalfWave(_Element):
     axis_angle: float
 
 
-@dataclass(frozen=True)
+@_record
 class Attenuator(_Element):
     eta1: float
     eta2: float
@@ -87,7 +86,7 @@ class Attenuator(_Element):
             raise ValueError(f"attenuation spread |e2 - e1| = {spread!r} > {ETA_SPREAD_MAX!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class ElementMatrix:
     """Unimodular 2x2 matrix m with the overall coefficient factored into scale."""
 
@@ -99,13 +98,13 @@ class ElementMatrix:
         return self.scale * self.m
 
 
-@dataclass(frozen=True)
+@_record
 class PoincareRotation:
     axis: "numpy.ndarray"
     angle: float
 
 
-@dataclass(frozen=True)
+@_record
 class ConformalMap:
     boost_axis: "numpy.ndarray"
     rapidity: float

@@ -27,7 +27,7 @@ from . import filters
 from .errors import InvalidStokesError, NotPositiveSemidefiniteError, ZeroFluxError
 from .filters import _extinction, _fold, _train_product
 from .pauli import circular_to_linear, linear_to_circular
-from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector
+from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector, _record
 
 PSD_TOL = 1e-9
 
@@ -80,7 +80,7 @@ class CoherencyMatrix:
         return np.array([[p, q], [complex(q.real, 0.0 - q.imag), r]])
 
 
-@dataclass(frozen=True)
+@_record
 class PolarizationDecomposition:
     """Antipodal sphere points with their flux weights, larger first."""
 

@@ -13,6 +13,10 @@ the sampled electric field.  All of it is scalar Python: NumPy is imported
 only by the calls that return ndarrays (`as_array`, `poincare_frame`,
 `jones_from_wave`, `su2_to_so3`, `basis_permutation_check`), when called.
 
+The frozen value classes here and in `filters`, `partial`, `beamio` and `dsl` are `_record`s: an
+`__init__` stores each field into the instance `__dict__`, at half the build cost of a frozen
+dataclass's `object.__setattr__` per field; on CPython 3.11 that makes their field reads slower.
+
 Conventions fixed here:
   * chi is canonicalized to [0, 2pi); the spinor is recovered from angles
     only up to a global sign (the SU(2) double cover).
@@ -48,6 +52,19 @@ UNIT_TOL = 1e-10  # | |o| - 1 | above which a spinor is not unit
 PURITY_FLOOR = 1e-9  # wave_from_stokes' default tol; beam_from_stokes checks at no less
 
 
+def _record(cls):
+    """Frozen dataclass of cls, built by a straight-line `__init__` of its own annotated fields
+    (no defaults); set before `dataclass` runs, so that a missing `__doc__` names the fields."""
+    names = list(cls.__annotations__)
+    lines = [f"def __init__(self, {', '.join(names)}):", "    held = self.__dict__"]
+    lines += [f"    held[{n!r}] = {n}" for n in names]
+    lines += ["    self.__post_init__()"] * hasattr(cls, "__post_init__")
+    exec("\n".join(lines), scope := {})
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__annotations__ = dict(cls.__annotations__)
+    return dataclass(frozen=True, init=False)(cls)
+
+
 def _wrap_2pi(x):
     # x % TWO_PI can round up to TWO_PI itself for tiny negative x
     y = x % TWO_PI
@@ -58,7 +75,7 @@ def _wrap_2pi(x):
 JONES_PREFACTOR_UNIT = math.sqrt(2.0) * cmath.exp(-0.25j * math.pi)
 
 
-@dataclass(frozen=True)
+@_record
 class Spinor2:
     """Unit two-component spinor (c1, c2)."""
 
@@ -97,7 +114,7 @@ def _check_wave(amp, c1, c2):
     return amp, c1, c2
 
 
-@dataclass(frozen=True)
+@_record
 class AngleSet:
     """Polar angle theta in [0, pi], azimuth phi in [0, 2pi), phase chi in [0, 2pi)."""
 
@@ -114,7 +131,7 @@ class AngleSet:
             raise ValueError(f"chi out of [0, 2pi): {self.chi}")
 
 
-@dataclass(frozen=True)
+@_record
 class WaveState:
     """Amplitude A > 0 plus a unit spinor: one monochromatic plane wave.  A step result
     (_of) holds its Jones spinor U o, and its circular `spinor` is a _View of that."""
@@ -143,10 +160,10 @@ class _View:
         return held.setdefault("_jones", _times(U_ROWS, held["spinor"].c1, held["spinor"].c2))
 
 
-WaveState.spinor = WaveState._jones = _View()  # after @dataclass, or spinor would default to it
+WaveState.spinor = WaveState._jones = _View()  # after @_record, or spinor would default to it
 
 
-@dataclass(frozen=True)
+@_record
 class EllipseParams:
     """Major semiaxis a >= 0, signed minor semiaxis b, orientation phi/2."""
 
@@ -155,7 +172,7 @@ class EllipseParams:
     orientation: float
 
 
-@dataclass(frozen=True)
+@_record
 class StokesVector:
     s0: float
     s1: float
@@ -167,7 +184,7 @@ class StokesVector:
         return np.array([self.s0, self.s1, self.s2, self.s3])
 
 
-@dataclass(frozen=True)
+@_record
 class JonesAmpPhase:
     """Real amplitudes and phases of the two linear Jones components."""
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polspin import dsl
-from polspin.beamio import BEAM_FORMS, beam_from_decl, parse_beam_json
+from polspin.beamio import BEAM_FORMS, PURITY_TOL, parse_beam_json
 from polspin.dsl import (
     AnglesBeam,
     JonesBeam,
@@ -257,6 +257,16 @@ class TestParse:
                 "rotate alpha=deg(1e400)",
                 (8, "malformed or non-finite number 'deg(1e400)'", "alpha=deg(1e400)"),
             ),
+            # deg() converts angle keys only
+            ("atten e1=deg(90) e2=0", (7, "deg() is for angles, not for 'e1'", "e1=deg(90)")),
+            (
+                "beam stokes s0=deg(180) s1=0 s2=0 s3=0",
+                (13, "deg() is for angles, not for 's0'", "s0=deg(180)"),
+            ),
+            (
+                "beam angles theta=1 phi=0 chi=0 amp=deg(57.3)",
+                (33, "deg() is for angles, not for 'amp'", "amp=deg(57.3)"),
+            ),
         ],
     )
     def test_diagnostic_position_per_branch(self, line, diagnostic):
@@ -281,16 +291,11 @@ class TestParse:
 @pytest.mark.parametrize("decl", [AnglesBeam(0.7, 0.4, 0.2, 1.5), StokesBeam(1.3, 0.2, 0.5, 0.1),
                                   StokesBeam(2.0, 0.0, 1.2, 1.6), JonesBeam(1.2, 0.5, 0.2, 1.0)],
                          ids=["angles", "mixed", "pure", "jones"])
-def test_beam_from_decl_builds_each_form_as_its_json(decl):
-    form, (_, keys, _) = next((f, v) for f, v in BEAM_FORMS.items() if type(decl) is v[0])
+def test_each_beam_forms_builder_builds_its_declaration_as_its_json(decl):
+    form, (_, keys, build) = next((f, v) for f, v in BEAM_FORMS.items() if type(decl) is v[0])
     values = list(vars(decl).values())  # the fields, in key order
     body = values if form == "stokes" else dict(zip(keys, values))
-    assert beam_from_decl(decl) == parse_beam_json(json.dumps({form: body}))
-
-
-def test_beam_from_decl_rejects_a_non_declaration():
-    with pytest.raises(TypeError, match=r"^not a beam declaration: Rotator\(alpha=0\.1\)$"):
-        beam_from_decl(Rotator(0.1))
+    assert build(decl, PURITY_TOL) == parse_beam_json(json.dumps({form: body}))
 
 
 def test_the_serializer_table_inverts_the_statement_table():

@@ -6,7 +6,9 @@ and beam form, with keys in any order, values as reprs, short decimals, exponent
 line in four, a line that fails on one of the parser's diagnostic branches.  The text is
 parsed as a str and, with CRLF line ends, as a file's bytes.  DIGEST is the sha256 of the
 `repr` of the elements, the beams, both span lists and the diagnostics, recorded at commit
-d661af4.  A change to the parser that moves one value, span, column or message moves it.
+d661af4 and again when `deg()` became an angle-key form: the corpus writes `deg()` values for
+`e1`, `e2`, `amp`, `a1` and `a2` too, and those are diagnostics since.  A change to the parser
+that moves one value, span, column or message moves it.
 """
 
 import hashlib
@@ -113,7 +115,7 @@ def digest(result):
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-DIGEST = "46bf55cdfb10c16366b1d99c2c71ede1018dfa7f003b3e6d7ce08432c0a1f8a5"
+DIGEST = "bd7df4ca39c23ad1e43d58f6992c645f14f072f5cd9fd24940b573ab36046610"
 
 
 def test_parse_corpus_is_pinned_as_text_and_as_crlf_bytes():
@@ -133,6 +135,6 @@ def test_parse_corpus_reaches_every_statement_and_branch():
                      "unknown statement", "expected key=value", "unknown key",
                      "duplicate key", "missing key", "malformed or non-finite number",
                      "attenuation exponents", "attenuation spread", "theta out of",
-                     "over-polarized", "s0 must be nonnegative"):
+                     "over-polarized", "s0 must be nonnegative", "deg() is for angles"):
         assert fragment in messages, fragment
     assert len(doc.elements) + len(doc.beams) > LINES // 2

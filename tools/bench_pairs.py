@@ -19,8 +19,9 @@ rounds time, in one process per tree and round, `parse_train` and the prefix pro
 LAYER_REPEATS calls each: warm CLI passes reuse both from the CLI's train memo, so no
 perfbench layer sees them.  They also time `apply_chain_us`: one pure beam built, stepped
 through the README train by `filters.apply` and read as `.spinor`, which shows what the
-spinor views cost.  These and `src_lines`, the line count of each tree's `src/`,
-are records, not gates.  The summary gives, per
+spinor views cost, and `record_init_us`: 1000 each of `StokesVector`, `Spinor2` and `AngleSet`
+built from fixed floats, the cost of the value records' `__init__`.  These and `src_lines`, the
+line count of each tree's `src/`, are records, not gates.  The summary gives, per
 end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
 change was better (the direction comes from BENCHMARK.json) and the
@@ -144,15 +145,16 @@ def cold_argvs(workdir):
 
 
 # Run in a tree with the seed as argv[1]: the best of LAYER_REPEATS timings of parse_train
-# (us per line) and of the prefix products (ms) of that seed's long-train train, and of
-# 1000 README-train chains of apply (us per chain; one is about 20 us), as JSON.
+# (us per line) and of the prefix products (ms) of that seed's long-train train, of
+# 1000 README-train chains of apply (us per chain; one is about 20 us) and of 1000 builds each
+# of three value records (us in all), as JSON.
 LAYER_SCRIPT = """
 import json, sys, tempfile, time
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
 from polspin.dsl import parse_train
 from polspin.filters import _prefixes, apply
-from polspin.spinor import AngleSet, WaveState, spinor_from_angles
+from polspin.spinor import AngleSet, Spinor2, StokesVector, WaveState, spinor_from_angles
 from workloads import README_PURE_BEAM, README_TRAIN, generate
 seed, repeats = int(sys.argv[1]), int(sys.argv[2])
 with tempfile.TemporaryDirectory() as tmp:
@@ -175,10 +177,16 @@ def chains():  # the wave built, stepped through the README train and read as .s
         for e in readme:
             w = apply(e, w)
         w.spinor
+def records():  # 1000 each of three value records, from fixed floats
+    for _ in range(1000):
+        StokesVector(1.0, 0.6, 0.0, 0.8)
+        Spinor2(0.6 + 0.0j, 0.8j)
+        AngleSet(1.0, 0.5, 0.25)
 print(json.dumps({"parse_train_us_per_line": best(lambda: parse_train(text)) / 1e3
                   / len(text.splitlines()),
                   "prefixes_ms": best(lambda: list(_prefixes(elements))) / 1e6,
-                  "apply_chain_us": best(chains) / 1e6}))
+                  "apply_chain_us": best(chains) / 1e6,
+                  "record_init_us": best(records) / 1e3}))
 """
 
 
@@ -351,8 +359,9 @@ def main(argv=None):
             "runs": COLD_RUNS, "metrics": summarize_traced(cold_pairs(trees, argvs))}
         result["in_process_layers"] = {
             "command": "parse_train and list(filters._prefixes) on the long-train train of seed "
-                       f"{args.first_seed}, and 1000 README-train chains of filters.apply on "
-                       f"the README pure beam, best of {LAYER_REPEATS} calls in each of "
+                       f"{args.first_seed}, 1000 README-train chains of filters.apply on the "
+                       "README pure beam, and 1000 each of StokesVector, Spinor2 and AngleSet "
+                       f"built from fixed floats, best of {LAYER_REPEATS} calls in each of "
                        f"{LAYER_ROUNDS} alternating rounds per tree",
             "metrics": layer_rounds(trees, args.first_seed)}
 
