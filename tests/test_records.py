@@ -71,11 +71,12 @@ def test_every_record_has_an_argument_tuple():
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_a_record_behaves_as_a_frozen_dataclass(cls):
     args = ARGS[cls.__name__]
-    names = [f.name for f in dataclasses.fields(cls)]
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
     x = cls(*args)
     signature = inspect.signature(cls)
     assert [(p.name, p.annotation) for p in signature.parameters.values()] == [
-        (f.name, f.type) for f in dataclasses.fields(cls)]
+        (f.name, f.type) for f in fields]
     if cls.__doc__.startswith(f"{cls.__name__}("):  # dataclass's docstring, from the signature
         assert cls.__doc__ == cls.__name__ + str(signature).replace(" -> None", "")
     assert list(vars(x)) == names  # it holds its fields, in order
