@@ -1,10 +1,9 @@
 """Command-line front end: convert, trace, mueller, decompose, phase.
 
-Exit codes are a stable contract for scripts: 0 success, 2 input error,
-3 extinction (the flux underflows below the smallest normal float inside
-a train), 4 undefined phase (orthogonal states).  All numeric output uses
-shortest round-tripping decimals, so every printed value reparses to the
-identical double.
+Exit codes are a stable contract for scripts: 0 success, else the exit_code of the error class
+raised: 2 input error, 3 extinction (the flux underflows below the smallest normal float inside
+a train), 4 undefined phase (orthogonal states).  All numeric output uses shortest
+round-tripping decimals, so every printed value reparses to the identical double.
 
 COMMANDS gives every command's arguments.  A plain command line is read
 straight from it; argparse is imported, and its parser built from it, only
@@ -22,12 +21,13 @@ import types
 
 from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
-from .errors import ExtinctionError, OrthogonalStatesError, PolspinError
+from .errors import PolspinError
 from .filters import ELEMENTS, _entries, _prefixes, _step
 from .partial import (
     _decomposition,
     _mueller_rows,
     _propagator,
+    _rows,
     coherency_from_stokes,
     degree_of_polarization,
 )
@@ -41,17 +41,11 @@ from .spinor import (
     pancharatnam_phase,
 )
 
-EXIT_INPUT = 2
-EXIT_EXTINCTION = 3
-EXIT_NO_PHASE = 4
-
 IN_PHASE_TOL = 1e-9
 
 
-class CliError(Exception):
-    def __init__(self, message, code=EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+class CliError(PolspinError):
+    """A command line, or a file it names, that no command can use."""
 
 
 _last_train = None  # (bytes, ParseResult, prefixes call) of the last train file read
@@ -90,9 +84,8 @@ def cmd_convert(beam_json, target, basis="circular", tol=PURITY_TOL):
     if target == "stokes":
         return json.dumps({"stokes": [s.s0, s.s1, s.s2, s.s3]})
     if target == "coherency":
-        p, q, r = coherency_from_stokes(s, basis)._entries
-        # .matrix's entries as pairs: Im conj q is +0.0 where Im q is 0
-        matrix = [[[p, 0.0], [q.real, q.imag]], [[q.real, 0.0 - q.imag], [r, 0.0]]]
+        (p, q), (qc, r) = _rows(*coherency_from_stokes(s, basis)._entries)  # .matrix's rows
+        matrix = [[[p, 0.0], [q.real, q.imag]], [[qc.real, qc.imag], [r, 0.0]]]  # [re, im] pairs
         return json.dumps({"coherency": {"basis": basis, "matrix": matrix}})
     if not beam.pure:
         raise CliError(
@@ -190,10 +183,7 @@ def cmd_phase(beam_a_json, beam_b_json, tol=PURITY_TOL):
     beam_b = parse_beam_json(beam_b_json, tol)
     if not (beam_a.pure and beam_b.pure):
         raise CliError("relative phase requires two pure beams")
-    try:
-        phase = pancharatnam_phase(beam_a.wave.spinor, beam_b.wave.spinor)
-    except OrthogonalStatesError as exc:
-        raise CliError(str(exc), code=EXIT_NO_PHASE)
+    phase = pancharatnam_phase(beam_a.wave.spinor, beam_b.wave.spinor)
     return json.dumps({"phase": phase, "in_phase": abs(phase) < IN_PHASE_TOL})
 
 
@@ -219,11 +209,13 @@ COMMANDS = {
 }
 
 
-# command -> (its namespace before the command line is read, dests of its required options)
+# command -> (its namespace before the command line is read, dests of its required options,
+# the dests cmd_<command> takes: its positionals, then its options but --output)
 _DEFAULTS = {
     name: ({"command": name, **dict.fromkeys(positionals),
             **{o["dest"]: o.get("default") for o in options.values()}},
-           [o["dest"] for o in options.values() if o.get("required")])
+           [o["dest"] for o in options.values() if o.get("required")],
+           [*positionals, *(o["dest"] for flag, o in options.items() if flag != "--output")])
     for name, (_, positionals, options) in COMMANDS.items()
 }
 
@@ -255,7 +247,7 @@ def _read_argv(argv):
     if not argv or argv[0] not in COMMANDS:
         return None
     _, positionals, options = COMMANDS[argv[0]]
-    defaults, required = _DEFAULTS[argv[0]]
+    defaults, required, _ = _DEFAULTS[argv[0]]
     args = dict(defaults)
     given, words = [], iter(argv[1:])
     for word in words:
@@ -284,37 +276,22 @@ def main(argv=None):
     try:
         if not getattr(args, "tolerance", 0.0) < 1.0:  # for every beam form, as for Stokes ones
             raise CliError(f"purity tolerance must be below 1: {args.tolerance!r}")
-        if args.command == "convert":
-            out = cmd_convert(args.beam, args.target, args.basis, args.tolerance)
-        elif args.command == "trace":
-            out = cmd_trace(args.train, args.beam, args.tolerance)
-        elif args.command == "mueller":
-            out = cmd_mueller(args.train)
-        elif args.command == "decompose":
-            out = cmd_decompose(args.beam, args.tolerance)
-        else:  # phase: argparse and _read_argv accept only the five commands
-            out = cmd_phase(args.beam_a, args.beam_b, args.tolerance)
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except ExtinctionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_EXTINCTION
+        # cmd_<command> as the module holds it on this call: a wrapper may have replaced it
+        out = globals()["cmd_" + args.command](*[getattr(args, dest)
+                                                 for dest in _DEFAULTS[args.command][2]])
+        if not out.endswith("\n"):
+            out += "\n"
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(out)
+            except OSError as exc:
+                raise CliError(f"cannot write output file: {exc}")
+        else:
+            sys.stdout.write(out)
     except PolspinError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-
-    if not out.endswith("\n"):
-        out += "\n"
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        except OSError as exc:
-            print(f"cannot write output file: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        sys.stdout.write(out)
+        return exc.exit_code
     return 0
 
 

@@ -2,7 +2,9 @@
 
 
 class PolspinError(Exception):
-    """Base class for all polspin errors."""
+    """Base class for all polspin errors; exit_code is the CLI's exit status for the class."""
+
+    exit_code = 2
 
 
 class NonUnitaryError(PolspinError):
@@ -16,6 +18,8 @@ class NonUnimodularError(PolspinError):
 class OrthogonalStatesError(PolspinError):
     """Relative phase requested between orthogonal (antipodal) states."""
 
+    exit_code = 4
+
 
 class ZeroFieldError(PolspinError):
     """Jones amplitudes are both zero; no wave to construct."""
@@ -23,6 +27,8 @@ class ZeroFieldError(PolspinError):
 
 class ExtinctionError(PolspinError):
     """A train drove the beam's flux below the smallest normal float."""
+
+    exit_code = 3
 
 
 class EmptyTrainError(PolspinError):

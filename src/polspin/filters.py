@@ -46,8 +46,21 @@ class _Element:
         return {k: v for k, v in vars(self).items() if k != "_linear"}
 
 
+class _Phases(_Element):
+    def __post_init__(self):  # the closed forms take d1 + d2 and d2 - d1; the larger is |d1| + |d2|
+        if not math.isfinite(abs(self.delta1) + abs(self.delta2)):
+            raise ValueError(f"d1 + d2 or d2 - d1 overflows: d1 = {self.delta1!r}, "
+                             f"d2 = {self.delta2!r}")
+
+
+class _Plate(_Element):
+    def __post_init__(self):  # the closed forms take 2 axis
+        if not math.isfinite(2.0 * self.axis_angle):
+            raise ValueError(f"2 axis overflows: axis = {self.axis_angle!r}")
+
+
 @_record
-class PhaseShifter(_Element):
+class PhaseShifter(_Phases):
     delta1: float
     delta2: float
 
@@ -58,18 +71,18 @@ class Rotator(_Element):
 
 
 @_record
-class Gyrotropic(_Element):
+class Gyrotropic(_Phases):
     delta1: float
     delta2: float
 
 
 @_record
-class QuarterWave(_Element):
+class QuarterWave(_Plate):
     axis_angle: float
 
 
 @_record
-class HalfWave(_Element):
+class HalfWave(_Plate):
     axis_angle: float
 
 

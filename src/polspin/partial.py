@@ -75,9 +75,7 @@ class CoherencyMatrix:
     @property
     def matrix(self):
         import numpy as np
-        p, q, r = self._entries
-        # conj q, but a zero imaginary part stays +0.0 (`convert` prints the sign)
-        return np.array([[p, q], [complex(q.real, 0.0 - q.imag), r]])
+        return np.array(_rows(*self._entries))
 
 
 @_record
@@ -122,6 +120,11 @@ def _coherency_entries(s0, s1, s2, s3, basis):
     p, r = 0.5 * (s0 + s3) + 0.0, 0.5 * (s0 - s3) + 0.0
     # x + 1j * y with y never -0.0 gives Im q = y under every complex rule
     return p, 0.5 * s1 + 0.0 + 1j * (0.0 - 0.5 * s2), r
+
+
+def _rows(p, q, r):
+    """Rows ((p, q), (conj q, r)) of C; Im conj q is +0.0 where Im q is 0 (`convert` prints it)."""
+    return (p, q), (complex(q.real, 0.0 - q.imag), r)
 
 
 def coherency_from_stokes(s, basis="circular"):

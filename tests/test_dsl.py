@@ -267,6 +267,19 @@ class TestParse:
                 "beam angles theta=1 phi=0 chi=0 amp=deg(57.3)",
                 (33, "deg() is for angles, not for 'amp'", "amp=deg(57.3)"),
             ),
+            # the closed forms' d1 + d2, d2 - d1 and 2 axis must be finite
+            (
+                "gyro d1=1e308 d2=-1e308",
+                (1, "d1 + d2 or d2 - d1 overflows: d1 = 1e+308, d2 = -1e+308",
+                 "gyro d1=1e308 d2=-1e308"),
+            ),
+            (
+                "shifter d1=9e307 d2=1.7e308",
+                (1, "d1 + d2 or d2 - d1 overflows: d1 = 9e+307, d2 = 1.7e+308",
+                 "shifter d1=9e307 d2=1.7e308"),
+            ),
+            ("qwp axis=1e308", (1, "2 axis overflows: axis = 1e+308", "qwp axis=1e308")),
+            ("hwp axis=-9e307", (1, "2 axis overflows: axis = -9e+307", "hwp axis=-9e307")),
         ],
     )
     def test_diagnostic_position_per_branch(self, line, diagnostic):

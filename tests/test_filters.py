@@ -366,6 +366,32 @@ class TestAttenuatorBound:
             ELEMENTS[Attenuator][2](SimpleNamespace(eta1=0.0, eta2=past))
 
 
+class TestOverflowingAngles:
+    """The closed forms take d1 + d2, d2 - d1 and 2 axis, which overflow on some finite fields:
+    the constructors reject those, where apply gave a NaN spinor or math.cos raised."""
+
+    @pytest.mark.parametrize("kind, fields, message", [
+        (Gyrotropic, (9e307, 1.7e308), "d1 + d2 or d2 - d1 overflows: d1 = 9e+307, d2 = 1.7e+308"),
+        (PhaseShifter, (1e308, -1e308), "d1 + d2 or d2 - d1 overflows: d1 = 1e+308, d2 = -1e+308"),
+        (PhaseShifter, (0.0, math.inf), "d1 + d2 or d2 - d1 overflows: d1 = 0.0, d2 = inf"),
+        (Gyrotropic, (math.nan, 0.0), "d1 + d2 or d2 - d1 overflows: d1 = nan, d2 = 0.0"),
+        (QuarterWave, (1e308,), "2 axis overflows: axis = 1e+308"),
+        (HalfWave, (-9e307,), "2 axis overflows: axis = -9e+307"),
+    ])
+    def test_rejected(self, kind, fields, message):
+        with pytest.raises(ValueError) as exc:
+            kind(*fields)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("element", [
+        PhaseShifter(8.9e307, -8.9e307), Gyrotropic(-8.9e307, -8.9e307), QuarterWave(8.9e307),
+        HalfWave(-8.9e307), Rotator(1e308), Rotator(-1.7e308)])
+    def test_finite_sums_give_unit_spinors(self, element):
+        w = apply(element, linear_x_wave())
+        assert w.amplitude == linear_x_wave().amplitude
+        assert abs(w.spinor.norm() - 1.0) < 1e-15
+
+
 def _kind(index, x, y):
     u, v = abs(x) % 3.0, abs(y) % 3.0
     return [PhaseShifter(x, y), Rotator(x), Gyrotropic(x, y), QuarterWave(x), HalfWave(y),
