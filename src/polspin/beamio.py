@@ -14,29 +14,17 @@ The same three forms, with the same keys, are the `.pol` beam statements.
 
 import json
 import math
-from dataclasses import dataclass
 
 from .errors import PolspinError
 from .partial import _check_stokes, degree_of_polarization
-from .spinor import (
-    PURITY_FLOOR,
-    AngleSet,
-    JonesAmpPhase,
-    StokesVector,
-    WaveState,
-    _record,
-    spinor_from_angles,
-    stokes_from_wave,
-    wave_from_jones,
-    wave_from_stokes,
-)
+from .spinor import (PURITY_FLOOR, AngleSet, JonesAmpPhase, StokesVector, WaveState, _Record,
+                     spinor_from_angles, stokes_from_wave, wave_from_jones, wave_from_stokes)
 
 PURITY_TOL = 1e-12
 _DECODER = json.JSONDecoder(parse_int=float)  # json.loads(..., parse_int=float) makes one per call
 
 
-@_record
-class AnglesBeam:
+class AnglesBeam(_Record):
     """Sphere angles plus amplitude of a pure beam, as declared."""
 
     theta: float
@@ -45,12 +33,11 @@ class AnglesBeam:
     amp: float
 
 
-@dataclass
-class Beam:
+class Beam(_Record):
     """Either a pure wave (wave set) or a mixed Stokes beam (wave None)."""
 
     stokes: StokesVector
-    wave: "WaveState | None" = None
+    wave: "WaveState | None"
 
     @property
     def pure(self):

@@ -25,12 +25,11 @@ whitespace.
 
 import math
 import re
-from dataclasses import dataclass, field, fields
 
 from .beamio import BEAM_FORMS, PURITY_TOL, AnglesBeam
 from .errors import PolspinError
 from .filters import ELEMENTS
-from .spinor import JonesAmpPhase, StokesVector, _record
+from .spinor import JonesAmpPhase, StokesVector, _Record
 
 # The `.pol` beam declarations (AnglesBeam, StokesBeam, JonesBeam) are the
 # classes of the beam JSON forms.
@@ -38,8 +37,7 @@ StokesBeam = StokesVector
 JonesBeam = JonesAmpPhase
 
 
-@_record
-class ParseDiagnostic:
+class ParseDiagnostic(_Record):
     severity: str
     line: int
     column: int
@@ -47,20 +45,23 @@ class ParseDiagnostic:
     offending_token: str
 
 
-@dataclass
-class TrainDocument:
-    beams: list = field(default_factory=list)
-    elements: list = field(default_factory=list)
+class TrainDocument(_Record):
+    beams: list
+    elements: list
     # (line, col_start, col_end) per beam / per element, in document order
-    beam_spans: list = field(default_factory=list)
-    element_spans: list = field(default_factory=list)
+    beam_spans: list
+    element_spans: list
+
+    def __new__(cls, beams: list = None, elements: list = None, beam_spans: list = None,
+                element_spans: list = None):  # a list not given is a new empty one
+        given = beams, elements, beam_spans, element_spans
+        return cls._held({n: [] if x is None else x for n, x in zip(cls.__match_args__, given)})
 
     def same_content(self, other):
         return self.beams == other.beams and self.elements == other.elements
 
 
-@dataclass
-class ParseResult:
+class ParseResult(_Record):
     document: TrainDocument
     diagnostics: list
 
@@ -74,7 +75,7 @@ class ParseResult:
 _STATEMENTS = {name: (cls, keys, None) for cls, (name, keys, _) in ELEMENTS.items()}
 _STATEMENTS.update((f"beam {form}", entry) for form, entry in BEAM_FORMS.items())
 # its inverse, for serialization: class -> (head, (key, field name) pairs in field order)
-_HEADS = {cls: (head, tuple(zip(keys, [f.name for f in fields(cls)])))
+_HEADS = {cls: (head, tuple(zip(keys, cls.__match_args__)))
           for head, (cls, keys, _) in _STATEMENTS.items()}
 
 _ANGLE_KEYS = frozenset(("d1", "d2", "alpha", "axis", "theta", "phi", "chi", "phi1", "phi2"))

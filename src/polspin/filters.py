@@ -17,9 +17,9 @@ The circular basis is an edge view, U^-1 m U with the same scale, for `element_m
 of about 37.  Composition is in propagation order: the first element of a train is the rightmost
 factor.  One cache per level: element, train and the CLI's train file.  `_step` steps a raw
 amplitude and Jones spinor (A, U o), checked once: the pure `trace` carries them row to row;
-`apply` wraps them in a WaveState and keeps the element's linear form outside its fields and
-pickled state.  The train calls of `partial` fold through `_train_product`, which keeps the
-product of the last train they folded and, once `mueller_of_train` asks, its Mueller matrix,
+`apply` wraps them in a WaveState and keeps the element's linear form in its `_linear` slot, no
+field and not pickled.  The train calls of `partial` fold through `_train_product`, which keeps
+the product of the last train they folded and, once `mueller_of_train` asks, its Mueller matrix,
 keyed by its element objects: it keeps them alive until a different train is folded, and calls
 alternating between trains (concurrent sweeps) only miss, never mix entries.  The CLI keeps the
 last train file's bytes, parse and prefix products (`cli`); all else computes closed forms afresh.
@@ -33,7 +33,7 @@ from operator import is_not
 
 from .errors import EmptyTrainError, ExtinctionError, FloatRangeError
 from .pauli import linear_to_circular
-from .spinor import FLUX_MIN, WaveState, _check_wave, _quaternion, _record
+from .spinor import FLUX_MIN, WaveState, _check_wave, _quaternion, _Record
 
 # Largest |e2 - e1| at which the linear m's larger entry e^{|e2 - e1|/2} is finite.
 ETA_SPREAD_MAX = 2.0 * math.log(sys.float_info.max)
@@ -41,9 +41,8 @@ ETA_SPREAD_MAX = 2.0 * math.log(sys.float_info.max)
 _UNIT_GAIN = 2.0**-50
 
 
-class _Element:
-    def __getstate__(self):  # pickles and copies leave out the closed form apply keeps
-        return {k: v for k, v in vars(self).items() if k != "_linear"}
+class _Element(_Record):
+    __slots__ = ("_linear",)  # the linear form apply keeps; pickles and copies leave it out
 
 
 class _Phases(_Element):
@@ -59,34 +58,28 @@ class _Plate(_Element):
             raise ValueError(f"2 axis overflows: axis = {self.axis_angle!r}")
 
 
-@_record
 class PhaseShifter(_Phases):
     delta1: float
     delta2: float
 
 
-@_record
 class Rotator(_Element):
     alpha: float
 
 
-@_record
 class Gyrotropic(_Phases):
     delta1: float
     delta2: float
 
 
-@_record
 class QuarterWave(_Plate):
     axis_angle: float
 
 
-@_record
 class HalfWave(_Plate):
     axis_angle: float
 
 
-@_record
 class Attenuator(_Element):
     eta1: float
     eta2: float
@@ -99,8 +92,7 @@ class Attenuator(_Element):
             raise ValueError(f"attenuation spread |e2 - e1| = {spread!r} > {ETA_SPREAD_MAX!r}")
 
 
-@_record
-class ElementMatrix:
+class ElementMatrix(_Record):
     """Unimodular 2x2 matrix m with the overall coefficient factored into scale."""
 
     m: "numpy.ndarray"
@@ -111,14 +103,12 @@ class ElementMatrix:
         return self.scale * self.m
 
 
-@_record
-class PoincareRotation:
+class PoincareRotation(_Record):
     axis: "numpy.ndarray"
     angle: float
 
 
-@_record
-class ConformalMap:
+class ConformalMap(_Record):
     boost_axis: "numpy.ndarray"
     rapidity: float
 

@@ -5,8 +5,8 @@ tr C = s0, det C = S/4 and tr C^2 = s0^2 - S/2, where S = s0^2 - |s_vec|^2
 vanishes exactly for pure states.  Its eigenspinors mark two antipodal
 points of the Poincare sphere; a filter acts by C -> (scale m) C (scale m)^dag.
 
-A CoherencyMatrix holds its Stokes vector, the same in either basis, and a basis tag; its
-entries C = [[p, q], [conj q, r]] = (1/2)[[s0 + t3, t1 - i t2], [t1 + i t2, s0 - t3]], with
+A CoherencyMatrix holds in slots its Stokes vector, the same in either basis, and a basis tag;
+its entries C = [[p, q], [conj q, r]] = (1/2)[[s0 + t3, t1 - i t2], [t1 + i t2, s0 - t3]], with
 t = (s1, s2, s3) in the circular basis and circular_to_linear(s1, s2, s3) in the linear one,
 are a view by one closed form, `_coherency_entries`, of which `_read_stokes` is the inverse.
 `_conjugate` is the one F C F^dag kernel (linear F): `_mueller_rows` runs it on four probes,
@@ -21,19 +21,17 @@ here keeps element forms: a memo miss and `apply_filter_to_coherency` compute th
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import filters
 from .errors import InvalidStokesError, NotPositiveSemidefiniteError, ZeroFluxError
 from .filters import _extinction, _fold, _train_product
 from .pauli import circular_to_linear, linear_to_circular
-from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector, _record
+from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector, _Record
 
 PSD_TOL = 1e-9
 
 
-@dataclass(frozen=True, init=False)
-class CoherencyMatrix:
+class CoherencyMatrix(_Record):
     """2x2 Hermitian PSD matrix [[p, q], [conj q, r]] in flux-density units, held as its
     Stokes vector and its basis tag; the entries p, r (float), q (complex) and `.matrix`
     (a fresh ndarray) are views in the Pauli set of the tag, made on each access."""
@@ -41,7 +39,7 @@ class CoherencyMatrix:
     stokes: StokesVector
     basis: str
 
-    def __init__(self, matrix, basis="circular"):
+    def __new__(cls, matrix, basis="circular"):
         import numpy as np
         (p, q), (q2, r) = np.asarray(matrix, dtype=complex).tolist()
         # largest |C - C^dag| entry; |p - conj p| = 2 |Im p|
@@ -52,16 +50,20 @@ class CoherencyMatrix:
         if not 1e12 * skew <= abs(s[0]):
             raise ValueError("coherency matrix is not Hermitian")
         _require_psd(*s)
-        self.__dict__.update(vars(self._of(StokesVector(*s), basis)))
+        return cls._of(StokesVector(*s), basis)
 
     @classmethod
     def _of(cls, s, basis):
         """From a StokesVector s that is already checked; every CoherencyMatrix is made here."""
         if basis not in ("circular", "linear"):
             raise ValueError(f"unknown basis tag: {basis!r}")
-        c = object.__new__(cls)
-        c.__dict__.update(stokes=s, basis=basis)  # frozen: past __setattr__
+        c = cls.__base__()
+        c.stokes, c.basis = s, basis
+        c.__class__ = cls
         return c
+
+    def __reduce__(self):  # not through __new__, which takes a matrix
+        return CoherencyMatrix._of, (self.stokes, self.basis)
 
     @property
     def _entries(self):
@@ -78,8 +80,7 @@ class CoherencyMatrix:
         return np.array(_rows(*self._entries))
 
 
-@_record
-class PolarizationDecomposition:
+class PolarizationDecomposition(_Record):
     """Antipodal sphere points with their flux weights, larger first."""
 
     point_plus: "numpy.ndarray"

@@ -13,9 +13,8 @@ the sampled electric field.  All of it is scalar Python: NumPy is imported
 only by the calls that return ndarrays (`as_array`, `poincare_frame`,
 `jones_from_wave`, `su2_to_so3`, `basis_permutation_check`), when called.
 
-The frozen value classes here and in `filters`, `partial`, `beamio` and `dsl` are `_record`s: an
-`__init__` stores each field into the instance `__dict__`, at half the build cost of a frozen
-dataclass's `object.__setattr__` per field; on CPython 3.11 that makes their field reads slower.
+The frozen value classes here and in `filters`, `partial`, `beamio` and `dsl` subclass `_Record`:
+each field is a slot; the class is a frozen dataclass for `fields`, `replace`, `==`, `hash`, `repr`.
 
 Conventions fixed here:
   * chi is canonicalized to [0, 2pi); the spinor is recovered from angles
@@ -52,17 +51,43 @@ UNIT_TOL = 1e-10  # | |o| - 1 | above which a spinor is not unit
 PURITY_FLOOR = 1e-9  # wave_from_stokes' default tol; beam_from_stokes checks at no less
 
 
-def _record(cls):
-    """Frozen dataclass of cls, built by a straight-line `__init__` of its own annotated fields
-    (no defaults); set before `dataclass` runs, so that a missing `__doc__` names the fields."""
-    names = list(cls.__annotations__)
-    lines = [f"def __init__(self, {', '.join(names)}):", "    held = self.__dict__"]
-    lines += [f"    held[{n!r}] = {n}" for n in names]
-    lines += ["    self.__post_init__()"] * hasattr(cls, "__post_init__")
-    exec("\n".join(lines), scope := {})
-    cls.__init__ = scope["__init__"]
-    cls.__init__.__annotations__ = dict(cls.__annotations__)
-    return dataclass(frozen=True, init=False)(cls)
+class _RecordMeta(type):
+    """Makes a class that annotates fields a record: they are the slots of a mutable twin, its one
+    base, that a straight-line `__new__` fills before the instance becomes the record."""
+
+    def __new__(mcs, name, bases, ns):
+        names = tuple(ns.get("__annotations__", ()))
+        if not names:
+            return super().__new__(mcs, name, bases, {"__slots__": (), **ns})
+        twin = super().__new__(mcs, "_" + name, bases, {
+            "__slots__": names + ns.pop("__slots__", ()), "__module__": ns["__module__"]})
+        cls = super().__new__(mcs, name, (twin,), {**ns, "__slots__": ()})
+        if "__new__" not in ns:
+            lines = [f"def __new__(cls, {', '.join(names)}):", "    self = twin()"]
+            lines += [f"    self.{n} = {n}" for n in names] + ["    self.__class__ = cls"]
+            lines += ["    self.__post_init__()"] * hasattr(cls, "__post_init__")
+            exec("\n".join(lines + ["    return self"]), scope := {"twin": twin})
+            scope["__new__"].__annotations__ = dict(ns["__annotations__"])
+            cls.__new__ = staticmethod(scope["__new__"])
+        return dataclass(frozen=True, init=False)(cls)
+
+
+class _Record(metaclass=_RecordMeta):
+    """Base of the frozen value records: no instance dict; weak references allowed.  A constructor
+    of its own (`_of`, `_held`) fills `cls.__base__()`, the twin, then sets `__class__`."""
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):  # pickles and copies rebuild from the fields, checked, and no more
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    @classmethod
+    def _held(cls, slots):  # the record that holds slots (name -> value) as given, unchecked
+        x = cls.__base__()
+        for name, value in slots.items():
+            setattr(x, name, value)
+        x.__class__ = cls
+        return x
 
 
 def _wrap_2pi(x):
@@ -75,8 +100,7 @@ def _wrap_2pi(x):
 JONES_PREFACTOR_UNIT = math.sqrt(2.0) * cmath.exp(-0.25j * math.pi)
 
 
-@_record
-class Spinor2:
+class Spinor2(_Record):
     """Unit two-component spinor (c1, c2)."""
 
     c1: complex
@@ -114,8 +138,7 @@ def _check_wave(amp, c1, c2):
     return amp, c1, c2
 
 
-@_record
-class AngleSet:
+class AngleSet(_Record):
     """Polar angle theta in [0, pi], azimuth phi in [0, 2pi), phase chi in [0, 2pi)."""
 
     theta: float
@@ -131,11 +154,11 @@ class AngleSet:
             raise ValueError(f"chi out of [0, 2pi): {self.chi}")
 
 
-@_record
-class WaveState:
-    """Amplitude A > 0 plus a unit spinor: one monochromatic plane wave.  A step result
-    (_of) holds its Jones spinor U o, and its circular `spinor` is a _View of that."""
+class WaveState(_Record):
+    """Amplitude A > 0 plus a unit spinor: one monochromatic plane wave.  A step result (_of)
+    holds its Jones spinor U o in `_jones`; the one of the two not held is made on first read."""
 
+    __slots__ = ("_jones",)
     amplitude: float
     spinor: Spinor2
 
@@ -144,27 +167,28 @@ class WaveState:
 
     @classmethod
     def _of(cls, amp, c1, c2):  # filters._step's result, which _step has checked: no check here
-        w = object.__new__(cls)
-        held = w.__dict__  # frozen: past __setattr__, by item (faster than update)
-        held["amplitude"], held["_jones"] = amp, (c1, c2)
+        w = cls.__base__()
+        w.amplitude, w._jones = amp, (c1, c2)
+        w.__class__ = cls
         return w
 
+    def __getattr__(self, name):  # only for a slot not filled: the spinor this wave does not hold
+        if name == "spinor":
+            value = Spinor2(*_times(U_INV_ROWS, *self._jones))
+        elif name == "_jones":
+            value = _times(U_ROWS, self.spinor.c1, self.spinor.c2)
+        else:
+            raise AttributeError(f"'WaveState' object has no attribute {name!r}")
+        object.__setattr__(self, name, value)  # kept; frozen: past __setattr__
+        return value
 
-class _View:
-    """The spinor a WaveState does not hold, made from the other on first read, then kept."""
-
-    def __get__(self, w, owner=None):  # on the class (w None) an AttributeError, as for a field
-        held = w.__dict__
-        if "_jones" in held:
-            return held.setdefault("spinor", Spinor2(*_times(U_INV_ROWS, *held["_jones"])))
-        return held.setdefault("_jones", _times(U_ROWS, held["spinor"].c1, held["spinor"].c2))
+    def __reduce__(self):  # a copy holds the spinors this wave holds, one or both, bit for bit
+        slots = super()  # its lookup calls no __getattr__: a slot not filled reads None
+        held = {n: getattr(slots, n, None) for n in ("amplitude", "spinor", "_jones")}
+        return WaveState._held, ({n: v for n, v in held.items() if v is not None},)
 
 
-WaveState.spinor = WaveState._jones = _View()  # after @_record, or spinor would default to it
-
-
-@_record
-class EllipseParams:
+class EllipseParams(_Record):
     """Major semiaxis a >= 0, signed minor semiaxis b, orientation phi/2."""
 
     a: float
@@ -172,8 +196,7 @@ class EllipseParams:
     orientation: float
 
 
-@_record
-class StokesVector:
+class StokesVector(_Record):
     s0: float
     s1: float
     s2: float
@@ -184,8 +207,7 @@ class StokesVector:
         return np.array([self.s0, self.s1, self.s2, self.s3])
 
 
-@_record
-class JonesAmpPhase:
+class JonesAmpPhase(_Record):
     """Real amplitudes and phases of the two linear Jones components."""
 
     a1: float
@@ -200,8 +222,7 @@ class JonesAmpPhase:
             )
 
 
-@dataclass
-class PoincareFrame:
+class PoincareFrame(_Record):
     """Sphere point r with tangent pair (m_re, m_im); right-handed orthonormal."""
 
     r: "numpy.ndarray"

@@ -19,6 +19,21 @@ def as_spinor(row):
     return Spinor2(complex(row[0]), complex(row[1]))
 
 
+def slots(x):
+    """The slots record x has filled, name -> value, in slot order: its fields, then what it
+    keeps beside them (an element's `_linear`, a wave's `_jones`); read by the member
+    descriptors, so that reading makes nothing."""
+    out = {}
+    for cls in type(x).__mro__:
+        for name in cls.__dict__.get("__slots__", ()):
+            try:
+                out[name] = cls.__dict__[name].__get__(x)
+            except AttributeError:  # not filled
+                pass
+    out.pop("__weakref__", None)
+    return out
+
+
 def random_su2(rng):
     """Random SU(2) matrix a*I + i(b s1 + c s2 + d s3), (a,b,c,d) unit."""
     q = rng.standard_normal(4)

@@ -25,6 +25,8 @@ from polspin.filters import (
     Rotator,
 )
 
+from .conftest import slots
+
 
 def parse_ok(source):
     result = parse_train(source)
@@ -306,7 +308,7 @@ class TestParse:
                          ids=["angles", "mixed", "pure", "jones"])
 def test_each_beam_forms_builder_builds_its_declaration_as_its_json(decl):
     form, (_, keys, build) = next((f, v) for f, v in BEAM_FORMS.items() if type(decl) is v[0])
-    values = list(vars(decl).values())  # the fields, in key order
+    values = list(slots(decl).values())  # the fields, in key order
     body = values if form == "stokes" else dict(zip(keys, values))
     assert build(decl, PURITY_TOL) == parse_beam_json(json.dumps({form: body}))
 

@@ -55,6 +55,7 @@ from polspin.partial import (
 )
 from polspin.pauli import SIGMA1, U_BASIS, U_BASIS_INV
 
+from .conftest import slots
 from .test_partial import README_TRAIN
 
 ALL_UNITARY = [
@@ -492,14 +493,14 @@ class TestKeptClosedForm:
         # computes its own from its fields on its first apply
         w = linear_x_wave()
         first = apply(e, w)
-        assert vars(e)["_linear"] == _entries(e, scaled=True)
+        assert slots(e)["_linear"] == _entries(e, scaled=True)
         assert pickle.dumps(e) == pickle.dumps(type(e)(*as_fields(e)))
         for dup in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
-            assert dup == e and "_linear" not in vars(dup)
+            assert dup == e and "_linear" not in slots(dup)
             assert apply(dup, w) == first
         name = dataclasses.fields(e)[0].name
         other = dataclasses.replace(e, **{name: getattr(e, name) + 0.25})
-        assert "_linear" not in vars(other)
+        assert "_linear" not in slots(other)
         got = apply(other, w)
         assert repr((got.amplitude, *got._jones)) == repr(fresh_step(other, w))
         assert got != first
@@ -533,7 +534,7 @@ class TestKeptClosedForm:
         monkeypatch.setattr("polspin.cli._load_train", lambda path: entry)
         call(train)
         for e in train:
-            assert vars(e) == {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
+            assert slots(e) == {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
 
 
 # Exact reprs of the pure-beam library path on the README train (the

@@ -31,6 +31,7 @@ from polspin.partial import _PROBES, _coherency_entries, _mueller_rows, apply_mu
 from polspin.pauli import linear_to_circular
 from polspin.spinor import FLUX_MIN
 
+from .conftest import slots
 from .test_filters import linear_x_wave
 from .test_partial import README_TRAIN
 
@@ -177,7 +178,7 @@ class TestKeptForms:
         entry = b"", ParseResult(TrainDocument(elements=train), []), lambda: list(_prefixes(train))
         monkeypatch.setattr("polspin.cli._load_train", lambda path: entry)
         assert cmd_mueller("t.pol") == csv(oracle_mueller(train).tolist())
-        assert not any("_circular" in vars(e) for e in train)
+        assert not any("_linear" in slots(e) for e in train)
 
 
 CROSSED = "atten e1=0 e2=20\nrotate alpha=1.5707963267948966\natten e1=0 e2=20\n"

@@ -34,7 +34,7 @@ from polspin import (
 from polspin.pauli import SIGMA1, SIGMA3, U_BASIS
 from polspin.spinor import _check_wave
 
-from .conftest import as_spinor, random_su2, random_unit_spinors
+from .conftest import as_spinor, random_su2, random_unit_spinors, slots
 
 
 def wave(theta, phi=0.0, chi=0.0, amp=1.0):
@@ -422,7 +422,7 @@ class TestWaveStateFluxFloor:
         with pytest.raises(ValueError) as got:
             _check_wave(amp, c1, c2)
         assert str(got.value) == str(want.value)
-        assert vars(WaveState._of(amp, c1, c2)) == {"amplitude": amp, "_jones": (c1, c2)}
+        assert slots(WaveState._of(amp, c1, c2)) == {"amplitude": amp, "_jones": (c1, c2)}
 
     def test_raw_constructor_equals_the_constructor(self):
         # the raw constructor takes the Jones spinor U o: here U (1, 0), whose entries and
@@ -443,13 +443,13 @@ class TestWaveStateFluxFloor:
         w = wave(1.1, 0.4, 0.3, amp=1.7)
         if held == "linear":
             w = WaveState._of(w.amplitude, *w._jones)
-        assert list(vars(w)) == ["amplitude", "spinor" if held == "circular" else "_jones"]
+        assert list(slots(w)) == ["amplitude", "spinor" if held == "circular" else "_jones"]
         twin = WaveState(w.amplitude, w.spinor)  # the same wave, held circular
         assert w == twin and hash(w) == hash(twin)
         assert repr(w) == repr(twin) == f"WaveState(amplitude=1.7, spinor={w.spinor!r})"
         assert w.spinor is w.spinor and w._jones is w._jones
         for dup in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
-            assert type(dup) is WaveState and dup == w and vars(dup) == vars(w)
+            assert type(dup) is WaveState and dup == w and repr(slots(dup)) == repr(slots(w))
         for name in ("amplitude", "spinor", "_jones"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(w, name, getattr(w, name))

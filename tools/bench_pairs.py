@@ -19,8 +19,9 @@ rounds time, in one process per tree and round, `parse_train` and the prefix pro
 LAYER_REPEATS calls each: warm CLI passes reuse both from the CLI's train memo, so no
 perfbench layer sees them.  They also time `apply_chain_us`: one pure beam built, stepped
 through the README train by `filters.apply` and read as `.spinor`, which shows what the
-spinor views cost, and `record_init_us`: 1000 each of `StokesVector`, `Spinor2` and `AngleSet`
-built from fixed floats, the cost of the value records' `__init__`.  These and `src_lines`, the
+spinor views cost, `record_init_us`: 1000 each of `StokesVector`, `Spinor2` and `AngleSet`
+built from fixed floats, the cost of the value records' constructors, and `record_read_us`:
+1000 x 4 field reads of each of the three.  These and `src_lines`, the
 line count of each tree's `src/`, are records, not gates.  The summary gives, per
 end-to-end metric, the medians and quartiles
 (statistics.quantiles, exclusive) of both sides, in how many pairs the
@@ -182,11 +183,18 @@ def records():  # 1000 each of three value records, from fixed floats
         StokesVector(1.0, 0.6, 0.0, 0.8)
         Spinor2(0.6 + 0.0j, 0.8j)
         AngleSet(1.0, 0.5, 0.25)
+def reads(s=StokesVector(1.0, 0.6, 0.0, 0.8), o=Spinor2(0.6 + 0.0j, 0.8j),
+          a=AngleSet(1.0, 0.5, 0.25)):  # 1000 x 4 field reads of each of the three
+    for _ in range(1000):
+        s.s0; s.s1; s.s2; s.s3
+        o.c1; o.c2; o.c1; o.c2
+        a.theta; a.phi; a.chi; a.theta
 print(json.dumps({"parse_train_us_per_line": best(lambda: parse_train(text)) / 1e3
                   / len(text.splitlines()),
                   "prefixes_ms": best(lambda: list(_prefixes(elements))) / 1e6,
                   "apply_chain_us": best(chains) / 1e6,
-                  "record_init_us": best(records) / 1e3}))
+                  "record_init_us": best(records) / 1e3,
+                  "record_read_us": best(reads) / 1e3}))
 """
 
 
@@ -360,8 +368,9 @@ def main(argv=None):
         result["in_process_layers"] = {
             "command": "parse_train and list(filters._prefixes) on the long-train train of seed "
                        f"{args.first_seed}, 1000 README-train chains of filters.apply on the "
-                       "README pure beam, and 1000 each of StokesVector, Spinor2 and AngleSet "
-                       f"built from fixed floats, best of {LAYER_REPEATS} calls in each of "
+                       "README pure beam, 1000 each of StokesVector, Spinor2 and AngleSet "
+                       "built from fixed floats, and 1000 x 4 field reads of each of the three, "
+                       f"best of {LAYER_REPEATS} calls in each of "
                        f"{LAYER_ROUNDS} alternating rounds per tree",
             "metrics": layer_rounds(trees, args.first_seed)}
 
