@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 import types
+from operator import attrgetter
 
 from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
@@ -210,13 +211,15 @@ COMMANDS = {
 
 
 # command -> (its namespace before the command line is read, dests of its required options,
-# the dests cmd_<command> takes: its positionals, then its options but --output)
+# args -> the tuple of the dests cmd_<command> takes: its positionals, then its options but
+# --output; one dest is wrapped, as attrgetter of one name returns the bare value)
 _DEFAULTS = {
     name: ({"command": name, **dict.fromkeys(positionals),
             **{o["dest"]: o.get("default") for o in options.values()}},
            [o["dest"] for o in options.values() if o.get("required")],
-           [*positionals, *(o["dest"] for flag, o in options.items() if flag != "--output")])
+           attrgetter(*dests) if dests[1:] else lambda args, get=attrgetter(*dests): (get(args),))
     for name, (_, positionals, options) in COMMANDS.items()
+    for dests in [[*positionals, *(o["dest"] for flag, o in options.items() if flag != "--output")]]
 }
 
 
@@ -277,8 +280,7 @@ def main(argv=None):
         if not getattr(args, "tolerance", 0.0) < 1.0:  # for every beam form, as for Stokes ones
             raise CliError(f"purity tolerance must be below 1: {args.tolerance!r}")
         # cmd_<command> as the module holds it on this call: a wrapper may have replaced it
-        out = globals()["cmd_" + args.command](*[getattr(args, dest)
-                                                 for dest in _DEFAULTS[args.command][2]])
+        out = globals()["cmd_" + args.command](*_DEFAULTS[args.command][2](args))
         if not out.endswith("\n"):
             out += "\n"
         if args.output:

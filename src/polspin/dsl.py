@@ -55,7 +55,7 @@ class TrainDocument(_Record):
     def __new__(cls, beams: list = None, elements: list = None, beam_spans: list = None,
                 element_spans: list = None):  # a list not given is a new empty one
         given = beams, elements, beam_spans, element_spans
-        return cls._held({n: [] if x is None else x for n, x in zip(cls.__match_args__, given)})
+        return cls._held(*([] if x is None else x for x in given))
 
     def same_content(self, other):
         return self.beams == other.beams and self.elements == other.elements

@@ -32,7 +32,7 @@ from collections import deque
 from operator import is_not
 
 from .errors import EmptyTrainError, ExtinctionError, FloatRangeError
-from .pauli import linear_to_circular
+from .pauli import _check_basis, linear_to_circular
 from .spinor import FLUX_MIN, WaveState, _check_wave, _quaternion, _Record
 
 # Largest |e2 - e1| at which the linear m's larger entry e^{|e2 - e1|/2} is finite.
@@ -179,12 +179,11 @@ def _matrix(entries, basis):
     """ElementMatrix of a linear (scale, a, b, c, d) in a basis: circular is U^-1 m U."""
     import numpy as np
     scale, a, b, c, d = entries
+    _check_basis(basis)
     if basis == "circular":  # m = p + q . sigma; re-expand U^-1 m U in the standard Pauli set
         p = 0.5 * a + 0.5 * d
         q1, q2, q3 = linear_to_circular(0.5 * (b + c), 0.5j * (b - c), 0.5 * a - 0.5 * d)
         a, b, c, d = p + q3, q1 - 1j * q2, q1 + 1j * q2, p - q3
-    elif basis != "linear":
-        raise ValueError(f"unknown basis tag: {basis!r}")
     return ElementMatrix(np.array([[a, b], [c, d]], dtype=complex), scale, basis)
 
 
@@ -228,9 +227,9 @@ def _step(entries, amp, c1, c2):
 def apply(e, w):
     """Pass a wave through one element: v = F U o, A' = A ||v||, in the linear basis.
 
-    The result, checked by _step and wrapped by WaveState._of, holds the Jones spinor v / ||v||:
-    a chain crosses the basis once in and once when `.spinor` is read.  The global phase of v
-    is retained, so the Pancharatnam phase against the input reflects the element's phase.
+    The result, checked by _step and wrapped by WaveState._of, holds the Jones spinor v / ||v||
+    and, as every wave does, its spinor U^-1 v / ||v||.  The global phase of v is retained, so
+    the Pancharatnam phase against the input reflects the element's phase.
     """
     entries = getattr(e, "_linear", None)  # e's linear form, kept for the next beam
     if entries is None:  # first use; not a field, so == and hash are unchanged

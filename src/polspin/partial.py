@@ -25,7 +25,7 @@ import math
 from . import filters
 from .errors import InvalidStokesError, NotPositiveSemidefiniteError, ZeroFluxError
 from .filters import _extinction, _fold, _train_product
-from .pauli import circular_to_linear, linear_to_circular
+from .pauli import _check_basis, circular_to_linear, linear_to_circular
 from .spinor import FLUX_MIN, MAX_MAGNITUDE, StokesVector, _Record
 
 PSD_TOL = 1e-9
@@ -54,16 +54,12 @@ class CoherencyMatrix(_Record):
 
     @classmethod
     def _of(cls, s, basis):
-        """From a StokesVector s that is already checked; every CoherencyMatrix is made here."""
-        if basis not in ("circular", "linear"):
-            raise ValueError(f"unknown basis tag: {basis!r}")
+        """From a checked StokesVector s; every CoherencyMatrix but a copy is made here."""
+        _check_basis(basis)
         c = cls.__base__()
         c.stokes, c.basis = s, basis
         c.__class__ = cls
         return c
-
-    def __reduce__(self):  # not through __new__, which takes a matrix
-        return CoherencyMatrix._of, (self.stokes, self.basis)
 
     @property
     def _entries(self):
@@ -250,6 +246,7 @@ def _mueller_rows(*f):
 def mueller_of_train(train, basis="circular"):
     """4x4 real Stokes-space matrix of a train, the same for either basis tag and a fresh array
     on each call.  Kept read-only in the train memo entry of its product for a sweep's beams."""
+    _check_basis(basis)
     product, entry = _train_product(train), filters._last_fold
     if entry[1] is product and entry[2] is not None:
         return entry[2].copy()

@@ -28,6 +28,11 @@ def __getattr__(name):
     return value
 
 
+def _check_basis(tag):  # the one check of a basis tag
+    if tag not in ("circular", "linear"):
+        raise ValueError(f"unknown basis tag: {tag!r}")
+
+
 # Pauli coefficients (q1, q2, q3) of q . sigma -> those of U (q . sigma) U^-1, and back
 def circular_to_linear(q1, q2, q3):
     return q2, q3, q1

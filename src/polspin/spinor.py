@@ -52,8 +52,8 @@ PURITY_FLOOR = 1e-9  # wave_from_stokes' default tol; beam_from_stokes checks at
 
 
 class _RecordMeta(type):
-    """Makes a class that annotates fields a record: they are the slots of a mutable twin, its one
-    base, that a straight-line `__new__` fills before the instance becomes the record."""
+    """Makes a class that annotates fields a record, its fields the slots of a mutable twin, its one
+    base: a straight-line `__new__` fills them, runs `__post_init__` and sets the record's class."""
 
     def __new__(mcs, name, bases, ns):
         names = tuple(ns.get("__annotations__", ()))
@@ -63,12 +63,13 @@ class _RecordMeta(type):
             "__slots__": names + ns.pop("__slots__", ()), "__module__": ns["__module__"]})
         cls = super().__new__(mcs, name, (twin,), {**ns, "__slots__": ()})
         if "__new__" not in ns:
-            lines = [f"def __new__(cls, {', '.join(names)}):", "    self = twin()"]
-            lines += [f"    self.{n} = {n}" for n in names] + ["    self.__class__ = cls"]
-            lines += ["    self.__post_init__()"] * hasattr(cls, "__post_init__")
-            exec("\n".join(lines + ["    return self"]), scope := {"twin": twin})
-            scope["__new__"].__annotations__ = dict(ns["__annotations__"])
-            cls.__new__ = staticmethod(scope["__new__"])
+            lines = [f"def __new__(cls, {', '.join(names)}):", "self = twin()"]
+            lines += [f"self.{n} = {n}" for n in names]
+            lines += ["cls.__post_init__(self)"] * hasattr(cls, "__post_init__")
+            lines += ["self.__class__ = cls", "return self"]
+            exec("\n    ".join(lines), env := {"twin": twin})
+            env["__new__"].__annotations__ = dict(ns["__annotations__"])
+            cls.__new__ = staticmethod(env["__new__"])
         return dataclass(frozen=True, init=False)(cls)
 
 
@@ -78,13 +79,13 @@ class _Record(metaclass=_RecordMeta):
 
     __slots__ = ("__weakref__",)
 
-    def __reduce__(self):  # pickles and copies rebuild from the fields, checked, and no more
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+    def __reduce__(self):  # pickles and copies hold the twin's slots as they are, unchecked
+        return type(self)._held, tuple(getattr(self, n) for n in type(self).__base__.__slots__)
 
     @classmethod
-    def _held(cls, slots):  # the record that holds slots (name -> value) as given, unchecked
+    def _held(cls, *values):  # the record that holds values, one per slot of its twin, unchecked
         x = cls.__base__()
-        for name, value in slots.items():
+        for name, value in zip(cls.__base__.__slots__, values, strict=True):
             setattr(x, name, value)
         x.__class__ = cls
         return x
@@ -155,37 +156,24 @@ class AngleSet(_Record):
 
 
 class WaveState(_Record):
-    """Amplitude A > 0 plus a unit spinor: one monochromatic plane wave.  A step result (_of)
-    holds its Jones spinor U o in `_jones`; the one of the two not held is made on first read."""
+    """A > 0 times a unit spinor o: one plane wave.  It holds U o, its Jones spinor, in `_jones`."""
 
     __slots__ = ("_jones",)
     amplitude: float
     spinor: Spinor2
 
-    def __post_init__(self):
+    def __post_init__(self):  # on the twin: the check, then U o with a plain store
         _check_wave(self.amplitude, self.spinor.c1, self.spinor.c2)
+        self._jones = _times(U_ROWS, self.spinor.c1, self.spinor.c2)
 
     @classmethod
     def _of(cls, amp, c1, c2):  # filters._step's result, which _step has checked: no check here
-        w = cls.__base__()
-        w.amplitude, w._jones = amp, (c1, c2)
-        w.__class__ = cls
+        (a, b), (c, d) = U_INV_ROWS  # o = U^-1 v, in _times's digits, stored into Spinor2's twin
+        o, w = Spinor2.__base__(), cls.__base__()
+        o.c1, o.c2 = a * c1 + b * c2, c * c1 + d * c2
+        w.amplitude, w.spinor, w._jones = amp, o, (c1, c2)
+        o.__class__, w.__class__ = Spinor2, cls
         return w
-
-    def __getattr__(self, name):  # only for a slot not filled: the spinor this wave does not hold
-        if name == "spinor":
-            value = Spinor2(*_times(U_INV_ROWS, *self._jones))
-        elif name == "_jones":
-            value = _times(U_ROWS, self.spinor.c1, self.spinor.c2)
-        else:
-            raise AttributeError(f"'WaveState' object has no attribute {name!r}")
-        object.__setattr__(self, name, value)  # kept; frozen: past __setattr__
-        return value
-
-    def __reduce__(self):  # a copy holds the spinors this wave holds, one or both, bit for bit
-        slots = super()  # its lookup calls no __getattr__: a slot not filled reads None
-        held = {n: getattr(slots, n, None) for n in ("amplitude", "spinor", "_jones")}
-        return WaveState._held, ({n: v for n, v in held.items() if v is not None},)
 
 
 class EllipseParams(_Record):

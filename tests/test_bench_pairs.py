@@ -108,14 +108,21 @@ def test_layer_rounds_time_parse_and_prefixes_in_each_tree(tmp_path):
         for name in ("src", "perfbench"):
             (tree / name).symlink_to(bench_pairs.ROOT / name, target_is_directory=True)
     layers = bench_pairs.layer_rounds(trees, seed=1, rounds=2, repeats=1)
-    assert sorted(layers) == ["apply_chain_us", "parse_train_us_per_line", "prefixes_ms",
-                              "record_init_us", "record_read_us"]
+    assert sorted(layers) == ["apply_chain_long_us", "apply_chain_us", "parse_train_us_per_line",
+                              "prefixes_ms", "record_init_us", "record_read_us"]
     for layer in layers.values():
         assert layer["parent"] > 0 and layer["change"] > 0
         assert layer["rel_change"] == pytest.approx(layer["change"] / layer["parent"] - 1.0)
+        assert layer["parent_median"] >= layer["parent"]  # the best of the rounds is their least
+        assert layer["change_median"] >= layer["change"] and 0 <= layer["change_lower"] <= 2
     (trees["change"] / "src").unlink()  # a tree without polspin fails loudly
     with pytest.raises(SystemExit, match="layer timing failed"):
         bench_pairs.layer_rounds(trees, seed=1, rounds=1, repeats=1)
+
+
+def test_layer_rounds_give_a_median_of_eight_or_more():
+    # each layer reports its median over the alternating rounds: eight or more of them
+    assert bench_pairs.LAYER_ROUNDS >= 8
 
 
 def test_cold_runs_resolve_more_than_ten_pairs():

@@ -124,6 +124,11 @@ class TestCoherencyMatrix:
             CoherencyMatrix._of(StokesVector(1.0, 0.0, 0.0, 0.0), basis)
         with pytest.raises(ValueError, match="unknown basis tag"):
             coherency_from_stokes(StokesVector(1.0, 0.0, 0.0, 0.0), basis)
+        train = [Rotator(0.3)]
+        for _ in range(2):  # a memo miss, then a hit on the Mueller matrix kept for the train
+            with pytest.raises(ValueError, match=f"^unknown basis tag: {basis!r}$"):
+                mueller_of_train(train, basis)
+            mueller_of_train(train)
 
     def test_holds_the_entries(self):
         c = CoherencyMatrix([[0.75, 0.25 - 0.25j], [0.25 + 0.25j, 0.25]], "linear")

@@ -66,8 +66,9 @@ ARGS = {
     "PoincareFrame": (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
                       np.array([0.0, 1.0, 0.0])),
 }
-# what a record may keep beside its fields, by base class
+# what a record may keep beside its fields, by base class, and what it fills there when made
 KEPT = {_Element: ["_linear"], WaveState: ["_jones"]}
+FILLED = {WaveState: ["_jones"]}
 
 
 def values(x):
@@ -109,14 +110,15 @@ def test_a_record_behaves_as_a_frozen_dataclass(cls):
         (f.name, f.type) for f in fields]
     if cls.__doc__.startswith(f"{cls.__name__}("):  # dataclass's docstring, from the signature
         assert cls.__doc__ == cls.__name__ + str(signature).replace(" -> None", "")
-    assert list(slots(x)) == names  # it holds its fields, in order
+    assert list(slots(x)) == names + FILLED.get(cls, [])  # it holds its fields, in order
     assert_slotted(x, names + next((v for k, v in KEPT.items() if issubclass(cls, k)), []))
     assert_same(cls(**dict(zip(names, args))), x)
     y = dataclasses.replace(x)
     assert y is not x
     assert_same(y, x)
-    assert_same(pickle.loads(pickle.dumps(x)), x)
-    assert_same(copy.copy(x), x)
+    for dup in (pickle.loads(pickle.dumps(x)), copy.copy(x)):
+        assert_same(dup, x)
+        assert repr(slots(dup)) == repr(slots(x))  # the same slots, bit for bit
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(x, names[0], args[0])
 

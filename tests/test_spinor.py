@@ -31,10 +31,33 @@ from polspin import (
     wave_from_jones,
     wave_from_stokes,
 )
-from polspin.pauli import SIGMA1, SIGMA3, U_BASIS
-from polspin.spinor import _check_wave
+from polspin.beamio import parse_beam_json
+from polspin.filters import Rotator, apply
+from polspin.pauli import SIGMA1, SIGMA3, U_BASIS, U_INV_ROWS, U_ROWS
+from polspin.spinor import _check_wave, _times
 
 from .conftest import as_spinor, random_su2, random_unit_spinors, slots
+
+
+# Pickles of WaveState(0.5, Spinor2(1, 0)) stepped through Rotator(0.5), and of the wave itself,
+# made when a wave held only the spinor it was built or stepped in, `pickle.dumps(w, 4)`
+PARENT_PICKLE_STEPPED = (
+    b"\x80\x04\x95\xb0\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07getattr\x94\x93\x94"
+    b"\x8c\x0epolspin.spinor\x94\x8c\tWaveState\x94\x93\x94\x8c\x05_held\x94\x86\x94R\x94}\x94(\x8c"
+    b"\tamplitude\x94G?\xe0\x00\x00\x00\x00\x00\x00\x8c\x06_jones\x94\x8c\x08builtins\x94\x8c\x07"
+    b"complex\x94\x93\x94G?\xc9{g\x98k\xf4\xb0G?\xe5\xb6N @\x80$\x86\x94R\x94h\x0eG\xbf\xe5\xb6N @"
+    b"\x80$G?\xc9{g\x98k\xf4\xb0\x86\x94R\x94\x86\x94u\x85\x94R\x94.")
+PARENT_PICKLE_BUILT = (
+    b"\x80\x04\x95\xc0\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07getattr\x94\x93\x94"
+    b"\x8c\x0epolspin.spinor\x94\x8c\tWaveState\x94\x93\x94\x8c\x05_held\x94\x86\x94R\x94}\x94(\x8c"
+    b"\tamplitude\x94G?\xe0\x00\x00\x00\x00\x00\x00\x8c\x06spinor\x94h\x03\x8c\x07Spinor2\x94\x93"
+    b"\x94\x8c\x08builtins\x94\x8c\x07complex\x94\x93\x94G?\xf0\x00\x00\x00\x00\x00\x00G\x00\x00"
+    b"\x00\x00\x00\x00\x00\x00\x86\x94R\x94h\x10G\x00\x00\x00\x00\x00\x00\x00\x00G\x00\x00\x00"
+    b"\x00\x00\x00\x00\x00\x86\x94R\x94\x86\x94R\x94u\x85\x94R\x94.")
+
+
+def astuple(o):
+    return o.c1, o.c2
 
 
 def wave(theta, phi=0.0, chi=0.0, amp=1.0):
@@ -422,7 +445,8 @@ class TestWaveStateFluxFloor:
         with pytest.raises(ValueError) as got:
             _check_wave(amp, c1, c2)
         assert str(got.value) == str(want.value)
-        assert slots(WaveState._of(amp, c1, c2)) == {"amplitude": amp, "_jones": (c1, c2)}
+        w = WaveState._of(amp, c1, c2)
+        assert (w.amplitude, w._jones) == (amp, (c1, c2))
 
     def test_raw_constructor_equals_the_constructor(self):
         # the raw constructor takes the Jones spinor U o: here U (1, 0), whose entries and
@@ -434,25 +458,43 @@ class TestWaveStateFluxFloor:
         with pytest.raises(dataclasses.FrozenInstanceError):
             w.amplitude = 1.0
 
-    @pytest.mark.parametrize("held", ["circular", "linear"])
-    def test_the_held_basis_is_not_seen(self, held):
-        # a wave built from its spinor holds it; a step holds the Jones spinor U o.  Either
-        # way the wave compares, hashes and prints as its amplitude and circular spinor,
-        # pickles and copies to a wave that holds the same, and stays frozen; each view is
-        # made once
-        w = wave(1.1, 0.4, 0.3, amp=1.7)
-        if held == "linear":
-            w = WaveState._of(w.amplitude, *w._jones)
-        assert list(slots(w)) == ["amplitude", "spinor" if held == "circular" else "_jones"]
-        twin = WaveState(w.amplitude, w.spinor)  # the same wave, held circular
+    @pytest.mark.parametrize("route", ["constructor", "apply", "_of", "wave_from_jones",
+                                       "wave_from_stokes", "angles beam"])
+    def test_every_route_makes_a_wave_that_holds_both_spinors(self, route):
+        # a wave holds its amplitude, its spinor o and its Jones spinor U o from the moment it is
+        # made, and its copies hold the same, bit for bit: a built wave's _jones is U o of the
+        # spinor it was given, a stepped wave's spinor U^-1 of the Jones spinor it was given
+        built = wave(1.1, 0.4, 0.3, amp=1.7)
+        w = {"constructor": lambda: built,
+             "apply": lambda: apply(Rotator(0.3), built),
+             "_of": lambda: WaveState._of(0.5, 0.5 + 0.5j, -0.5 + 0.5j),
+             "wave_from_jones": lambda: wave_from_jones(JonesAmpPhase(1.0, 0.5, 0.0, 0.7)),
+             "wave_from_stokes": lambda: wave_from_stokes(StokesVector(2.0, 1.2, 0.0, 1.6)),
+             "angles beam": lambda: parse_beam_json(
+                 '{"angles": {"theta": 1.1, "phi": 0.4, "chi": 0.3, "amp": 1.7}}').wave}[route]()
+        assert not hasattr(WaveState, "__getattr__")
+        o, jones = w.spinor, w._jones
+        if route in ("apply", "_of"):
+            assert repr(astuple(o)) == repr(_times(U_INV_ROWS, *jones))
+        else:
+            assert repr(jones) == repr(_times(U_ROWS, o.c1, o.c2))
+        twin = WaveState(w.amplitude, o)  # the same wave, its Jones spinor made from o
         assert w == twin and hash(w) == hash(twin)
-        assert repr(w) == repr(twin) == f"WaveState(amplitude=1.7, spinor={w.spinor!r})"
-        assert w.spinor is w.spinor and w._jones is w._jones
-        for dup in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
-            assert type(dup) is WaveState and dup == w and repr(slots(dup)) == repr(slots(w))
-        for name in ("amplitude", "spinor", "_jones"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(w, name, getattr(w, name))
+        assert repr(w) == f"WaveState(amplitude={w.amplitude!r}, spinor={o!r})"
+        for x in (w, pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert type(x) is WaveState and x == w
+            assert repr(slots(x)) == repr({"amplitude": w.amplitude, "spinor": o, "_jones": jones})
+            for name in ("amplitude", "spinor", "_jones"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(x, name, getattr(x, name))
+
+    @pytest.mark.parametrize("data", [PARENT_PICKLE_STEPPED, PARENT_PICKLE_BUILT],
+                             ids=["stepped", "built"])
+    def test_a_pickle_of_a_wave_that_held_one_spinor_raises_when_loaded(self, data):
+        # a wave once held one of its spinors and pickled only that one; such a pickle does not
+        # load to a wave whose .spinor or == would raise later: it raises when loaded
+        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is shorter than argument 1$"):
+            pickle.loads(data)
 
     def test_pure_stokes_with_subnormal_s0_rejected(self):
         with pytest.raises(ValueError, match="underflows"):

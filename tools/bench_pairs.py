@@ -18,15 +18,16 @@ rounds time, in one process per tree and round, `parse_train` and the prefix pro
 (`filters._prefixes`) of the first long-train seed's 6000-element train, the best of
 LAYER_REPEATS calls each: warm CLI passes reuse both from the CLI's train memo, so no
 perfbench layer sees them.  They also time `apply_chain_us`: one pure beam built, stepped
-through the README train by `filters.apply` and read as `.spinor`, which shows what the
-spinor views cost, `record_init_us`: 1000 each of `StokesVector`, `Spinor2` and `AngleSet`
-built from fixed floats, the cost of the value records' constructors, and `record_read_us`:
-1000 x 4 field reads of each of the three.  These and `src_lines`, the
-line count of each tree's `src/`, are records, not gates.  The summary gives, per
-end-to-end metric, the medians and quartiles
-(statistics.quantiles, exclusive) of both sides, in how many pairs the
-change was better (the direction comes from BENCHMARK.json) and the
-relative change of the medians.  Standard library only.
+through the README train by `filters.apply` and read as `.spinor`, which shows what a wave's
+two spinors cost, `apply_chain_long_us`: the same through the README train ten times over
+(60 elements), which shows the cost per step, `record_init_us`: 1000 each of `StokesVector`,
+`Spinor2` and `AngleSet` built from fixed floats, the cost of the value records' constructors,
+and `record_read_us`: 1000 x 4 field reads of each of the three.  Each layer gives both
+sides' best and median over the rounds and the rounds in which the change was lower.  These
+and `src_lines`, the line count of each tree's `src/`, are records, not gates.  The summary
+gives, per end-to-end metric, the medians and quartiles (statistics.quantiles, exclusive) of
+both sides, in how many pairs the change was better (the direction comes from BENCHMARK.json)
+and the relative change of the medians.  Standard library only.
 """
 
 import argparse
@@ -49,7 +50,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = SPEC["run_seconds"]
 TRACED_PAIRS = 5
 COLD_RUNS = 30  # alternating pairs of cold processes per command; 10 could not resolve 20%
-LAYER_ROUNDS, LAYER_REPEATS = 3, 9  # in-process layer timings: alternating rounds, calls each
+LAYER_ROUNDS, LAYER_REPEATS = 8, 9  # in-process layer timings: alternating rounds, calls each
 JONES_BEAM = {"jones": {"a1": 1.0, "a2": 0.5, "phi1": 0.0, "phi2": 0.7}}  # cold convert_jones and phase
 COMMAND = f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {SECONDS:g} --trace "
 
@@ -147,8 +148,8 @@ def cold_argvs(workdir):
 
 # Run in a tree with the seed as argv[1]: the best of LAYER_REPEATS timings of parse_train
 # (us per line) and of the prefix products (ms) of that seed's long-train train, of
-# 1000 README-train chains of apply (us per chain; one is about 20 us) and of 1000 builds each
-# of three value records (us in all), as JSON.
+# 1000 chains of apply through the README train and through it ten times over (us per chain;
+# about 12 and 110 us) and of 1000 builds each of three value records (us in all), as JSON.
 LAYER_SCRIPT = """
 import json, sys, tempfile, time
 from pathlib import Path
@@ -172,10 +173,10 @@ elements = parse_train(text).document.elements
 readme = parse_train(README_TRAIN).document.elements
 b = README_PURE_BEAM["angles"]
 o = spinor_from_angles(AngleSet(b["theta"], b["phi"], b["chi"]))
-def chains():  # the wave built, stepped through the README train and read as .spinor
+def chains(train=readme):  # the wave built, stepped through a train and read as .spinor
     for _ in range(1000):
         w = WaveState(b["amp"], o)
-        for e in readme:
+        for e in train:
             w = apply(e, w)
         w.spinor
 def records():  # 1000 each of three value records, from fixed floats
@@ -193,26 +194,32 @@ print(json.dumps({"parse_train_us_per_line": best(lambda: parse_train(text)) / 1
                   / len(text.splitlines()),
                   "prefixes_ms": best(lambda: list(_prefixes(elements))) / 1e6,
                   "apply_chain_us": best(chains) / 1e6,
+                  "apply_chain_long_us": best(lambda: chains(readme * 10)) / 1e6,
                   "record_init_us": best(records) / 1e3,
                   "record_read_us": best(reads) / 1e3}))
 """
 
 
 def layer_rounds(trees, seed, rounds=LAYER_ROUNDS, repeats=LAYER_REPEATS):
-    """{metric: {side: best over the rounds, "rel_change": change / parent - 1}} of LAYER_SCRIPT,
-    run in each tree once per round, alternating which side runs first."""
-    best = {side: {} for side in SIDES}
+    """{metric: {side: best over the rounds, "rel_change": change / parent - 1 of the bests,
+    "<side>_median": median over the rounds, "change_lower": rounds where the change was
+    lower}} of LAYER_SCRIPT, run in each tree once per round, alternating which side runs
+    first."""
+    runs = {side: [] for side in SIDES}
     for i in range(rounds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPT, str(seed), str(repeats)],
                                   cwd=trees[side], capture_output=True, text=True)
             if proc.returncode != 0:
                 raise SystemExit(f"layer timing failed in {trees[side]}:\n{proc.stderr[-2000:]}")
-            for name, value in json.loads(proc.stdout).items():
-                best[side][name] = min(value, best[side].get(name, value))
-    return {name: {**{side: best[side][name] for side in SIDES},
-                   "rel_change": best["change"][name] / best["parent"][name] - 1.0}
-            for name in best["parent"]}
+            runs[side].append(json.loads(proc.stdout))
+    out = {}
+    for name in runs["parent"][0]:
+        p, c = ([run[name] for run in runs[side]] for side in SIDES)
+        out[name] = {"parent": min(p), "change": min(c), "rel_change": min(c) / min(p) - 1.0,
+                     "parent_median": statistics.median(p), "change_median": statistics.median(c),
+                     "change_lower": sum(b < a for a, b in zip(p, c))}
+    return out
 
 
 def spread(values):
@@ -367,8 +374,9 @@ def main(argv=None):
             "runs": COLD_RUNS, "metrics": summarize_traced(cold_pairs(trees, argvs))}
         result["in_process_layers"] = {
             "command": "parse_train and list(filters._prefixes) on the long-train train of seed "
-                       f"{args.first_seed}, 1000 README-train chains of filters.apply on the "
-                       "README pure beam, 1000 each of StokesVector, Spinor2 and AngleSet "
+                       f"{args.first_seed}, 1000 chains of filters.apply on the README pure "
+                       "beam through the README train and through it ten times over (60 "
+                       "elements), 1000 each of StokesVector, Spinor2 and AngleSet "
                        "built from fixed floats, and 1000 x 4 field reads of each of the three, "
                        f"best of {LAYER_REPEATS} calls in each of "
                        f"{LAYER_ROUNDS} alternating rounds per tree",
