@@ -39,25 +39,21 @@ from polspin.spinor import _check_wave, _times
 from .conftest import as_spinor, random_su2, random_unit_spinors, slots
 
 
-# Pickles of WaveState(0.5, Spinor2(1, 0)) stepped through Rotator(0.5), and of the wave itself,
-# made when a wave held only the spinor it was built or stepped in, `pickle.dumps(w, 4)`
-PARENT_PICKLE_STEPPED = (
+# `pickle.dumps(w, 4)` of WaveState(0.5, Spinor2(1, 0)) stepped through Rotator(0.5) and of the
+# wave itself, as polspin wrote them when a wave held only the spinor it was built or stepped in
+ONE_SPINOR_PICKLE_STEPPED = (
     b"\x80\x04\x95\xb0\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07getattr\x94\x93\x94"
     b"\x8c\x0epolspin.spinor\x94\x8c\tWaveState\x94\x93\x94\x8c\x05_held\x94\x86\x94R\x94}\x94(\x8c"
     b"\tamplitude\x94G?\xe0\x00\x00\x00\x00\x00\x00\x8c\x06_jones\x94\x8c\x08builtins\x94\x8c\x07"
     b"complex\x94\x93\x94G?\xc9{g\x98k\xf4\xb0G?\xe5\xb6N @\x80$\x86\x94R\x94h\x0eG\xbf\xe5\xb6N @"
     b"\x80$G?\xc9{g\x98k\xf4\xb0\x86\x94R\x94\x86\x94u\x85\x94R\x94.")
-PARENT_PICKLE_BUILT = (
+ONE_SPINOR_PICKLE_BUILT = (
     b"\x80\x04\x95\xc0\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07getattr\x94\x93\x94"
     b"\x8c\x0epolspin.spinor\x94\x8c\tWaveState\x94\x93\x94\x8c\x05_held\x94\x86\x94R\x94}\x94(\x8c"
     b"\tamplitude\x94G?\xe0\x00\x00\x00\x00\x00\x00\x8c\x06spinor\x94h\x03\x8c\x07Spinor2\x94\x93"
     b"\x94\x8c\x08builtins\x94\x8c\x07complex\x94\x93\x94G?\xf0\x00\x00\x00\x00\x00\x00G\x00\x00"
     b"\x00\x00\x00\x00\x00\x00\x86\x94R\x94h\x10G\x00\x00\x00\x00\x00\x00\x00\x00G\x00\x00\x00"
     b"\x00\x00\x00\x00\x00\x86\x94R\x94\x86\x94R\x94u\x85\x94R\x94.")
-
-
-def astuple(o):
-    return o.c1, o.c2
 
 
 def wave(theta, phi=0.0, chi=0.0, amp=1.0):
@@ -460,7 +456,7 @@ class TestWaveStateFluxFloor:
 
     @pytest.mark.parametrize("route", ["constructor", "apply", "_of", "wave_from_jones",
                                        "wave_from_stokes", "angles beam"])
-    def test_every_route_makes_a_wave_that_holds_both_spinors(self, route):
+    def test_every_route_holds_both_spinors(self, route):
         # a wave holds its amplitude, its spinor o and its Jones spinor U o from the moment it is
         # made, and its copies hold the same, bit for bit: a built wave's _jones is U o of the
         # spinor it was given, a stepped wave's spinor U^-1 of the Jones spinor it was given
@@ -475,7 +471,7 @@ class TestWaveStateFluxFloor:
         assert not hasattr(WaveState, "__getattr__")
         o, jones = w.spinor, w._jones
         if route in ("apply", "_of"):
-            assert repr(astuple(o)) == repr(_times(U_INV_ROWS, *jones))
+            assert repr((o.c1, o.c2)) == repr(_times(U_INV_ROWS, *jones))
         else:
             assert repr(jones) == repr(_times(U_ROWS, o.c1, o.c2))
         twin = WaveState(w.amplitude, o)  # the same wave, its Jones spinor made from o
@@ -488,9 +484,9 @@ class TestWaveStateFluxFloor:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(x, name, getattr(x, name))
 
-    @pytest.mark.parametrize("data", [PARENT_PICKLE_STEPPED, PARENT_PICKLE_BUILT],
+    @pytest.mark.parametrize("data", [ONE_SPINOR_PICKLE_STEPPED, ONE_SPINOR_PICKLE_BUILT],
                              ids=["stepped", "built"])
-    def test_a_pickle_of_a_wave_that_held_one_spinor_raises_when_loaded(self, data):
+    def test_an_old_one_spinor_pickle_raises(self, data):
         # a wave once held one of its spinors and pickled only that one; such a pickle does not
         # load to a wave whose .spinor or == would raise later: it raises when loaded
         with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is shorter than argument 1$"):
