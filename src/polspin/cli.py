@@ -8,8 +8,9 @@ round-tripping decimals, so every printed value reparses to the identical double
 COMMANDS gives every command's arguments.  A plain command line is read
 straight from it; argparse is imported, and its parser built from it, only
 for help, usage and errors, so their text is argparse's own.
-`trace` and `mueller` keep one train file: the bytes last read, their parse and, once `mueller`
-or a mixed `trace` asks, the train's prefix products; bytes that differ replace all three.
+`trace` and `mueller` keep one train file: the bytes last read, their parse, the train's prefix
+products once `mueller` or a mixed `trace` asks, and each element's linear form once a pure
+`trace` asks; bytes that differ replace all four.
 parse_train reads the bytes as the file's content: UTF-8 with universal newlines.
 """
 
@@ -49,12 +50,12 @@ class CliError(PolspinError):
     """A command line, or a file it names, that no command can use."""
 
 
-_last_train = None  # (bytes, ParseResult, prefixes call) of the last train file read
+_last_train = None  # (bytes, ParseResult, prefixes call, forms call) of the last train file read
 
 
 def _load_train(path):
-    """The memo entry of a train file: its bytes, their parse and a call that returns its prefix
-    products, one list built whole at the first call and only read; parsed unless last read."""
+    """The memo entry of a train file: its bytes, their parse and two calls, each returning one
+    list built whole at its first call and only read; parsed unless last read."""
     global _last_train
     try:
         with open(path, "rb", buffering=0) as fh:  # one read, no text layer
@@ -66,7 +67,9 @@ def _load_train(path):
         last = _last_train = None  # the old parse is freed before the new one is made
         result = parse_train(raw)  # UTF-8 with universal newlines, as text mode reads them
         prefixes = functools.cache(lambda: list(_prefixes(result.document.elements)))
-        last = _last_train = raw, result, prefixes
+        forms = functools.cache(lambda: [_entries(e, scaled=True)
+                                         for e in result.document.elements])
+        last = _last_train = raw, result, prefixes, forms
     if not last[1].ok:  # formatted on every call, with this call's path
         raise CliError("\n".join(f"{path}:{d.line}:{d.column}: {d.severity}: {d.message}"
                                  for d in last[1].diagnostics))
@@ -121,7 +124,7 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
     """Propagate in the linear basis, printing circular-basis rows.  The beam was validated
     when parsed; every row checks the extinction rule and the invariants the WaveState and
     CoherencyMatrix constructors would, a pure row on apply's raw step, with no WaveState."""
-    _, result, prefixes = _load_train(train_path)
+    _, result, prefixes, forms = _load_train(train_path)
     elements = result.document.elements
     beam = parse_beam_json(beam_json, tol)
     s = beam.stokes.s0, beam.stokes.s1, beam.stokes.s2, beam.stokes.s3
@@ -134,8 +137,8 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
                      f"{s[0]!r},{s[1]!r},{s[2]!r},{s[3]!r},0.0")
         amp, (c1, c2), last = beam.wave.amplitude, beam.wave._jones, None
         k1, k2 = c1.conjugate(), c2.conjugate()
-        for step, element in enumerate(elements, start=1):
-            amp, c1, c2 = _step(_entries(element, scaled=True), amp, c1, c2)
+        for step, (element, entries) in enumerate(zip(elements, forms()), start=1):
+            amp, c1, c2 = _step(entries, amp, c1, c2)
             inner = k1 * c1 + k2 * c2  # <input|o>, as pancharatnam_phase, in either basis
             phase = "" if abs(inner) < PHASE_TOL else repr(cmath.phase(inner))
             r2, r3, r1 = _sphere_point(c1, c2)  # linear (x, y, z) is circular (2, 3, 1)

@@ -21,8 +21,8 @@ amplitude and Jones spinor (A, U o), checked once: the pure `trace` carries them
 field and not pickled.  The train calls of `partial` fold through `_train_product`, which keeps
 the product of the last train they folded and, once `mueller_of_train` asks, its Mueller matrix,
 keyed by its element objects: it keeps them alive until a different train is folded, and calls
-alternating between trains (concurrent sweeps) only miss, never mix entries.  The CLI keeps the
-last train file's bytes, parse and prefix products (`cli`); all else computes closed forms afresh.
+alternating between trains (concurrent sweeps) only miss, never mix entries.  The CLI's memo
+(`cli`) keeps its train's prefix products and linear forms; all else computes closed forms afresh.
 """
 
 import cmath

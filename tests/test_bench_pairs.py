@@ -109,7 +109,8 @@ def test_layer_rounds_time_parse_and_prefixes_in_each_tree(tmp_path):
             (tree / name).symlink_to(bench_pairs.ROOT / name, target_is_directory=True)
     layers = bench_pairs.layer_rounds(trees, seed=1, rounds=2, repeats=1)
     assert sorted(layers) == ["apply_chain_long_us", "apply_chain_us", "parse_train_us_per_line",
-                              "prefixes_ms", "record_init_us", "record_read_us"]
+                              "prefixes_ms", "record_init_us", "record_read_us",
+                              "trace_pure_first_ms", "trace_pure_warm_ms"]
     for layer in layers.values():
         assert layer["parent"] > 0 and layer["change"] > 0
         assert layer["rel_change"] == pytest.approx(layer["change"] / layer["parent"] - 1.0)

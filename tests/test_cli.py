@@ -43,10 +43,11 @@ from polspin import cli, errors, filters
 from polspin.beamio import BeamFormatError, beam_from_stokes, parse_beam_json
 from polspin.cli import TRACE_HEADER, cmd_convert, cmd_mueller, cmd_trace, main
 from polspin.dsl import TrainDocument, parse_train, serialize_train
-from polspin.filters import ELEMENTS, _prefixes, _step
+from polspin.filters import ELEMENTS, _entries, _prefixes, _step
 from polspin.pauli import linear_to_circular
 from polspin.spinor import FLUX_MIN
 
+from .conftest import slots
 from .test_filters import STRONG_TRAIN
 
 
@@ -1646,8 +1647,20 @@ class TestTrainMemo:
         monkeypatch.setattr("polspin.cli._prefixes", counting)
         return trains
 
+    @pytest.fixture
+    def closed_forms(self, monkeypatch):
+        """The elements cli hands to _entries, in order."""
+        elements = []
+
+        def counting(e, scaled=False):
+            elements.append(e)
+            return _entries(e, scaled)
+
+        monkeypatch.setattr("polspin.cli._entries", counting)
+        return elements
+
     def test_prefixes_are_built_once_per_content(self, capsys, tmp_path, parses, folds,
-                                                 monkeypatch):
+                                                 closed_forms, monkeypatch):
         paths = [tmp_path / "a.pol", tmp_path / "b.pol"]
         paths[0].write_text(README_ELEMENTS)
         paths[1].write_text("qwp axis=0.35\natten e1=0.1 e2=0.8\n")
@@ -1657,15 +1670,66 @@ class TestTrainMemo:
             monkeypatch.setattr(cli, "_last_train", None)
             fresh[path, argv] = run(capsys, argv[0], str(path), *argv[1:])
         pure = TRAIN_COMMANDS[1]
+        trains = {path: parse_train(path.read_text()).document.elements for path in paths}
         for sequence in itertools.product(calls, repeat=3):
             monkeypatch.setattr(cli, "_last_train", None)
             folds.clear()
+            closed_forms.clear()
             for path, argv in sequence:
                 assert run(capsys, argv[0], str(path), *argv[1:]) == fresh[path, argv]
-            # one build per run of calls on one file that holds a mueller or a mixed trace
-            runs = [[argv for _, argv in group]
-                    for _, group in itertools.groupby(sequence, key=lambda call: call[0])]
-            assert len(folds) == sum(any(argv != pure for argv in group) for group in runs)
+            # each route builds only what it reads, once per run of calls on one file: the
+            # prefixes for a mueller or a mixed trace, the linear forms for a pure trace
+            runs = [(path, [argv for _, argv in group])
+                    for path, group in itertools.groupby(sequence, key=lambda call: call[0])]
+            assert len(folds) == sum(any(argv != pure for argv in group) for _, group in runs)
+            assert closed_forms == [e for path, group in runs if pure in group
+                                    for e in trains[path]]
+
+    def test_a_warm_pure_trace_evaluates_no_closed_form(self, capsys, tmp_path, parses,
+                                                        monkeypatch):
+        path = tmp_path / "t.pol"
+        path.write_text(README_ELEMENTS)
+        evaluated = []
+
+        def counting(form):
+            return lambda e: evaluated.append(e) or form(e)
+
+        for kind, (name, keys, form) in list(ELEMENTS.items()):  # every closed form, any caller
+            monkeypatch.setitem(ELEMENTS, kind, (name, keys, counting(form)))
+        pure = ("trace", str(path), README_BEAM)
+        first = run(capsys, *pure)
+        assert first[0] == 0 and len(evaluated) == len(README_ELEMENTS.splitlines())
+        evaluated.clear()
+        assert [run(capsys, *pure) for _ in range(3)] == [first] * 3 and evaluated == []
+
+    def test_kept_forms_are_the_closed_forms(self, capsys, tmp_path, parses):
+        # every kind, and an attenuator whose scale e^-715 is below the smallest normal float
+        path = tmp_path / "t.pol"
+        path.write_text(README_ELEMENTS + "atten e1=710 e2=720\n")
+        assert run(capsys, "trace", str(path), README_BEAM)[0] == 3  # the forms are built whole
+        elements = parse_train(path.read_text()).document.elements
+        kept = cli._last_train[3]()
+        assert repr(kept) == repr([_entries(e, scaled=True) for e in elements])
+        assert kept[-1][0] == 1.0 and kept[-1] != _entries(elements[-1])
+        # kept in the memo's own list: the parsed elements hold their fields alone
+        assert all("_linear" not in slots(e) for e in cli._last_train[1].document.elements)
+
+    def test_same_length_edit_drops_the_kept_forms(self, capsys, tmp_path, parses,
+                                                   closed_forms):
+        path = tmp_path / "t.pol"
+        path.write_text(README_ELEMENTS)
+        pure = TRAIN_COMMANDS[1]
+        old = run(capsys, pure[0], str(path), *pure[1:])
+        kept = cli._last_train[3]()
+        stat = path.stat()
+        path.write_text(README_ELEMENTS.replace("atten e1=0.1", "atten e1=0.2"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size, same mtime
+        assert path.stat().st_size == stat.st_size
+        got = run(capsys, pure[0], str(path), *pure[1:])
+        assert got == run_fresh(pure[0], str(path), *pure[1:]) and got != old
+        assert len(parses) == 2 and cli._last_train[3]() is not kept
+        elements = parse_train(path.read_text()).document.elements
+        assert closed_forms[len(kept):] == elements and len(closed_forms) == 2 * len(kept)
 
     def test_same_length_edit_drops_the_kept_prefixes(self, capsys, tmp_path, parses, folds):
         path = tmp_path / "t.pol"
@@ -1700,24 +1764,24 @@ class TestTrainMemo:
             assert got == [want[TRAIN_COMMANDS.index(argv)] for argv in order * 2]
 
     def test_concurrent_calls_on_different_files(self, tmp_path, monkeypatch):
-        # more threads than cores, switching often: no call may read another file's prefixes,
-        # whichever thread replaced the entry while this one built them
+        # more threads than cores, switching often: no call may read another file's prefixes or
+        # linear forms, whichever thread replaced the entry while this one built them
         texts = [README_ELEMENTS, "qwp axis=0.35\natten e1=0.1 e2=0.8\n",
                  "".join(reversed(README_ELEMENTS.splitlines(keepends=True))), "hwp axis=0.3\n"]
         paths = []
         for i, text in enumerate(texts):
             paths.append(str(tmp_path / f"{i}.pol"))
             (tmp_path / f"{i}.pol").write_text(text)
-        mixed = TRAIN_COMMANDS[2][1]
+        pure, mixed = TRAIN_COMMANDS[1][1], TRAIN_COMMANDS[2][1]
         want = []
         for path in paths:
             monkeypatch.setattr(cli, "_last_train", None)
-            want.append((cmd_mueller(path), cmd_trace(path, mixed)))
+            want.append((cmd_mueller(path), cmd_trace(path, mixed), cmd_trace(path, pure)))
         bad = []
 
         def calls(i):
             for _ in range(300):
-                got = cmd_mueller(paths[i]), cmd_trace(paths[i], mixed)
+                got = cmd_mueller(paths[i]), cmd_trace(paths[i], mixed), cmd_trace(paths[i], pure)
                 if got != want[i]:
                     bad.append(i)
 
@@ -1739,10 +1803,10 @@ class TestTrainMemo:
         a.write_text(README_ELEMENTS)
         b.write_text("qwp axis=0.35\natten e1=0.1 e2=0.8\n")
         assert run(capsys, "mueller", str(a))[0] == 0
-        raw, result, prefixes = cli._last_train
+        raw, result, prefixes, forms = cli._last_train
         assert raw == a.read_bytes() and len(prefixes()) == len(README_ELEMENTS.splitlines())
         old = weakref.ref(result.document)
-        del result, prefixes
+        del result, prefixes, forms
         seen = []
 
         def inspecting(source):

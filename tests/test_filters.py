@@ -528,9 +528,11 @@ class TestKeptClosedForm:
 
     @pytest.mark.parametrize("call", NON_KEEPING_CALLS.values(), ids=NON_KEEPING_CALLS)
     def test_only_apply_keeps(self, call, monkeypatch):
-        # the train memos keep products, not element forms; the rest keep nothing
+        # the train memos keep products and the CLI's memo the linear forms, in lists of their
+        # own, none on an element; the rest keep nothing
         train = [type(e)(*as_fields(e)) for e in ALL_ELEMENTS]
-        entry = b"", ParseResult(TrainDocument(elements=train), []), lambda: list(_prefixes(train))
+        entry = (b"", ParseResult(TrainDocument(elements=train), []),
+                 lambda: list(_prefixes(train)), lambda: [_entries(e, scaled=True) for e in train])
         monkeypatch.setattr("polspin.cli._load_train", lambda path: entry)
         call(train)
         for e in train:

@@ -22,7 +22,10 @@ through the README train by `filters.apply` and read as `.spinor`, which shows w
 two spinors cost, `apply_chain_long_us`: the same through the README train ten times over
 (60 elements), which shows the cost per step, `record_init_us`: 1000 each of `StokesVector`,
 `Spinor2` and `AngleSet` built from fixed floats, the cost of the value records' constructors,
-and `record_read_us`: 1000 x 4 field reads of each of the three.  Each layer gives both
+`record_read_us`: 1000 x 4 field reads of each of the three, `trace_pure_warm_ms`: `cli.cmd_trace`
+of that train file with its pure beam, a hit of the CLI's train memo, and `trace_pure_first_ms`:
+the same call with the memo emptied first, so it parses the file and builds what the pure
+trace keeps.  Each layer gives both
 sides' best and median over the rounds and the rounds in which the change was lower.  These
 and `src_lines`, the line count of each tree's `src/`, are records, not gates.  The summary
 gives, per end-to-end metric, the medians and quartiles (statistics.quantiles, exclusive) of
@@ -149,19 +152,22 @@ def cold_argvs(workdir):
 # Run in a tree with the seed as argv[1]: the best of LAYER_REPEATS timings of parse_train
 # (us per line) and of the prefix products (ms) of that seed's long-train train, of
 # 1000 chains of apply through the README train and through it ten times over (us per chain;
-# about 12 and 110 us) and of 1000 builds each of three value records (us in all), as JSON.
+# about 12 and 110 us), of 1000 builds each of three value records (us in all) and of the
+# CLI's pure trace of that train, warm and with the memo emptied (ms), as JSON.
 LAYER_SCRIPT = """
 import json, sys, tempfile, time
 from pathlib import Path
 sys.path[:0] = ["src", "perfbench"]
+from polspin import cli
 from polspin.dsl import parse_train
 from polspin.filters import _prefixes, apply
 from polspin.spinor import AngleSet, Spinor2, StokesVector, WaveState, spinor_from_angles
 from workloads import README_PURE_BEAM, README_TRAIN, generate
 seed, repeats = int(sys.argv[1]), int(sys.argv[2])
-with tempfile.TemporaryDirectory() as tmp:
-    train = Path(generate("long-train", seed, Path(tmp))["reference_train"])
-    text = train.read_text(encoding="utf-8")
+tmp = tempfile.TemporaryDirectory()  # removed at exit
+inputs = generate("long-train", seed, Path(tmp.name))
+train, pure = inputs["reference_train"], inputs["stream"][0]["argv"][2]  # trace_pure's beam
+text = Path(train).read_text(encoding="utf-8")
 def best(call):
     times = []
     for _ in range(repeats):
@@ -190,13 +196,20 @@ def reads(s=StokesVector(1.0, 0.6, 0.0, 0.8), o=Spinor2(0.6 + 0.0j, 0.8j),
         s.s0; s.s1; s.s2; s.s3
         o.c1; o.c2; o.c1; o.c2
         a.theta; a.phi; a.chi; a.theta
+def trace_pure(first):  # first: the memo emptied, so the file is parsed and its forms built
+    if first:
+        cli._last_train = None
+    cli.cmd_trace(train, pure)
+trace_pure(True)  # the warm timings read the memo
 print(json.dumps({"parse_train_us_per_line": best(lambda: parse_train(text)) / 1e3
                   / len(text.splitlines()),
                   "prefixes_ms": best(lambda: list(_prefixes(elements))) / 1e6,
                   "apply_chain_us": best(chains) / 1e6,
                   "apply_chain_long_us": best(lambda: chains(readme * 10)) / 1e6,
                   "record_init_us": best(records) / 1e3,
-                  "record_read_us": best(reads) / 1e3}))
+                  "record_read_us": best(reads) / 1e3,
+                  "trace_pure_warm_ms": best(lambda: trace_pure(False)) / 1e6,
+                  "trace_pure_first_ms": best(lambda: trace_pure(True)) / 1e6}))
 """
 
 
@@ -377,7 +390,9 @@ def main(argv=None):
                        f"{args.first_seed}, 1000 chains of filters.apply on the README pure "
                        "beam through the README train and through it ten times over (60 "
                        "elements), 1000 each of StokesVector, Spinor2 and AngleSet "
-                       "built from fixed floats, and 1000 x 4 field reads of each of the three, "
+                       "built from fixed floats, 1000 x 4 field reads of each of the three, "
+                       "and cli.cmd_trace of that long-train file with its pure beam, warm and "
+                       "with cli._last_train emptied before each call, "
                        f"best of {LAYER_REPEATS} calls in each of "
                        f"{LAYER_ROUNDS} alternating rounds per tree",
             "metrics": layer_rounds(trees, args.first_seed)}
