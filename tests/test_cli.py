@@ -22,6 +22,7 @@ from polspin import (
     Gyrotropic,
     HalfWave,
     OrthogonalStatesError,
+    PhaseShifter,
     QuarterWave,
     Rotator,
     Spinor2,
@@ -1481,13 +1482,18 @@ def crossed(eta1, eta2):
     # s0 = 1.922139272666543e-11 against 1.9221392726742506e-11, over an atol of 7.69e-23
     pytest.param(crossed(12.0, 14.0), id="12.0-14.0", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=CROSS_TERM)),
+    # a shifter between the plates: the trace's s2 = -1.0873458300400275e-17 against
+    # -1.087505952223769e-17, over an atol of 1.40e-21; the 80-digit s2 is -1.0875160431e-17
+    pytest.param([Attenuator(11.0, 0.0), HalfWave(1.0), PhaseShifter(0.0, 2.0**-24), HalfWave(1.0),
+                  Attenuator(0.0, 11.0)], id="11.0-shifter-11.0", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=CROSS_TERM)),
     # the true flux, below every route's rounding noise, leaves no route a right answer
     pytest.param([Rotator(1.0), Attenuator(1.0, 129.0), HalfWave(1.5), HalfWave(1.5),
                   Attenuator(353.0, 0.0)], id="sub-floor", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=SUB_FLOOR)),
 ])
 def test_strong_train_draws_the_property_fails(tmp_path_factory, train):
-    """The property's body on four draws it can find, circular beams through strong trains.
+    """The property's body on five draws it can find, circular beams through strong trains.
     The routes share their rounding, so only a reference (ROADMAP item 4), a derived cross
     term or a verdict below the noise floor (item 2) can settle them; each flips its draw."""
     test_strong_trains_every_route_raises_together_or_agrees.hypothesis.inner_test(
