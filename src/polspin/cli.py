@@ -8,9 +8,8 @@ round-tripping decimals, so every printed value reparses to the identical double
 COMMANDS gives every command's arguments.  A plain command line is read
 straight from it; argparse is imported, and its parser built from it, only
 for help, usage and errors, so their text is argparse's own.
-`trace` and `mueller` keep one train file: the bytes last read, their parse, the train's prefix
-products once `mueller` or a mixed `trace` asks, and each element's linear form once a pure
-`trace` asks; bytes that differ replace all four.
+`trace` and `mueller` keep one train file: the bytes last read, their parse and, once one of
+them asks, the train's prefix products, which both read; bytes that differ replace all three.
 parse_train reads the bytes as the file's content: UTF-8 with universal newlines.
 """
 
@@ -24,7 +23,7 @@ from operator import attrgetter
 from .beamio import PURITY_TOL, _beam_from_json, _decode_json, parse_beam_json
 from .dsl import parse_train
 from .errors import PolspinError
-from .filters import ELEMENTS, _entries, _prefixes, _step
+from .filters import ELEMENTS, _prefixes, _step
 from .partial import (
     _decomposition,
     _mueller_rows,
@@ -50,12 +49,12 @@ class CliError(PolspinError):
     """A command line, or a file it names, that no command can use."""
 
 
-_last_train = None  # (bytes, ParseResult, prefixes call, forms call) of the last train file read
+_last_train = None  # (bytes, ParseResult, prefixes call) of the last train file read
 
 
 def _load_train(path):
-    """The memo entry of a train file: its bytes, their parse and two calls, each returning one
-    list built whole at its first call and only read; parsed unless last read."""
+    """The memo entry of a train file: its bytes, their parse and a call returning the list of
+    its prefix products, built whole at the first call and only read; parsed unless last read."""
     global _last_train
     try:
         with open(path, "rb", buffering=0) as fh:  # one read, no text layer
@@ -67,9 +66,7 @@ def _load_train(path):
         last = _last_train = None  # the old parse is freed before the new one is made
         result = parse_train(raw)  # UTF-8 with universal newlines, as text mode reads them
         prefixes = functools.cache(lambda: list(_prefixes(result.document.elements)))
-        forms = functools.cache(lambda: [_entries(e, scaled=True)
-                                         for e in result.document.elements])
-        last = _last_train = raw, result, prefixes, forms
+        last = _last_train = raw, result, prefixes
     if not last[1].ok:  # formatted on every call, with this call's path
         raise CliError("\n".join(f"{path}:{d.line}:{d.column}: {d.severity}: {d.message}"
                                  for d in last[1].diagnostics))
@@ -121,29 +118,32 @@ def _mixed_row(step, name, s0, s1, s2, s3):
 
 
 def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
-    """Propagate in the linear basis, printing circular-basis rows.  The beam was validated
-    when parsed; every row checks the extinction rule and the invariants the WaveState and
-    CoherencyMatrix constructors would, a pure row on apply's raw step, with no WaveState."""
-    _, result, prefixes, forms = _load_train(train_path)
+    """Propagate in the linear basis, printing circular-basis rows; row k applies the kept prefix
+    F_k to the input, and checks extinction and what the WaveState and CoherencyMatrix
+    constructors would.  A pure row is _step of U o by F_k A / A_{k-1}, A_{k-1} the last row's
+    amplitude: its ||v|| is the step's gain, so a unitary step keeps A, and s0's digits, exactly."""
+    _, result, prefixes = _load_train(train_path)
     elements = result.document.elements
     beam = parse_beam_json(beam_json, tol)
     s = beam.stokes.s0, beam.stokes.s1, beam.stokes.s2, beam.stokes.s3
     _require_flux(s[0])
     lines = [TRACE_HEADER]
+    # prefixes() raises EmptyTrainError on an empty train, which gives the input row alone
+    steps = enumerate(zip(elements, elements and prefixes()), start=1)
     if beam.pure:  # a row: sphere point r, Re M of the spinor, Stokes s, phase
         o = beam.wave.spinor  # the input row reads the circular spinor, the steps U o
         (r1, r2, r3), (m1, m2, m3) = _sphere_point(o.c1, o.c2), _tangent(o.c1, o.c2)
         lines.append(f"0,input,{r1!r},{r2!r},{r3!r},{m1.real!r},{m2.real!r},{m3.real!r},"
                      f"{s[0]!r},{s[1]!r},{s[2]!r},{s[3]!r},0.0")
-        amp, (c1, c2), last = beam.wave.amplitude, beam.wave._jones, None
-        k1, k2 = c1.conjugate(), c2.conjugate()
-        for step, (element, entries) in enumerate(zip(elements, forms()), start=1):
-            amp, c1, c2 = _step(entries, amp, c1, c2)
+        a_in, (j1, j2) = beam.wave.amplitude, beam.wave._jones
+        amp, last, k1, k2 = a_in, None, j1.conjugate(), j2.conjugate()
+        for step, (element, f) in steps:  # a_in <= MAX_MAGNITUDE, amp >= sqrt(FLUX_MIN): finite
+            amp, c1, c2 = _step((a_in / amp, *f), amp, j1, j2)
             inner = k1 * c1 + k2 * c2  # <input|o>, as pancharatnam_phase, in either basis
             phase = "" if abs(inner) < PHASE_TOL else repr(cmath.phase(inner))
             r2, r3, r1 = _sphere_point(c1, c2)  # linear (x, y, z) is circular (2, 3, 1)
             m2, m3, m1 = _tangent(c1, c2)
-            if amp != last:  # a unitary step keeps A bit for bit, and so s0's digits
+            if amp != last:  # a kept A keeps s0's text
                 last, s0, s0_text = amp, amp**2, repr(amp**2)
             lines.append(f"{step},{ELEMENTS[type(element)][0]},{r1!r},{r2!r},{r3!r},"
                          f"{m1.real!r},{m2.real!r},{m3.real!r},"
@@ -151,8 +151,7 @@ def cmd_trace(train_path, beam_json, tol=PURITY_TOL):
     else:  # F of each kept prefix on the input C: its rounding is squared, not C's carried on
         lines.append(_mixed_row(0, "input", *s))
         propagate = _propagator(beam.stokes)
-        # prefixes() raises EmptyTrainError on an empty train, which gives the input row alone
-        for step, (element, f) in enumerate(zip(elements, elements and prefixes()), 1):
+        for step, (element, f) in steps:
             lines.append(_mixed_row(step, ELEMENTS[type(element)][0], *propagate(f)))
     return "\n".join(lines) + "\n"
 

@@ -13,16 +13,16 @@ attenuation prefactors live in scale.  The closed forms are in the linear
     attenuator      scale e^{-(e1+e2)/2},   m = diag(e^{(e2-e1)/2}, e^{(e1-e2)/2})
 
 The circular basis is an edge view, U^-1 m U with the same scale, for `element_matrix` and
-`compose`: there an attenuator's m has cosh and sinh entries, which round alike past a spread
-of about 37.  Composition is in propagation order: the first element of a train is the rightmost
+`compose`: there an attenuator's m has cosh and sinh entries, which round alike past a spread of
+about 37.  Composition is in propagation order: the first element of a train is the rightmost
 factor.  One cache per level: element, train and the CLI's train file.  `_step` steps a raw
-amplitude and Jones spinor (A, U o), checked once: the pure `trace` carries them row to row;
-`apply` wraps them in a WaveState and keeps the element's linear form in its `_linear` slot, no
-field and not pickled.  The train calls of `partial` fold through `_train_product`, which keeps
-the product of the last train they folded and, once `mueller_of_train` asks, its Mueller matrix,
-keyed by its element objects: it keeps them alive until a different train is folded, and calls
-alternating between trains (concurrent sweeps) only miss, never mix entries.  The CLI's memo
-(`cli`) keeps its train's prefix products and linear forms; all else computes closed forms afresh.
+amplitude and Jones spinor (A, U o), checked once: the pure `trace` steps its input by each prefix
+product; `apply` wraps the step in a WaveState and keeps the element's linear form in its `_linear`
+slot, no field and not pickled.  The train calls of `partial` fold through `_train_product`, which
+keeps the product of the last train they folded and, once `mueller_of_train` asks, its Mueller
+matrix, keyed by its element objects: it keeps them alive until a different train is folded, and
+calls alternating between trains (concurrent sweeps) only miss, never mix entries.  The CLI's memo
+keeps its train's prefix products; all else computes closed forms afresh.
 """
 
 import cmath

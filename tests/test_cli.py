@@ -34,7 +34,6 @@ from polspin import (
     coherency_from_stokes,
     jones_from_wave,
     matrix_circular,
-    matrix_linear,
     pancharatnam_phase,
     poincare_frame,
     stokes_from_coherency,
@@ -44,7 +43,7 @@ from polspin import cli, errors, filters
 from polspin.beamio import BeamFormatError, beam_from_stokes, parse_beam_json
 from polspin.cli import TRACE_HEADER, cmd_convert, cmd_mueller, cmd_trace, main
 from polspin.dsl import TrainDocument, parse_train, serialize_train
-from polspin.filters import ELEMENTS, _entries, _prefixes, _step
+from polspin.filters import ELEMENTS, _prefixes, _step
 from polspin.pauli import linear_to_circular
 from polspin.spinor import FLUX_MIN
 
@@ -1134,13 +1133,14 @@ def oracle_trace(train_text, beam_json, basis="linear"):
     """`trace` stdout rebuilt step by step from the public objects.
 
     In the linear basis, which `trace` works in, this is its output byte for byte:
-    for a pure beam, the Jones-basis spinor U o stepped with each element's
-    matrix_linear, read by poincare_frame, stokes_from_wave and pancharatnam_phase
-    and permuted to the circular basis; for a mixed one, apply_train_to_coherency
-    of each prefix of the train on a linear C, and stokes_from_coherency.  In the
-    circular basis: apply, read through the wave's circular spinor, and
-    apply_filter_to_coherency on a circular C, one element at a time, which agree
-    with it to rounding."""
+    for a pure beam, the Jones-basis spinor U o stepped by _step with each prefix
+    product F_k of the train (filters._prefixes) scaled by A_in / A_{k-1}, from the
+    amplitude A_{k-1} of the row before, read by poincare_frame, stokes_from_wave and
+    pancharatnam_phase and permuted to the circular basis; for a mixed one,
+    apply_train_to_coherency of each prefix of the train on a linear C, and
+    stokes_from_coherency.  In the circular basis: apply, read through the wave's
+    circular spinor, and apply_filter_to_coherency on a circular C, one element at a
+    time, which agree with it to rounding."""
     doc = parse_train(train_text).document
     beam = parse_beam_json(beam_json)
 
@@ -1160,13 +1160,12 @@ def oracle_trace(train_text, beam_json, basis="linear"):
         lines.append(row(0, "input", frame.r, frame.m_re, beam.stokes, 0.0))
         if basis == "linear":
             ref = Spinor2(*jones_from_wave(w)[0].tolist())  # U o
-            w = WaveState(w.amplitude, ref)
+            w, prefixes = WaveState(w.amplitude, ref), _prefixes(doc.elements)
         for step, (name, e) in enumerate(zip(names, doc.elements), start=1):
             if basis == "linear":
-                em = matrix_linear(e)
-                f = (em.scale, *em.m.ravel().tolist())
-                # w holds U o as its spinor; _step takes and gives the raw (A, U o)
-                amp, c1, c2 = _step(f, w.amplitude, w.spinor.c1, w.spinor.c2)
+                f = (beam.wave.amplitude / w.amplitude, *next(prefixes))
+                # _step takes and gives the raw (A, U o); F_k acts on the input's U o
+                amp, c1, c2 = _step(f, w.amplitude, ref.c1, ref.c2)
                 w = WaveState(amp, Spinor2(c1, c2))
             else:
                 w = apply(e, w)
@@ -1222,11 +1221,13 @@ def test_trace_stdout_equals_public_api_oracle(capsys, tmp_path, beam, train):
     want = oracle_trace(text, beam)
     first = next((i for i, (a, b) in enumerate(zip(out.split("\n"), want.split("\n"))) if a != b), None)
     assert (first, len(out)) == (None, len(want))
-    # the circular-basis public path, apply or a circular C, ends each step at the same beam
+    # the circular-basis public path, a chain of apply calls or of a circular C, ends each
+    # step within n eps s0 of the same beam, n the train's length (at most 403 eps s0 seen)
     got, circular = ([[float(v) for v in line.split(",")[8:12]] for line in csv.split()[1:]]
                      for csv in (out, oracle_trace(text, beam, "circular")))
+    n = len(got) - 1
     for row, other in zip(got, circular):
-        np.testing.assert_allclose(row, other, rtol=0, atol=1e-12 * row[0])
+        np.testing.assert_allclose(row, other, rtol=0, atol=n * sys.float_info.epsilon * row[0])
     if train == "antipode" and beam == LINEAR_X:
         assert out.splitlines()[3].endswith(",")  # step 2: an empty phase
 
@@ -1458,14 +1459,15 @@ def test_strong_route_draw_meets_its_reference(tmp_path):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want[0], err_msg=name)
 
 
-FALSE_EXTINCTION = ("FOUND: the pure trace's false extinction; trace and apply raise "
-                    "ExtinctionError where the coherency routes return e^-76/2")
-CROSS_TERM = ("FOUND: the strong-train property's missing cross term; the pure trace's "
-              "rounding, about n eps sqrt(s0_in s0_out), exceeds the property's tolerance")
+FALSE_EXTINCTION = ("FOUND: apply's false extinction; a chain of apply calls raises "
+                    "ExtinctionError where every other route returns e^-76/2")
+CROSS_TERM = ("FOUND: the strong-train property's missing cross term; the rounding that a chain "
+              "of apply calls carries, about n eps sqrt(s0_in s0_out), exceeds the property's "
+              "tolerance")
 
 
-SUB_FLOOR = ("FOUND: the sub-floor draw; the pure routes exit 0 with s0 = 5.2e-35 and the "
-             "coherency routes raise at 1.65e-308, where the 60-digit flux is 4.48e-113")
+SUB_FLOOR = ("FOUND: the sub-floor draw; a chain of apply calls returns s0 = 5.2e-35 and every "
+             "other route raises at 1.65e-308, where the 60-digit flux is 4.48e-113")
 
 
 def crossed(eta1, eta2):
@@ -1476,13 +1478,13 @@ def crossed(eta1, eta2):
 @pytest.mark.parametrize("train", [
     pytest.param(crossed(38.0, 354.0), id="38.0-354.0", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=FALSE_EXTINCTION)),
-    # s2 = -6.555776485207533e-22 against 3.997079174152804e-33, over an atol of 5.68e-22
+    # apply's s2 = -6.555801986608218e-22 against 3.997079174152804e-33, over an atol of 5.68e-22
     pytest.param(crossed(13.0, 11.0), id="13.0-11.0", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=CROSS_TERM)),
-    # s0 = 1.922139272666543e-11 against 1.9221392726742506e-11, over an atol of 7.69e-23
+    # apply's s0 = 1.922139272666543e-11 against 1.9221392726742506e-11, over an atol of 7.69e-23
     pytest.param(crossed(12.0, 14.0), id="12.0-14.0", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=CROSS_TERM)),
-    # a shifter between the plates: the trace's s2 = -1.0873458300400275e-17 against
+    # a shifter between the plates: apply's s2 = -1.0873458307327766e-17 against
     # -1.087505952223769e-17, over an atol of 1.40e-21; the 80-digit s2 is -1.0875160431e-17
     pytest.param([Attenuator(11.0, 0.0), HalfWave(1.0), PhaseShifter(0.0, 2.0**-24), HalfWave(1.0),
                   Attenuator(0.0, 11.0)], id="11.0-shifter-11.0", marks=pytest.mark.xfail(
@@ -1494,10 +1496,97 @@ def crossed(eta1, eta2):
 ])
 def test_strong_train_draws_the_property_fails(tmp_path_factory, train):
     """The property's body on five draws it can find, circular beams through strong trains.
-    The routes share their rounding, so only a reference (ROADMAP item 4), a derived cross
-    term or a verdict below the noise floor (item 2) can settle them; each flips its draw."""
+    On each, the chain of apply calls alone fails: it carries each step's rounding, where the
+    other routes read the train's prefix products.  Only a reference (ROADMAP item 4), a
+    derived cross term or a verdict below the noise floor (item 5) can settle them; each
+    flips its draw."""
     test_strong_trains_every_route_raises_together_or_agrees.hypothesis.inner_test(
         tmp_path_factory, train, 0.0, 0.0, 0.0)
+
+
+# The final Stokes vector of the circular beam (1, 0, 0, 1) through strong trains, to 20 of
+# 80 digits: the draws above whose flux the coherency routes resolve, and an @example
+STRONG_DRAW_REFERENCES = {
+    "38-354": (crossed(38.0, 354.0), (
+        "4.9270773430556290145e-34", "4.9270773430556290145e-34", "-2.0311766282968058744e-269",
+        "5.7090401058641009544e-171")),
+    "13-11": (crossed(13.0, 11.0), (
+        "1.4202794915747790275e-10", "-1.3691886012941457803e-10", "-2.1859281645688247077e-98",
+        "3.7751345442790977516e-11")),
+    "12-14": (crossed(12.0, 14.0), (
+        "1.9221392726742498909e-11", "1.8529952716048478608e-11", "1.2610361326844256529e-98",
+        "5.1090890280633247199e-12")),
+    "11-shifter-11": ([Attenuator(11.0, 0.0), HalfWave(1.0), PhaseShifter(0.0, 2.0**-24),
+                       HalfWave(1.0), Attenuator(0.0, 11.0)], (
+        "2.7932376168086354715e-10", "3.7695239418136570955e-13", "-1.0875160431067071204e-17",
+        "2.793235073287607449e-10")),
+    "21-hwp-hwp-9": ([Attenuator(0.0, 21.0), HalfWave(3.0), HalfWave(3.0), Attenuator(9.0, 0.0)], (
+        "7.6149898726437903313e-9", "7.6149898720688381049e-9", "-7.0609765376800643125e-105",
+        "9.3576229688401746049e-14")),
+}
+CIRCULAR_BEAM = json.dumps({"stokes": [1.0, 0.0, 0.0, 1.0]})  # exactly_pure(0.0, 0.0)
+
+
+def strong_train_file(tmp_path, train):
+    path = tmp_path / "t.pol"
+    path.write_text(serialize_train(TrainDocument(elements=train)))
+    return str(path)
+
+
+@pytest.mark.parametrize("train, reference", STRONG_DRAW_REFERENCES.values(),
+                         ids=STRONG_DRAW_REFERENCES)
+def test_pure_trace_meets_the_strong_draw_references(capsys, tmp_path, train, reference):
+    """The pure `trace` reads the prefix products that the coherency routes read, so its final
+    Stokes vector meets the reference within twice their error (at most 1.5 times it seen); a
+    route that steps the spinor carries its rounding, at 17 to 12700 times it on these draws,
+    and on 38-354 reported a false extinction.  The references are from mpmath 1.3:
+
+        import mpmath as mp
+        mp.mp.dps = 80
+        def atten(e1, e2):
+            return mp.diag([mp.exp(-e1), mp.exp(-e2)])
+        def hwp(a):  # -i [[cos 2a, sin 2a], [sin 2a, -cos 2a]]
+            c, s = mp.cos(2 * a), mp.sin(2 * a)
+            return -1j * mp.matrix([[c, s], [s, -c]])
+        def shifter(d1, d2):
+            return mp.diag([mp.expj(-d1), mp.expj(-d2)])
+        def stokes(*train):  # F C F^dag of the beam (1, 0, 0, 1), read as circular Stokes
+            f = mp.eye(2)
+            for m in train:
+                f = m * f
+            c = f * mp.matrix([[0.5, -0.5j], [0.5j, 0.5]]) * f.H  # C in the linear basis
+            p, q, r = mp.re(c[0, 0]), c[0, 1], mp.re(c[1, 1])
+            print([mp.nstr(v, 20) for v in (p + r, p - r, 2 * mp.re(q), -2 * mp.im(q))])
+        stokes(atten(38, 0), hwp(1), hwp(1), atten(0, 354))
+        stokes(atten(13, 0), hwp(1), hwp(1), atten(0, 11))
+        stokes(atten(12, 0), hwp(1), hwp(1), atten(0, 14))
+        stokes(atten(11, 0), hwp(1), shifter(0, 2**-24), hwp(1), atten(0, 11))
+        stokes(atten(0, 21), hwp(3), hwp(3), atten(9, 0))
+    """
+    path = strong_train_file(tmp_path, train)
+    want = [float(v) for v in reference]
+    code, out, err = run(capsys, "trace", path, CIRCULAR_BEAM)
+    assert (code, err) == (0, "")
+    got = [float(v) for v in out.split()[-1].split(",")[8:12]]
+    s = parse_beam_json(CIRCULAR_BEAM).stokes
+    mixed = cmd_trace(path, CIRCULAR_BEAM, -1.0).split()[-1].split(",")[8:12]
+    coherency = [[float(v) for v in mixed],
+                 *(stokes_from_coherency(apply_train_to_coherency(train, coherency_from_stokes(
+                     s, basis))).as_array().tolist() for basis in ("circular", "linear"))]
+    error = max(max(abs(a - b) for a, b in zip(route, want)) for route in coherency)
+    np.testing.assert_allclose(got, want, rtol=0, atol=2.0 * error)
+
+
+def test_sub_floor_draw_exits_3_on_every_cli_route(capsys, tmp_path):
+    """Below the train's rounding noise (true flux 4.48e-113) the pure `trace` raises with
+    `mueller` and the mixed trace of the same floats (--tolerance=-1), until a noise-floor
+    verdict (ROADMAP item 5) replaces their false extinction; only apply returns."""
+    path = strong_train_file(tmp_path, [Rotator(1.0), Attenuator(1.0, 129.0), HalfWave(1.5),
+                                        HalfWave(1.5), Attenuator(353.0, 0.0)])
+    for argv in (["trace", path, CIRCULAR_BEAM], ["trace", path, CIRCULAR_BEAM, "--tolerance=-1"],
+                 ["mueller", path]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "underflows" in err, argv
 
 
 def run_fresh(*argv, python=()):
@@ -1653,20 +1742,8 @@ class TestTrainMemo:
         monkeypatch.setattr("polspin.cli._prefixes", counting)
         return trains
 
-    @pytest.fixture
-    def closed_forms(self, monkeypatch):
-        """The elements cli hands to _entries, in order."""
-        elements = []
-
-        def counting(e, scaled=False):
-            elements.append(e)
-            return _entries(e, scaled)
-
-        monkeypatch.setattr("polspin.cli._entries", counting)
-        return elements
-
     def test_prefixes_are_built_once_per_content(self, capsys, tmp_path, parses, folds,
-                                                 closed_forms, monkeypatch):
+                                                 monkeypatch):
         paths = [tmp_path / "a.pol", tmp_path / "b.pol"]
         paths[0].write_text(README_ELEMENTS)
         paths[1].write_text("qwp axis=0.35\natten e1=0.1 e2=0.8\n")
@@ -1675,21 +1752,16 @@ class TestTrainMemo:
         for path, argv in calls:
             monkeypatch.setattr(cli, "_last_train", None)
             fresh[path, argv] = run(capsys, argv[0], str(path), *argv[1:])
-        pure = TRAIN_COMMANDS[1]
         trains = {path: parse_train(path.read_text()).document.elements for path in paths}
         for sequence in itertools.product(calls, repeat=3):
             monkeypatch.setattr(cli, "_last_train", None)
             folds.clear()
-            closed_forms.clear()
             for path, argv in sequence:
                 assert run(capsys, argv[0], str(path), *argv[1:]) == fresh[path, argv]
-            # each route builds only what it reads, once per run of calls on one file: the
-            # prefixes for a mueller or a mixed trace, the linear forms for a pure trace
-            runs = [(path, [argv for _, argv in group])
-                    for path, group in itertools.groupby(sequence, key=lambda call: call[0])]
-            assert len(folds) == sum(any(argv != pure for argv in group) for _, group in runs)
-            assert closed_forms == [e for path, group in runs if pure in group
-                                    for e in trains[path]]
+            # mueller and the pure and mixed trace all read the prefixes, built once per run
+            # of calls on one file
+            runs = [path for path, _ in itertools.groupby(sequence, key=lambda call: call[0])]
+            assert folds == [trains[path] for path in runs]
 
     def test_a_warm_pure_trace_evaluates_no_closed_form(self, capsys, tmp_path, parses,
                                                         monkeypatch):
@@ -1708,46 +1780,27 @@ class TestTrainMemo:
         evaluated.clear()
         assert [run(capsys, *pure) for _ in range(3)] == [first] * 3 and evaluated == []
 
-    def test_kept_forms_are_the_closed_forms(self, capsys, tmp_path, parses):
+    def test_kept_prefixes_are_built_whole(self, capsys, tmp_path, parses):
         # every kind, and an attenuator whose scale e^-715 is below the smallest normal float
         path = tmp_path / "t.pol"
         path.write_text(README_ELEMENTS + "atten e1=710 e2=720\n")
-        assert run(capsys, "trace", str(path), README_BEAM)[0] == 3  # the forms are built whole
+        assert run(capsys, "trace", str(path), README_BEAM)[0] == 3  # extinct at the last row
         elements = parse_train(path.read_text()).document.elements
-        kept = cli._last_train[3]()
-        assert repr(kept) == repr([_entries(e, scaled=True) for e in elements])
-        assert kept[-1][0] == 1.0 and kept[-1] != _entries(elements[-1])
+        assert repr(cli._last_train[2]()) == repr(list(_prefixes(elements)))
         # kept in the memo's own list: the parsed elements hold their fields alone
         assert all("_linear" not in slots(e) for e in cli._last_train[1].document.elements)
-
-    def test_same_length_edit_drops_the_kept_forms(self, capsys, tmp_path, parses,
-                                                   closed_forms):
-        path = tmp_path / "t.pol"
-        path.write_text(README_ELEMENTS)
-        pure = TRAIN_COMMANDS[1]
-        old = run(capsys, pure[0], str(path), *pure[1:])
-        kept = cli._last_train[3]()
-        stat = path.stat()
-        path.write_text(README_ELEMENTS.replace("atten e1=0.1", "atten e1=0.2"))
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size, same mtime
-        assert path.stat().st_size == stat.st_size
-        got = run(capsys, pure[0], str(path), *pure[1:])
-        assert got == run_fresh(pure[0], str(path), *pure[1:]) and got != old
-        assert len(parses) == 2 and cli._last_train[3]() is not kept
-        elements = parse_train(path.read_text()).document.elements
-        assert closed_forms[len(kept):] == elements and len(closed_forms) == 2 * len(kept)
 
     def test_same_length_edit_drops_the_kept_prefixes(self, capsys, tmp_path, parses, folds):
         path = tmp_path / "t.pol"
         path.write_text(README_ELEMENTS)
-        mueller, _, mixed = TRAIN_COMMANDS
-        old = [run(capsys, argv[0], str(path), *argv[1:]) for argv in (mixed, mueller)]
+        mueller, pure, mixed = TRAIN_COMMANDS
+        old = [run(capsys, argv[0], str(path), *argv[1:]) for argv in (mixed, pure, mueller)]
         kept = cli._last_train[2]()
         stat = path.stat()
         path.write_text(README_ELEMENTS.replace("atten e1=0.1", "atten e1=0.2"))
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size, same mtime
         assert path.stat().st_size == stat.st_size
-        for argv, before in zip((mueller, mixed), old[::-1]):
+        for argv, before in zip((mueller, pure, mixed), old[::-1]):
             got = run(capsys, argv[0], str(path), *argv[1:])
             assert got == run_fresh(argv[0], str(path), *argv[1:]) and got != before
         assert len(parses) == len(folds) == 2 and cli._last_train[2]() is not kept
@@ -1770,8 +1823,8 @@ class TestTrainMemo:
             assert got == [want[TRAIN_COMMANDS.index(argv)] for argv in order * 2]
 
     def test_concurrent_calls_on_different_files(self, tmp_path, monkeypatch):
-        # more threads than cores, switching often: no call may read another file's prefixes or
-        # linear forms, whichever thread replaced the entry while this one built them
+        # more threads than cores, switching often: no call may read another file's prefixes,
+        # whichever thread replaced the entry while this one built them
         texts = [README_ELEMENTS, "qwp axis=0.35\natten e1=0.1 e2=0.8\n",
                  "".join(reversed(README_ELEMENTS.splitlines(keepends=True))), "hwp axis=0.3\n"]
         paths = []
@@ -1809,10 +1862,10 @@ class TestTrainMemo:
         a.write_text(README_ELEMENTS)
         b.write_text("qwp axis=0.35\natten e1=0.1 e2=0.8\n")
         assert run(capsys, "mueller", str(a))[0] == 0
-        raw, result, prefixes, forms = cli._last_train
+        raw, result, prefixes = cli._last_train
         assert raw == a.read_bytes() and len(prefixes()) == len(README_ELEMENTS.splitlines())
         old = weakref.ref(result.document)
-        del result, prefixes, forms
+        del result, prefixes
         seen = []
 
         def inspecting(source):

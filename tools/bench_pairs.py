@@ -24,8 +24,8 @@ two spinors cost, `apply_chain_long_us`: the same through the README train ten t
 `Spinor2` and `AngleSet` built from fixed floats, the cost of the value records' constructors,
 `record_read_us`: 1000 x 4 field reads of each of the three, `trace_pure_warm_ms`: `cli.cmd_trace`
 of that train file with its pure beam, a hit of the CLI's train memo, and `trace_pure_first_ms`:
-the same call with the memo emptied first, so it parses the file and builds what the pure
-trace keeps.  Each layer gives both
+the same call with the memo emptied first, so it parses the file and builds the prefix
+products that it reads.  Each layer gives both
 sides' best and median over the rounds and the rounds in which the change was lower.  These
 and `src_lines`, the line count of each tree's `src/`, are records, not gates.  The summary
 gives, per end-to-end metric, the medians and quartiles (statistics.quantiles, exclusive) of
@@ -197,7 +197,7 @@ def reads(s=StokesVector(1.0, 0.6, 0.0, 0.8), o=Spinor2(0.6 + 0.0j, 0.8j),
         s.s0; s.s1; s.s2; s.s3
         o.c1; o.c2; o.c1; o.c2
         a.theta; a.phi; a.chi; a.theta
-def trace_pure(first):  # first: the memo emptied, so the file is parsed and its forms built
+def trace_pure(first):  # first: the memo emptied, so the file is parsed, its prefixes built
     if first:
         cli._last_train = None
     cli.cmd_trace(train, pure)
