@@ -14,7 +14,8 @@ only by the calls that return ndarrays (`as_array`, `poincare_frame`,
 `jones_from_wave`, `su2_to_so3`, `basis_permutation_check`), when called.
 
 The frozen value classes here and in `filters`, `partial`, `beamio` and `dsl` subclass `_Record`:
-each field is a slot; the class is a frozen dataclass for `fields`, `replace`, `==`, `hash`, `repr`.
+each field is a slot, and `_Record` compares, hashes and prints a record by its fields.  Records
+are plain classes: the standard library's `fields()` and `replace()` do not apply to them.
 
 Conventions fixed here:
   * chi is canonicalized to [0, 2pi); the spinor is recovered from angles
@@ -26,7 +27,6 @@ Conventions fixed here:
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     InvalidStokesError,
@@ -51,9 +51,15 @@ UNIT_TOL = 1e-10  # | |o| - 1 | above which a spinor is not unit
 PURITY_FLOOR = 1e-9  # wave_from_stokes' default tol; beam_from_stokes checks at no less
 
 
+def _frozen(self, name, *value):  # a record's __setattr__ and __delattr__
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class _RecordMeta(type):
-    """Makes a class that annotates fields a record, its fields the slots of a mutable twin, its one
-    base: a straight-line `__new__` fills them, runs `__post_init__` and sets the record's class."""
+    """Makes a class that annotates fields a record: its fields (`__match_args__`) are the slots of
+    a mutable twin, its one base, which a straight-line `__new__` fills, checks (`__post_init__`)
+    and then turns into the record.  The record is frozen; the twin is not."""
 
     def __new__(mcs, name, bases, ns):
         names = tuple(ns.get("__annotations__", ()))
@@ -61,7 +67,8 @@ class _RecordMeta(type):
             return super().__new__(mcs, name, bases, {"__slots__": (), **ns})
         twin = super().__new__(mcs, "_" + name, bases, {
             "__slots__": names + ns.pop("__slots__", ()), "__module__": ns["__module__"]})
-        cls = super().__new__(mcs, name, (twin,), {**ns, "__slots__": ()})
+        cls = super().__new__(mcs, name, (twin,), {**ns, "__slots__": (), "__match_args__": names,
+                                                   "__setattr__": _frozen, "__delattr__": _frozen})
         if "__new__" not in ns:
             lines = [f"def __new__(cls, {', '.join(names)}):", "self = twin()"]
             lines += [f"self.{n} = {n}" for n in names]
@@ -70,14 +77,30 @@ class _RecordMeta(type):
             exec("\n    ".join(lines), env := {"twin": twin})
             env["__new__"].__annotations__ = dict(ns["__annotations__"])
             cls.__new__ = staticmethod(env["__new__"])
-        return dataclass(frozen=True, init=False)(cls)
+        return cls
 
 
 class _Record(metaclass=_RecordMeta):
-    """Base of the frozen value records: no instance dict; weak references allowed.  A constructor
-    of its own (`_of`, `_held`) fills `cls.__base__()`, the twin, then sets `__class__`."""
+    """Base of the frozen value records: `==`, `hash` and `repr` by the fields; no instance dict;
+    weak references allowed.  A constructor of its own (`_of`, `_held`) fills `cls.__base__()`,
+    the twin, then sets `__class__`."""
 
     __slots__ = ("__weakref__",)
+
+    def _values(self):
+        return tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):  # pickles and copies hold the twin's slots as they are, unchecked
         return type(self)._held, tuple(getattr(self, n) for n in type(self).__base__.__slots__)

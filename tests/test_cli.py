@@ -1475,33 +1475,41 @@ def crossed(eta1, eta2):
     return [Attenuator(eta1, 0.0), HalfWave(1.0), HalfWave(1.0), Attenuator(0.0, eta2)]
 
 
-@pytest.mark.parametrize("train", [
-    pytest.param(crossed(38.0, 354.0), id="38.0-354.0", marks=pytest.mark.xfail(
+@pytest.mark.parametrize("train, theta", [
+    pytest.param(crossed(38.0, 354.0), 0.0, id="38.0-354.0", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=FALSE_EXTINCTION)),
     # apply's s2 = -6.555801986608218e-22 against 3.997079174152804e-33, over an atol of 5.68e-22
-    pytest.param(crossed(13.0, 11.0), id="13.0-11.0", marks=pytest.mark.xfail(
+    pytest.param(crossed(13.0, 11.0), 0.0, id="13.0-11.0", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=CROSS_TERM)),
     # apply's s0 = 1.922139272666543e-11 against 1.9221392726742506e-11, over an atol of 7.69e-23
-    pytest.param(crossed(12.0, 14.0), id="12.0-14.0", marks=pytest.mark.xfail(
+    pytest.param(crossed(12.0, 14.0), 0.0, id="12.0-14.0", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=CROSS_TERM)),
     # a shifter between the plates: apply's s2 = -1.0873458307327766e-17 against
     # -1.087505952223769e-17, over an atol of 1.40e-21; the 80-digit s2 is -1.0875160431e-17
     pytest.param([Attenuator(11.0, 0.0), HalfWave(1.0), PhaseShifter(0.0, 2.0**-24), HalfWave(1.0),
-                  Attenuator(0.0, 11.0)], id="11.0-shifter-11.0", marks=pytest.mark.xfail(
+                  Attenuator(0.0, 11.0)], 0.0, id="11.0-shifter-11.0", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=CROSS_TERM)),
     # the true flux, below every route's rounding noise, leaves no route a right answer
     pytest.param([Rotator(1.0), Attenuator(1.0, 129.0), HalfWave(1.5), HalfWave(1.5),
-                  Attenuator(353.0, 0.0)], id="sub-floor", marks=pytest.mark.xfail(
+                  Attenuator(353.0, 0.0)], 0.0, id="sub-floor", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=SUB_FLOOR)),
+    # 38.0-354.0 with the attenuators' strong axes swapped: apply raises, the others return
+    pytest.param([Attenuator(0.0, 38.0), HalfWave(1.0), HalfWave(1.0), Attenuator(354.0, 0.0)],
+                 0.0, id="swapped-38.0-354.0", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=FALSE_EXTINCTION)),
+    # off the pole: apply's s0 is 7.8e-21 off, over an atol of 7.6e-21
+    pytest.param([Attenuator(0.0, 9.0), HalfWave(1.0), HalfWave(1.0), Attenuator(11.0, 0.0)],
+                 1.0, id="swapped-9.0-11.0-theta-1.0", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=CROSS_TERM)),
 ])
-def test_strong_train_draws_the_property_fails(tmp_path_factory, train):
-    """The property's body on five draws it can find, circular beams through strong trains.
-    On each, the chain of apply calls alone fails: it carries each step's rounding, where the
-    other routes read the train's prefix products.  Only a reference (ROADMAP item 4), a
-    derived cross term or a verdict below the noise floor (item 5) can settle them; each
-    flips its draw."""
+def test_strong_train_draws_the_property_fails(tmp_path_factory, train, theta):
+    """The property's body on seven draws it can find, beams at polar angle theta (0: the
+    circular beam) through strong trains.  On each, the chain of apply calls alone fails: it
+    carries each step's rounding, where the other routes read the train's prefix products.
+    Only a reference (ROADMAP item 4), a derived cross term or a verdict below the noise floor
+    (item 5) can settle them; each flips its draw."""
     test_strong_trains_every_route_raises_together_or_agrees.hypothesis.inner_test(
-        tmp_path_factory, train, 0.0, 0.0, 0.0)
+        tmp_path_factory, train, theta, 0.0, 0.0)
 
 
 # The final Stokes vector of the circular beam (1, 0, 0, 1) through strong trains, to 20 of

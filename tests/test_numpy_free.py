@@ -1,6 +1,8 @@
-"""The CLI and `import polspin` run without NumPy; the scalar paths keep the ndarray digits.
+"""The CLI and `import polspin` run without NumPy or `dataclasses`; the scalar paths keep the
+ndarray digits.
 
-NumPy is imported only by the library calls that return ndarrays.  The scalar forms of
+NumPy is imported only by the library calls that return ndarrays, and `dataclasses` only to
+raise `FrozenInstanceError` on a write to a record.  The scalar forms of
 U o, U^-1 v and the Jones division must print the digits the ndarray forms printed, so
 these tests compare them bit for bit (by repr) against those forms on seeded draws.
 """
@@ -49,46 +51,48 @@ JONES = '{"jones": {"a1": 1.2, "a2": 0.5, "phi1": 0.2, "phi2": 1}}'
 TRAIN = "qwp axis=0.35\natten e1=0.1 e2=0.8\nrotate alpha=0.7\n"
 
 
-def numpy_loaded_after(code):
-    """Whether NumPy is in sys.modules after code runs in a fresh `python -W error`."""
+def loaded_after(module, code):
+    """Whether module is in sys.modules after code runs in a fresh `python -W error`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    script = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+    script = f"import sys\n{code}\nprint({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
 
 
-@pytest.mark.parametrize("module", ["polspin", "polspin.cli", "polspin.pauli"])
-def test_import_leaves_numpy_out(module):
-    assert not numpy_loaded_after(f"import {module}")
+def left_out(cases):
+    """cases, by id, once for each module that stays out: NumPy's under the id, the others' under
+    the id and the module's name."""
+    return [pytest.param(module, case, id=name if module == "numpy" else f"{name}-{module}")
+            for module in ("numpy", "dataclasses") for name, case in cases.items()]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["convert", "--to", "jones", ANGLES],
-        ["convert", "--to", "angles", STOKES_PURE],
-        ["convert", "--to", "jones", JONES],
-        ["convert", "--to", "spinor", JONES],
-        ["convert", "--to", "coherency", "--basis", "linear", STOKES_MIXED],
-        ["trace", "<train>", ANGLES],
-        ["trace", "<train>", JONES],
-        ["trace", "<train>", STOKES_MIXED],
-        ["mueller", "<train>"],
-        ["decompose", STOKES_MIXED],
-        ["decompose", '{"stokes": [1, 0, 0, 0]}'],
-        ["phase", JONES, ANGLES],
-    ],
-    ids=["convert-angles", "convert-stokes", "convert-jones", "convert-jones-spinor",
-         "convert-coherency", "trace-angles", "trace-jones", "trace-mixed", "mueller",
-         "decompose", "decompose-degenerate", "phase"],
-)
-def test_every_command_leaves_numpy_out(tmp_path, argv):
+@pytest.mark.parametrize("absent, module", left_out(
+    {m: m for m in ["polspin", "polspin.cli", "polspin.pauli"]}))
+def test_import_leaves_numpy_out(absent, module):
+    assert not loaded_after(absent, f"import {module}")
+
+
+@pytest.mark.parametrize("absent, argv", left_out({
+    "convert-angles": ["convert", "--to", "jones", ANGLES],
+    "convert-stokes": ["convert", "--to", "angles", STOKES_PURE],
+    "convert-jones": ["convert", "--to", "jones", JONES],
+    "convert-jones-spinor": ["convert", "--to", "spinor", JONES],
+    "convert-coherency": ["convert", "--to", "coherency", "--basis", "linear", STOKES_MIXED],
+    "trace-angles": ["trace", "<train>", ANGLES],
+    "trace-jones": ["trace", "<train>", JONES],
+    "trace-mixed": ["trace", "<train>", STOKES_MIXED],
+    "mueller": ["mueller", "<train>"],
+    "decompose": ["decompose", STOKES_MIXED],
+    "decompose-degenerate": ["decompose", '{"stokes": [1, 0, 0, 0]}'],
+    "phase": ["phase", JONES, ANGLES],
+}))
+def test_every_command_leaves_numpy_out(tmp_path, absent, argv):
     train = tmp_path / "t.pol"
     train.write_text(TRAIN)
     argv = [str(train) if a == "<train>" else a for a in argv]
-    assert not numpy_loaded_after(f"from polspin.cli import main\nassert main({argv!r}) == 0")
+    assert not loaded_after(absent, f"from polspin.cli import main\nassert main({argv!r}) == 0")
 
 
 def test_array_calls_still_return_ndarrays():

@@ -3,11 +3,13 @@
 The records are found by scanning the polspin modules for public subclasses of
 `_Record` (`CoherencyMatrix`, whose constructor takes a matrix, is left out by
 name and tested on its own), so a new record without an entry in ARGS fails
-here.  Each must behave as a frozen dataclass: construction by position and
-keyword, its signature and docstring, `replace`, pickle and `copy`,
-`FrozenInstanceError`, and its range checks.  Each holds its fields in slots and
-nothing else (an element also its `_linear`, a wave its `_jones`), has no
-`__dict__`, and can be weakly referenced.
+here.  Each compares, hashes and prints by its fields (`__match_args__`) through
+`_Record`, and must behave as a frozen record: construction by position and
+keyword and from another's fields, its signature, pickle and `copy`,
+`FrozenInstanceError`, and its range checks.  Records are not dataclasses, so
+`dataclasses.fields` and `replace` do not apply to them.  Each holds its fields
+in slots and nothing else (an element also its `_linear`, a wave its `_jones`),
+has no `__dict__`, and can be weakly referenced.
 """
 
 import copy
@@ -74,7 +76,7 @@ FILLED = {WaveState: ["_jones"]}
 def values(x):
     """x's field values, an ndarray as its list, so that copies of it compare equal."""
     return [v.tolist() if isinstance(v, np.ndarray) else v
-            for v in (getattr(x, f.name) for f in dataclasses.fields(x))]
+            for v in (getattr(x, name) for name in type(x).__match_args__)]
 
 
 def assert_same(got, want):
@@ -102,25 +104,30 @@ def test_every_record_has_an_argument_tuple():
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_a_record_behaves_as_a_frozen_dataclass(cls):
     args = ARGS[cls.__name__]
-    fields = dataclasses.fields(cls)
-    names = [f.name for f in fields]
+    names = list(cls.__match_args__)
     x = cls(*args)
     signature = inspect.signature(cls)
     assert [(p.name, p.annotation) for p in signature.parameters.values()] == [
-        (f.name, f.type) for f in fields]
-    if cls.__doc__.startswith(f"{cls.__name__}("):  # dataclass's docstring, from the signature
-        assert cls.__doc__ == cls.__name__ + str(signature).replace(" -> None", "")
+        (name, cls.__annotations__[name]) for name in names]
     assert list(slots(x)) == names + FILLED.get(cls, [])  # it holds its fields, in order
     assert_slotted(x, names + next((v for k, v in KEPT.items() if issubclass(cls, k)), []))
     assert_same(cls(**dict(zip(names, args))), x)
-    y = dataclasses.replace(x)
+    y = cls(**{name: getattr(x, name) for name in names})
     assert y is not x
     assert_same(y, x)
     for dup in (pickle.loads(pickle.dumps(x)), copy.copy(x)):
         assert_same(dup, x)
         assert repr(slots(dup)) == repr(slots(x))  # the same slots, bit for bit
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    frozen = dataclasses.FrozenInstanceError
+    with pytest.raises(frozen, match=f"^cannot assign to field '{names[0]}'$"):
         setattr(x, names[0], args[0])
+    with pytest.raises(frozen, match=f"^cannot delete field '{names[0]}'$"):
+        delattr(x, names[0])
+    # the repr the dataclass decorator wrote, which error messages embed
+    fields = ", ".join(f"{name}={getattr(x, name)!r}" for name in names)
+    assert repr(x) == f"{cls.__qualname__}({fields})"
+    with pytest.raises(TypeError, match="dataclass"):  # not a dataclass: no fields, no replace
+        dataclasses.fields(x)
 
 
 @pytest.mark.parametrize("name, args, message", [

@@ -12,8 +12,10 @@ it is odd, so the host's slow drift hits both sides alike.  Each workload
 gets PAIRS consecutive seeds, starting at --first-seed; every run lasts
 SECONDS, the run length BENCHMARK.json fixes.  The traced workload gets
 TRACED_PAIRS more pairs with the per-layer tracer on.  Then COLD_RUNS
-alternating pairs of cold `python -m polspin` processes time every command
-(`cold_argvs`); their medians are layers, not bounds.  Last, LAYER_ROUNDS alternating
+alternating pairs of cold `python -S -m polspin` processes time every command
+(`cold_argvs`); their medians are layers, not bounds.  `-S` skips the site-packages
+`.pth` files, whose imports at startup are no part of polspin, so a cold time is the
+interpreter's bare start plus polspin's own imports and work.  Last, LAYER_ROUNDS alternating
 rounds time, in one process per tree and round, `parse_train` and the prefix products
 (`filters._prefixes`) of the first long-train seed's 6000-element train, the best of
 LAYER_REPEATS calls each: warm CLI passes reuse both from the CLI's train memo, so no
@@ -107,7 +109,7 @@ def run_pairs(trees, workload, seeds, trace):
 
 
 def cold_pairs(trees, argvs, runs=COLD_RUNS):
-    """Wall ms of cold `python -m polspin <argv>` processes in each tree, alternating sides.
+    """Wall ms of cold `python -S -m polspin <argv>` processes in each tree, alternating sides.
 
     argvs maps a command name to its argv.  Returns {side: [record per pair]},
     each record {"metrics": {"cold.<name>_ms": {"value": ms}}}, the shape
@@ -119,8 +121,9 @@ def cold_pairs(trees, argvs, runs=COLD_RUNS):
             metrics = {}
             for name, argv in argvs.items():
                 start = time.perf_counter_ns()
-                proc = subprocess.run([sys.executable, "-m", "polspin", *argv], cwd=trees[side],
-                                      env={**os.environ, "PYTHONPATH": "src"}, capture_output=True)
+                proc = subprocess.run([sys.executable, "-S", "-m", "polspin", *argv],
+                                      cwd=trees[side], env={**os.environ, "PYTHONPATH": "src"},
+                                      capture_output=True)
                 if proc.returncode != 0:
                     raise SystemExit(f"polspin {name} failed in {trees[side]}:\n"
                                      f"{proc.stderr.decode()[-2000:]}")
@@ -378,12 +381,12 @@ def main(argv=None):
 
         argvs = cold_argvs(workdir)
         result["cold_process"] = {
-            "command": "python -m polspin convert --to stokes <README pure beam>; "
-                       "python -m polspin trace <README train> <README pure beam>; "
-                       "python -m polspin mueller <README train>; "
-                       "python -m polspin decompose <README mixed beam>; "
-                       f"python -m polspin convert --to jones '{json.dumps(JONES_BEAM)}'; "
-                       "python -m polspin phase <README pure beam> <that Jones beam>",
+            "command": "python -S -m polspin convert --to stokes <README pure beam>; "
+                       "python -S -m polspin trace <README train> <README pure beam>; "
+                       "python -S -m polspin mueller <README train>; "
+                       "python -S -m polspin decompose <README mixed beam>; "
+                       f"python -S -m polspin convert --to jones '{json.dumps(JONES_BEAM)}'; "
+                       "python -S -m polspin phase <README pure beam> <that Jones beam>",
             "runs": COLD_RUNS, "metrics": summarize_traced(cold_pairs(trees, argvs))}
         result["in_process_layers"] = {
             "command": "parse_train and list(filters._prefixes) on the long-train train of seed "
